@@ -17,12 +17,11 @@ import sys
 from dataclasses import asdict
 from typing import Optional
 
+from . import __version__ as _VERSION
 from . import config as cfgmod
 from . import gen1, gen3, optimize, oracles
 from .config import ConfigError
 from .core import Gen1Config, HardwareParams, validate_hardware
-
-__version__ = "0.1.0"
 
 SCHEMA_VERSION = 1
 _UNITS = "distances km, times s, rates sbit/s, cost qubit*s/sbit, cost_coeff qubit*s/(sbit*km)"
@@ -90,7 +89,7 @@ def _grid_hash(command: str, cfg, sections: tuple[str, ...]) -> str:
 def _dataset(command: str, cfg, sections: tuple[str, ...], rows: list[dict]) -> str:
     buffer = io.StringIO()
     buffer.write(f"# schema_version: {SCHEMA_VERSION}\n")
-    buffer.write(f"# tool: qrcost {__version__}\n")
+    buffer.write(f"# tool: qrcost {_VERSION}\n")
     buffer.write(f"# command: {command}\n")
     buffer.write(f"# units: {_UNITS}\n")
     buffer.write("# seed_policy: closed-form evaluation, no sampling\n")
@@ -107,8 +106,8 @@ def _axis_problems(params: HardwareParams, axis: str, values) -> list[str]:
     problems = []
     for value in values:
         if axis == "l_tot":
-            if value <= 0:
-                problems.append(f"l_tot grid value must be > 0, got {value}")
+            if not 0.0 < value < math.inf:
+                problems.append(f"l_tot grid value must be finite and > 0, got {value}")
             continue
         problems.extend(validate_hardware(params.with_(**{axis: value})))
     return problems
@@ -122,7 +121,7 @@ def cmd_evaluate(cfg, out_path: Optional[str]) -> int:
     record = {
         "schema_version": SCHEMA_VERSION,
         "tool": "qrcost",
-        "version": __version__,
+        "version": _VERSION,
         "command": "evaluate",
         "units": _UNITS,
         "family": family,
@@ -301,7 +300,7 @@ def cmd_validate(suite: str, trials: int, seed: int, out_path: Optional[str]) ->
         return 2
     lines = [
         f"# schema_version: {SCHEMA_VERSION}",
-        f"# tool: qrcost {__version__}",
+        f"# tool: qrcost {_VERSION}",
         f"# command: validate {suite}",
         f"# generator: {oracles.GENERATOR_NAME}",
         f"# seed: {seed}",

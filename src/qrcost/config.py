@@ -10,21 +10,15 @@ probabilities throughout.
 from __future__ import annotations
 
 import configparser
+import math
 import os
+from dataclasses import fields
 from typing import Optional
 
 import numpy as np
 
-from .core import (
-    CSS_CATALOG,
-    Gen1Config,
-    Gen2EncConfig,
-    Gen2NoEncConfig,
-    Gen3Config,
-    HardwareParams,
-    validate_hardware,
-)
-from .optimize import Gen1Search, Gen2Search, Gen3Search, SearchSpace
+from .core import CSS_CATALOG, CssCode, HardwareParams, validate_hardware
+from .optimize import FAMILIES, FAMILY_TABLE, SearchSpace
 
 ENV_CONFIG_PATH = "QRCOST_CONFIG"
 
@@ -205,11 +199,10 @@ def parse_grid(raw: str, where: str) -> tuple[float, ...]:
 
 def hardware(cfg) -> HardwareParams:
     """Build and validate the hardware point described by [hardware]."""
-    xi_raw = cfg["hardware"]["xi"].strip()
     params = HardwareParams(
         eta_c=_float(cfg, "hardware", "eta_c"),
         eps_g=_float(cfg, "hardware", "eps_g"),
-        xi=float(xi_raw) if xi_raw else None,
+        xi=_float(cfg, "hardware", "xi") if cfg["hardware"]["xi"].strip() else None,
         eps_d=_float(cfg, "hardware", "eps_d"),
         t0=_float(cfg, "hardware", "t0"),
         l_att=_float(cfg, "hardware", "l_att"),
@@ -223,53 +216,55 @@ def hardware(cfg) -> HardwareParams:
 
 def total_distance(cfg) -> float:
     l_tot = _float(cfg, "hardware", "l_tot")
-    if l_tot <= 0:
-        raise ConfigError(f"hardware.l_tot must be > 0, got {l_tot}")
+    if not 0.0 < l_tot < math.inf:
+        raise ConfigError(f"hardware.l_tot must be finite and > 0, got {l_tot}")
     return l_tot
 
 
-def _codes(cfg) -> tuple:
-    out = []
-    for name in _names(cfg["search.gen2"]["codes"]):
-        code = _CODE_NAMES.get(name.lower())
-        if code is None:
-            raise ConfigError(
-                f"search.gen2.codes: unknown code {name!r} (known: {', '.join(sorted(_CODE_NAMES))})"
-            )
-        out.append(code)
+def _code(name: str, where: str) -> CssCode:
+    code = _CODE_NAMES.get(name.strip().lower())
+    if code is None:
+        known = ", ".join(sorted(_CODE_NAMES))
+        raise ConfigError(f"{where}: unknown code {name!r} (known: {known})")
+    return code
+
+
+def _codes(cfg, section: str, key: str) -> tuple[CssCode, ...]:
+    where = f"{section}.{key}"
+    out = tuple(_code(name, where) for name in _names(cfg[section][key]))
     if not out:
-        raise ConfigError("search.gen2.codes: empty code list")
-    return tuple(out)
+        raise ConfigError(f"{where}: empty code list")
+    return out
+
+
+# value parsers by dataclass field annotation, called as parse(cfg, section, key)
+_FIELD_PARSERS = {
+    "int": _int,
+    "float": _float,
+    "str": lambda cfg, sec, key: cfg[sec][key].strip(),
+    "tuple[int, ...]": _int_tuple,
+    "tuple[str, ...]": lambda cfg, sec, key: _names(cfg[sec][key]),
+    "tuple[float, ...]": lambda cfg, sec, key: parse_grid(cfg[sec][key], f"{sec}.{key}"),
+    "CssCode": lambda cfg, sec, key: _code(cfg[sec][key], f"{sec}.{key}"),
+    "tuple[CssCode, ...]": _codes,
+}
+
+
+def _read(cfg, section: str, cls):
+    """Build dataclass `cls` from the keys of [section] named after its fields."""
+    values = {f.name: _FIELD_PARSERS[f.type](cfg, section, f.name) for f in fields(cls)}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def search_space(cfg) -> SearchSpace:
     """Build the architecture-search grids from the [search.*] sections."""
-    try:
-        gen1 = Gen1Search(
-            schemes=_names(cfg["search.gen1"]["schemes"]),
-            min_levels=_int(cfg, "search.gen1", "min_levels"),
-            max_levels=_int(cfg, "search.gen1", "max_levels"),
-            max_rounds=_int(cfg, "search.gen1", "max_rounds"),
-        )
-        gen2 = Gen2Search(
-            segment_counts=_int_tuple(cfg, "search.gen2", "segment_counts"),
-            memories=_int_tuple(cfg, "search.gen2", "memories"),
-            gen_rounds=_int_tuple(cfg, "search.gen2", "gen_rounds"),
-            min_spacing_km=_float(cfg, "search.gen2", "min_spacing_km"),
-            codes=_codes(cfg),
-        )
-        gen3 = Gen3Search(
-            spacings_km=parse_grid(cfg["search.gen3"]["spacings_km"], "search.gen3.spacings_km"),
-            min_n=_int(cfg, "search.gen3", "min_n"),
-            max_n=_int(cfg, "search.gen3", "max_n"),
-            min_m=_int(cfg, "search.gen3", "min_m"),
-            max_m=_int(cfg, "search.gen3", "max_m"),
-            max_photons=_int(cfg, "search.gen3", "max_photons"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    space = SearchSpace(
+        **{f.name: _read(cfg, f"search.{f.name}", f.default_factory) for f in fields(SearchSpace)}
+    )
+    gen1 = space.gen1
     for scheme in gen1.schemes:
         if scheme not in ("deutsch", "dur"):
             raise ConfigError(f"search.gen1.schemes: unknown scheme {scheme!r}")
@@ -277,50 +272,19 @@ def search_space(cfg) -> SearchSpace:
         raise ConfigError("search.gen1: need 0 <= min_levels <= max_levels")
     if gen1.max_rounds < 0:
         raise ConfigError("search.gen1.max_rounds must be >= 0")
-    return SearchSpace(gen1=gen1, gen2=gen2, gen3=gen3)
+    return space
 
 
 def protocol(cfg):
-    """Build the single configuration described by [evaluate]."""
+    """Build the single configuration described by [evaluate], reading the
+    family's config fields from the keys of the same names."""
     family = cfg["evaluate"]["family"].strip()
-    try:
-        if family == "gen1":
-            rounds = tuple(int(p) for p in _names(cfg["evaluate"]["rounds"]))
-            return family, Gen1Config(
-                scheme=cfg["evaluate"]["scheme"].strip(),
-                levels=_int(cfg, "evaluate", "levels"),
-                rounds=rounds,
-            )
-        if family == "gen2_noenc":
-            return family, Gen2NoEncConfig(
-                memories=_int(cfg, "evaluate", "memories"),
-                spacing_km=_float(cfg, "evaluate", "spacing_km"),
-                gen_rounds=_int(cfg, "evaluate", "gen_rounds"),
-            )
-        if family == "gen2_enc":
-            name = cfg["evaluate"]["code"].strip().lower()
-            code = _CODE_NAMES.get(name)
-            if code is None:
-                raise ConfigError(f"evaluate.code: unknown code {name!r}")
-            return family, Gen2EncConfig(
-                code=code,
-                memories=_int(cfg, "evaluate", "memories"),
-                spacing_km=_float(cfg, "evaluate", "spacing_km"),
-                gen_rounds=_int(cfg, "evaluate", "gen_rounds"),
-            )
-        if family == "gen3":
-            return family, Gen3Config(
-                n=_int(cfg, "evaluate", "n"),
-                m=_int(cfg, "evaluate", "m"),
-                spacing_km=_float(cfg, "evaluate", "spacing_km"),
-            )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"evaluate: {exc}") from exc
-    raise ConfigError(
-        f"evaluate.family: unknown family {family!r} (known: gen1, gen2_noenc, gen2_enc, gen3)"
-    )
+    spec = FAMILY_TABLE.get(family)
+    if spec is None:
+        raise ConfigError(
+            f"evaluate.family: unknown family {family!r} (known: {', '.join(FAMILIES)})"
+        )
+    return family, _read(cfg, "evaluate", spec.config_type)
 
 
 def sweep_spec(cfg) -> tuple[str, tuple[float, ...]]:

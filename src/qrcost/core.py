@@ -125,6 +125,15 @@ class Gen1Config:
             raise ValueError("purification rounds must be >= 0")
 
 
+def _check_swap_chain(config) -> None:
+    if config.memories < 1:
+        raise ValueError("memories must be >= 1")
+    if config.spacing_km <= 0:
+        raise ValueError("spacing_km must be > 0")
+    if config.gen_rounds < 1:
+        raise ValueError("gen_rounds must be >= 1")
+
+
 @dataclass(frozen=True)
 class Gen2NoEncConfig:
     """Multiplexed swap chain without encoding."""
@@ -134,12 +143,7 @@ class Gen2NoEncConfig:
     gen_rounds: int = 1  # entanglement-generation attempts pooled per cycle
 
     def __post_init__(self) -> None:
-        if self.memories < 1:
-            raise ValueError("memories must be >= 1")
-        if self.spacing_km <= 0:
-            raise ValueError("spacing_km must be > 0")
-        if self.gen_rounds < 1:
-            raise ValueError("gen_rounds must be >= 1")
+        _check_swap_chain(self)
 
 
 @dataclass(frozen=True)
@@ -170,12 +174,7 @@ class Gen2EncConfig:
     gen_rounds: int = 1
 
     def __post_init__(self) -> None:
-        if self.memories < 1:
-            raise ValueError("memories must be >= 1")
-        if self.spacing_km <= 0:
-            raise ValueError("spacing_km must be > 0")
-        if self.gen_rounds < 1:
-            raise ValueError("gen_rounds must be >= 1")
+        _check_swap_chain(self)
 
 
 @dataclass(frozen=True)
@@ -215,6 +214,14 @@ class CostResult:
             feasible=False,
         )
 
+    @classmethod
+    def from_rate(cls, rate: float, qps: int, stations: int, l_tot_km: float) -> "CostResult":
+        """C = stations * qps / rate and C' = C / L_tot; infeasible unless rate > 0."""
+        if rate <= 0.0:
+            return cls.infeasible(qps, stations)
+        cost = stations * qps / rate
+        return cls(rate, qps, stations, cost, cost / l_tot_km, True)
+
 
 def validate_hardware(params: HardwareParams) -> list[str]:
     """Return human-readable problems with a hardware parameter set."""
@@ -229,10 +236,8 @@ def validate_hardware(params: HardwareParams) -> list[str]:
         problems.append(f"xi must lie in [0, 0.5], got {params.xi}")
     if not 0.0 <= params.eps_d <= 1.0:
         problems.append(f"eps_d must lie in [0, 1], got {params.eps_d}")
-    if params.t0 <= 0:
-        problems.append(f"t0 must be > 0, got {params.t0}")
-    if params.l_att <= 0:
-        problems.append(f"l_att must be > 0, got {params.l_att}")
-    if params.c_fiber <= 0:
-        problems.append(f"c_fiber must be > 0, got {params.c_fiber}")
+    for name in ("t0", "l_att", "c_fiber"):
+        value = getattr(params, name)
+        if not 0.0 < value < math.inf:
+            problems.append(f"{name} must be finite and > 0, got {value}")
     return problems

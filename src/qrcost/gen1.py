@@ -193,9 +193,7 @@ def _finish(
     if r <= 0.0:
         return CostResult.infeasible(qps, stations)
     w = _waiting_time_from_constants(alpha, beta, gamma, params, levels, l_tot_km)
-    rate = r / w
-    cost = stations * qps / rate
-    return CostResult(rate, qps, stations, cost, cost / l_tot_km, True)
+    return CostResult.from_rate(r / w, qps, stations, l_tot_km)
 
 
 def evaluate(params: HardwareParams, config: Gen1Config, l_tot_km: float) -> CostResult:

@@ -76,25 +76,29 @@ def link_availability(p_gen: float, attempts: int) -> float:
     return -math.expm1(attempts * math.log1p(-p_gen))
 
 
+def _chain_cost(
+    params: HardwareParams, config, l_tot_km: float, segments: int, r: float, availability
+) -> CostResult:
+    """Shared tail of both chains: `availability(p_gen, attempts)` is the chance
+    that one segment is ready in a cycle; all segments must be ready at once."""
+    qps = 2 * config.memories
+    if r <= 0.0:
+        return CostResult.infeasible(qps, segments)
+    p_gen = heg_success_prob(params.eta_c, config.spacing_km, params.l_att)
+    avail = availability(p_gen, config.memories * config.gen_rounds)
+    if avail <= 0.0:
+        return CostResult.infeasible(qps, segments)
+    cycle = config.gen_rounds * (config.spacing_km / params.c_fiber + params.t0)
+    return CostResult.from_rate(avail**segments * r / cycle, qps, segments, l_tot_km)
+
+
 def evaluate_no_encoding(
     params: HardwareParams, config: Gen2NoEncConfig, l_tot_km: float
 ) -> CostResult:
     """Rate and cost of the bare multiplexed swap chain."""
     segments = segment_count(l_tot_km, config.spacing_km)
-    qps = 2 * config.memories
     r = _chain_secure_fraction(params.eps_g, params.xi, segments)
-    if r <= 0.0:
-        return CostResult.infeasible(qps, segments)
-    p_gen = heg_success_prob(params.eta_c, config.spacing_km, params.l_att)
-    avail = link_availability(p_gen, config.memories * config.gen_rounds)
-    if avail <= 0.0:
-        return CostResult.infeasible(qps, segments)
-    cycle = config.gen_rounds * (config.spacing_km / params.c_fiber + params.t0)
-    rate = avail**segments * r / cycle
-    if rate <= 0.0:
-        return CostResult.infeasible(qps, segments)
-    cost = segments * qps / rate
-    return CostResult(rate, qps, segments, cost, cost / l_tot_km, True)
+    return _chain_cost(params, config, l_tot_km, segments, r, link_availability)
 
 
 def physical_error_rate(params: HardwareParams) -> float:
@@ -126,21 +130,10 @@ def evaluate_encoded(
 ) -> CostResult:
     """Rate and cost of the CSS-encoded swap chain."""
     segments = segment_count(l_tot_km, config.spacing_km)
-    qps = 2 * config.memories
     eps = physical_error_rate(params)
-    q = encoded_qber(config.code, eps, segments)
-    r = secure_fraction(q)
-    if r <= 0.0:
-        return CostResult.infeasible(qps, segments)
-    p_gen = heg_success_prob(params.eta_c, config.spacing_km, params.l_att)
-    avail = tail_at_least(
-        config.memories * config.gen_rounds, p_gen, config.code.n_phys
+    r = secure_fraction(encoded_qber(config.code, eps, segments))
+    # every logical pair needs n_phys physical pairs from the segment's pool
+    return _chain_cost(
+        params, config, l_tot_km, segments, r,
+        lambda p_gen, attempts: tail_at_least(attempts, p_gen, config.code.n_phys),
     )
-    if avail <= 0.0:
-        return CostResult.infeasible(qps, segments)
-    cycle = config.gen_rounds * (config.spacing_km / params.c_fiber + params.t0)
-    rate = avail**segments * r / cycle
-    if rate <= 0.0:
-        return CostResult.infeasible(qps, segments)
-    cost = segments * qps / rate
-    return CostResult(rate, qps, segments, cost, cost / l_tot_km, True)

@@ -81,10 +81,18 @@ def decode_probs(n: int, m: int, mu: float, eps_q: float, basis: str) -> tuple[f
         # parity over n known blocks: wrong iff an odd number of blocks vote wrong
         return 0.5 * (known + d**n), 0.5 * (known - d**n), 1.0 - known
     if basis == "x":
-        arrive_all = mu**m
-        flip = 0.5 * (1.0 - (1.0 - 2.0 * eps_q) ** m)
-        return _vote_block(n, arrive_all, flip)
+        return _decode_x(n, m, mu, eps_q)
     raise ValueError(f"basis must be 'x' or 'z', got {basis!r}")
+
+
+def _decode_x(n: int, m: int, mu: float, eps_q: float) -> tuple[float, float, float]:
+    """X readout: a block votes with its parity when all m photons arrive
+    (the parity flips when an odd number of them flip); majority across blocks.
+    Not cached: station_outcome caches its own results, and a cache here would
+    hold one more entry for each of its misses."""
+    arrive_all = mu**m
+    flip = 0.5 * (1.0 - (1.0 - 2.0 * eps_q) ** m)
+    return _vote_block(n, arrive_all, flip)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -96,17 +104,16 @@ def station_outcome(n: int, m: int, mu: float, eps_q: float) -> tuple[float, flo
     logical readouts; p_unknown is the probability that either readout is
     undecidable. ok is False when the code never decodes.
     """
-    pc_blk, pi_blk, pu_blk = _vote_block(m, mu, eps_q)
+    pc_blk, pi_blk, _ = _vote_block(m, mu, eps_q)
     s = pc_blk + pi_blk
     d = pc_blk - pi_blk
     # Z logical value is the parity of the n block outcomes: every block must
-    # be known, errors cancel pairwise.
+    # be known, errors cancel pairwise. The bias is taken as (d/s)**n: the
+    # ratio of decode_probs(..., "z") agrees only to about 1e-12.
     known_z = s**n
     pu_z = 1.0 - known_z
 
-    arrive_all = mu**m
-    flip_x = 0.5 * (1.0 - (1.0 - 2.0 * eps_q) ** m)
-    pc_x, pi_x, pu_x = _vote_block(n, arrive_all, flip_x)
+    pc_x, pi_x, pu_x = _decode_x(n, m, mu, eps_q)
     s_x = pc_x + pi_x
 
     p_unknown = 1.0 - (1.0 - pu_x) * (1.0 - pu_z)
@@ -134,8 +141,4 @@ def evaluate(params: HardwareParams, config: Gen3Config, l_tot_km: float) -> Cos
     q_z = 0.5 * (1.0 - ratio_z**stations)
     q_x = 0.5 * (1.0 - ratio_x**stations)
     r = secure_fraction(average_qber(q_x, q_z))
-    rate = p_succ * r / params.t0
-    if rate <= 0.0:
-        return CostResult.infeasible(qps, stations)
-    cost = stations * qps / rate
-    return CostResult(rate, qps, stations, cost, cost / l_tot_km, True)
+    return CostResult.from_rate(p_succ * r / params.t0, qps, stations, l_tot_km)

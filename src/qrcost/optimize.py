@@ -10,10 +10,12 @@ in grid order, which keeps the output byte-identical for any worker count.
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Any, NamedTuple, Optional
 
 from . import gen1, gen2, gen3
 from .core import (
@@ -26,8 +28,6 @@ from .core import (
     Gen3Config,
     HardwareParams,
 )
-
-FAMILIES = ("gen1", "gen2_noenc", "gen2_enc", "gen3")
 
 _POW2_SEGMENTS = tuple(2**k for k in range(1, 11))  # 2 .. 1024
 _POW2_MEMORIES = tuple(2**k for k in range(8))  # 1 .. 128
@@ -89,40 +89,6 @@ class OptimumReport:
     winner: Optional[Candidate]
 
 
-def describe_config(config) -> str:
-    """Compact one-line description of any protocol configuration."""
-    if isinstance(config, Gen1Config):
-        rounds = ",".join(str(m) for m in config.rounds)
-        return f"scheme={config.scheme} levels={config.levels} rounds={rounds}"
-    if isinstance(config, Gen2NoEncConfig):
-        return (
-            f"spacing_km={config.spacing_km!r} memories={config.memories}"
-            f" gen_rounds={config.gen_rounds}"
-        )
-    if isinstance(config, Gen2EncConfig):
-        code = f"[[{config.code.n_phys},1,{2 * config.code.t + 1}]]"
-        return (
-            f"code={code} spacing_km={config.spacing_km!r}"
-            f" memories={config.memories} gen_rounds={config.gen_rounds}"
-        )
-    if isinstance(config, Gen3Config):
-        return f"n={config.n} m={config.m} spacing_km={config.spacing_km!r}"
-    raise TypeError(f"unknown config type {type(config)!r}")
-
-
-def evaluate_config(params: HardwareParams, config, l_tot_km: float) -> CostResult:
-    """Dispatch a configuration to its family's evaluator."""
-    if isinstance(config, Gen1Config):
-        return gen1.evaluate(params, config, l_tot_km)
-    if isinstance(config, Gen2NoEncConfig):
-        return gen2.evaluate_no_encoding(params, config, l_tot_km)
-    if isinstance(config, Gen2EncConfig):
-        return gen2.evaluate_encoded(params, config, l_tot_km)
-    if isinstance(config, Gen3Config):
-        return gen3.evaluate(params, config, l_tot_km)
-    raise TypeError(f"unknown config type {type(config)!r}")
-
-
 # Each cached table is a few MB (one entry per schedule), so keep few of them.
 @lru_cache(maxsize=32)
 def _gen1_candidates(search: Gen1Search, eps_g: float, xi: float):
@@ -139,80 +105,124 @@ def _gen1_candidates(search: Gen1Search, eps_g: float, xi: float):
     return out
 
 
-def optimize_gen1(
-    params: HardwareParams, l_tot_km: float, search: Gen1Search = Gen1Search()
-) -> Optional[Candidate]:
-    best = None
-    best_key = None
-    for scheme, levels, rounds, summary in _gen1_candidates(
-        search, params.eps_g, params.xi
-    ):
-        res = gen1._finish(summary, params, levels, l_tot_km)
-        if res.feasible and (best is None or res.cost_coeff < best_key):
-            best = (scheme, levels, rounds, res)
-            best_key = res.cost_coeff
-    if best is None:
-        return None
-    scheme, levels, rounds, res = best
-    return Candidate("gen1", Gen1Config(scheme, levels, rounds), res)
+def _gen1_results(params: HardwareParams, l_tot_km: float, space: SearchSpace):
+    # flat entries keep the cached tables small; the key tuple is transient
+    for scheme, levels, rounds, summary in _gen1_candidates(space.gen1, params.eps_g, params.xi):
+        yield (scheme, levels, rounds), gen1._finish(summary, params, levels, l_tot_km)
 
 
-def _gen2_spacings(search: Gen2Search, l_tot_km: float) -> tuple[float, ...]:
-    return tuple(
-        l_tot_km / k
-        for k in search.segment_counts
-        if l_tot_km / k >= search.min_spacing_km
+def _gen2_grid(search: Gen2Search, l_tot_km: float):
+    """(spacing, memories, gen_rounds) in search order."""
+    spacings = [
+        l_tot_km / k for k in search.segment_counts if l_tot_km / k >= search.min_spacing_km
+    ]
+    return itertools.product(spacings, search.memories, search.gen_rounds)
+
+
+def _gen2_noenc_results(params: HardwareParams, l_tot_km: float, space: SearchSpace):
+    for spacing, memories, gen_rounds in _gen2_grid(space.gen2, l_tot_km):
+        key = (memories, spacing, gen_rounds)
+        yield key, gen2.evaluate_no_encoding(params, Gen2NoEncConfig(*key), l_tot_km)
+
+
+def _gen2_enc_results(params: HardwareParams, l_tot_km: float, space: SearchSpace):
+    for code in space.gen2.codes:
+        for spacing, memories, gen_rounds in _gen2_grid(space.gen2, l_tot_km):
+            key = (code, memories, spacing, gen_rounds)
+            yield key, gen2.evaluate_encoded(params, Gen2EncConfig(*key), l_tot_km)
+
+
+def _gen3_results(params: HardwareParams, l_tot_km: float, space: SearchSpace):
+    search = space.gen3
+    n_values = range(search.min_n, search.max_n + 1)
+    m_values = range(search.min_m, search.max_m + 1)
+    for spacing, n, m in itertools.product(search.spacings_km, n_values, m_values):
+        if n * m <= search.max_photons:
+            key = (n, m, spacing)
+            yield key, gen3.evaluate(params, Gen3Config(*key), l_tot_km)
+
+
+def _describe_gen2(config) -> str:
+    return (
+        f"spacing_km={config.spacing_km!r} memories={config.memories}"
+        f" gen_rounds={config.gen_rounds}"
     )
 
 
-def optimize_gen2_noenc(
-    params: HardwareParams, l_tot_km: float, search: Gen2Search = Gen2Search()
-) -> Optional[Candidate]:
-    best = None
-    for spacing in _gen2_spacings(search, l_tot_km):
-        for memories in search.memories:
-            for gen_rounds in search.gen_rounds:
-                config = Gen2NoEncConfig(memories, spacing, gen_rounds)
-                res = gen2.evaluate_no_encoding(params, config, l_tot_km)
-                if res.feasible and (
-                    best is None or res.cost_coeff < best.result.cost_coeff
-                ):
-                    best = Candidate("gen2_noenc", config, res)
-    return best
+class Family(NamedTuple):
+    """One repeater family.
+
+    evaluate(params, config, l_tot_km) prices one configuration; results(params,
+    l_tot_km, space) yields (arguments, CostResult) over the family's search
+    grid in a fixed order, and config_type(*arguments) rebuilds the
+    configuration; describe(config) is its one-line text. Evaluators are looked
+    up on their module at call time, so a replaced module attribute is honored.
+    """
+
+    config_type: type
+    evaluate: Callable
+    results: Callable
+    describe: Callable
 
 
-def optimize_gen2_enc(
-    params: HardwareParams, l_tot_km: float, search: Gen2Search = Gen2Search()
-) -> Optional[Candidate]:
-    best = None
-    for code in search.codes:
-        for spacing in _gen2_spacings(search, l_tot_km):
-            for memories in search.memories:
-                for gen_rounds in search.gen_rounds:
-                    config = Gen2EncConfig(code, memories, spacing, gen_rounds)
-                    res = gen2.evaluate_encoded(params, config, l_tot_km)
-                    if res.feasible and (
-                        best is None or res.cost_coeff < best.result.cost_coeff
-                    ):
-                        best = Candidate("gen2_enc", config, res)
-    return best
+# The one place to add a family: the optimizer, evaluate_config,
+# describe_config and the [evaluate] config section all read this table.
+FAMILY_TABLE: dict[str, Family] = {
+    "gen1": Family(
+        Gen1Config,
+        lambda *args: gen1.evaluate(*args),
+        _gen1_results,
+        lambda c: f"scheme={c.scheme} levels={c.levels} rounds={','.join(map(str, c.rounds))}",
+    ),
+    "gen2_noenc": Family(
+        Gen2NoEncConfig,
+        lambda *args: gen2.evaluate_no_encoding(*args),
+        _gen2_noenc_results,
+        _describe_gen2,
+    ),
+    "gen2_enc": Family(
+        Gen2EncConfig,
+        lambda *args: gen2.evaluate_encoded(*args),
+        _gen2_enc_results,
+        lambda c: f"code=[[{c.code.n_phys},1,{2 * c.code.t + 1}]] " + _describe_gen2(c),
+    ),
+    "gen3": Family(
+        Gen3Config,
+        lambda *args: gen3.evaluate(*args),
+        _gen3_results,
+        lambda c: f"n={c.n} m={c.m} spacing_km={c.spacing_km!r}",
+    ),
+}
+FAMILIES = tuple(FAMILY_TABLE)
+_BY_CONFIG_TYPE = {family.config_type: family for family in FAMILY_TABLE.values()}
 
 
-def optimize_gen3(
-    params: HardwareParams, l_tot_km: float, search: Gen3Search = Gen3Search()
-) -> Optional[Candidate]:
-    best = None
-    for spacing in search.spacings_km:
-        for n in range(search.min_n, search.max_n + 1):
-            for m in range(search.min_m, search.max_m + 1):
-                if n * m > search.max_photons:
-                    continue
-                config = Gen3Config(n, m, spacing)
-                res = gen3.evaluate(params, config, l_tot_km)
-                if res.feasible and (
-                    best is None or res.cost_coeff < best.result.cost_coeff
-                ):
-                    best = Candidate("gen3", config, res)
+def _family_of(config) -> Family:
+    family = _BY_CONFIG_TYPE.get(type(config))
+    if family is None:
+        raise TypeError(f"unknown config type {type(config)!r}")
+    return family
+
+
+def describe_config(config) -> str:
+    """Compact one-line description of any protocol configuration."""
+    return _family_of(config).describe(config)
+
+
+def evaluate_config(params: HardwareParams, config, l_tot_km: float) -> CostResult:
+    """Dispatch a configuration to its family's evaluator."""
+    return _family_of(config).evaluate(params, config, l_tot_km)
+
+
+def _argmin(results: Iterable[tuple[Any, CostResult]]) -> Optional[tuple[Any, CostResult]]:
+    """First strict cost_coeff minimum among feasible results, or None. NaN
+    compares false against any cost, so keeping it out of the empty slot is
+    enough to make it never win."""
+    best, best_cost = None, math.inf
+    for key, result in results:
+        cost = result.cost_coeff
+        if result.feasible and (cost < best_cost if best is not None else not math.isnan(cost)):
+            best, best_cost = (key, result), cost
     return best
 
 
@@ -223,15 +233,14 @@ def optimize_family(
     space: SearchSpace = SearchSpace(),
 ) -> Optional[Candidate]:
     """Exhaustive search of one family; None when nothing is feasible."""
-    if family == "gen1":
-        return optimize_gen1(params, l_tot_km, space.gen1)
-    if family == "gen2_noenc":
-        return optimize_gen2_noenc(params, l_tot_km, space.gen2)
-    if family == "gen2_enc":
-        return optimize_gen2_enc(params, l_tot_km, space.gen2)
-    if family == "gen3":
-        return optimize_gen3(params, l_tot_km, space.gen3)
-    raise ValueError(f"unknown family {family!r}")
+    spec = FAMILY_TABLE.get(family)
+    if spec is None:
+        raise ValueError(f"unknown family {family!r}")
+    best = _argmin(spec.results(params, l_tot_km, space))
+    if best is None:
+        return None
+    key, result = best
+    return Candidate(family, spec.config_type(*key), result)
 
 
 def optimize_all(
@@ -241,50 +250,35 @@ def optimize_all(
 ) -> OptimumReport:
     """Best candidate of every family and the global winner."""
     per_family = {f: optimize_family(f, params, l_tot_km, space) for f in FAMILIES}
-    winner = None
-    for family in FAMILIES:
-        cand = per_family[family]
-        if cand is not None and (
-            winner is None or cand.result.cost_coeff < winner.result.cost_coeff
-        ):
-            winner = cand
-    return OptimumReport(per_family, winner)
+    best = _argmin((c, c.result) for c in per_family.values() if c is not None)
+    return OptimumReport(per_family, best[0] if best else None)
+
+
+_NO_RESULT = CostResult.infeasible()
 
 
 def report_row(
     params: HardwareParams, l_tot_km: float, report: OptimumReport
 ) -> dict:
-    """Flatten one optimization outcome into an output-table row."""
+    """Flatten one optimization outcome into an output-table row. A missing
+    winner or family optimum reads as infeasible: zero rate, infinite cost."""
+    w = report.winner
+    best = w.result if w is not None else _NO_RESULT
     row = {
         "eta_c": params.eta_c,
         "eps_g": params.eps_g,
         "t0": params.t0,
         "l_tot_km": l_tot_km,
+        "winner": w.family if w is not None else "none",
+        "config": describe_config(w.config) if w is not None else "",
+        "rate_sbits_per_s": best.rate_sbits_per_s,
+        "cost": best.cost,
+        "cost_coeff": best.cost_coeff,
+        "feasible": best.feasible,
     }
-    if report.winner is None:
-        row.update(
-            winner="none",
-            config="",
-            rate_sbits_per_s=0.0,
-            cost=float("inf"),
-            cost_coeff=float("inf"),
-            feasible=False,
-        )
-    else:
-        w = report.winner
-        row.update(
-            winner=w.family,
-            config=describe_config(w.config),
-            rate_sbits_per_s=w.result.rate_sbits_per_s,
-            cost=w.result.cost,
-            cost_coeff=w.result.cost_coeff,
-            feasible=True,
-        )
     for family in FAMILIES:
         cand = report.per_family[family]
-        row[f"cost_coeff_{family}"] = (
-            cand.result.cost_coeff if cand is not None else float("inf")
-        )
+        row[f"cost_coeff_{family}"] = (cand.result if cand is not None else _NO_RESULT).cost_coeff
     return row
 
 
@@ -297,17 +291,15 @@ def sweep(
 ) -> list[dict]:
     """One optimization per value of a single hardware axis or of the total
     distance."""
-    if axis == "l_tot":
-        return [
-            report_row(params, value, optimize_all(params, value, space))
-            for value in values
-        ]
-    if axis not in ("eta_c", "eps_g", "t0"):
+    if axis not in ("eta_c", "eps_g", "t0", "l_tot"):
         raise ValueError(f"sweep axis must be eta_c, eps_g, t0 or l_tot, got {axis!r}")
     rows = []
     for value in values:
-        point = params.with_(**{axis: value})
-        rows.append(report_row(point, l_tot_km, optimize_all(point, l_tot_km, space)))
+        if axis == "l_tot":
+            point, dist = params, value
+        else:
+            point, dist = params.with_(**{axis: value}), l_tot_km
+        rows.append(report_row(point, dist, optimize_all(point, dist, space)))
     return rows
 
 

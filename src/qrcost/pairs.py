@@ -150,37 +150,3 @@ def swap(
     c = g * (w2 * phase + w1 * same + w0 * bitph) + eps_g / 4.0
     d = g * (w2 * diag + w1 * cross + w0 * anti) + eps_g / 4.0
     return BellDiagonalState(a, b, c, d)
-
-
-def swap_chain(state: BellDiagonalState, segments: int, eps_g: float, xi: float) -> BellDiagonalState:
-    """Fold `segments` identical pairs into one end-to-end pair via swaps."""
-    if segments < 1:
-        raise ValueError("segments must be >= 1")
-    out = state
-    for _ in range(segments - 1):
-        out = swap(out, state, eps_g, xi)
-    return out
-
-
-def pump_schedule(
-    base: BellDiagonalState,
-    rounds: int,
-    eps_g: float,
-    xi: float,
-    scheme: str = "deutsch",
-) -> tuple[BellDiagonalState, tuple[float, ...]]:
-    """Apply `rounds` purification rounds, returning the state and per-round
-    success probabilities.
-
-    'deutsch' purifies two copies of the current state against each other;
-    'dur' pumps the current state with a fresh copy of `base`.
-    """
-    if scheme not in ("deutsch", "dur"):
-        raise ValueError(f"unknown purification scheme {scheme!r}")
-    probs: list[float] = []
-    state = base
-    for _ in range(rounds):
-        other = state if scheme == "deutsch" else base
-        p, state = purify(state, other, eps_g, xi)
-        probs.append(p)
-    return state, tuple(probs)

@@ -1,9 +1,15 @@
 import json
 import math
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+import qrcost
+from qrcost import config
 from qrcost.cli import main
+from qrcost.optimize import FAMILIES, SearchSpace, evaluate_config
 
 _FAST_SPACE = [
     "--set", "search.gen1.max_levels=3",
@@ -44,6 +50,7 @@ def test_evaluate_emits_json_record(capsys):
 def test_error_exits(capsys):
     for argv in [
         ["evaluate", "--set", "hardware.eta_c=1.5"],
+        ["evaluate", "--set", "hardware.xi=abc"],
         ["evaluate", "--set", "hardware.bogus=1"],
         ["evaluate", "--set", "nosuchsection.x=1"],
         ["evaluate", "--set", "hardware.eta_c"],  # missing '='
@@ -55,6 +62,67 @@ def test_error_exits(capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert "error" in err.lower(), argv
+
+
+def test_non_finite_hardware_exits_naming_the_key(capsys):
+    for command, key, value in [
+        ("evaluate", "t0", "nan"),
+        ("evaluate", "l_att", "nan"),
+        ("evaluate", "t0", "inf"),
+        ("evaluate", "c_fiber", "-inf"),
+        ("optimize", "l_tot", "nan"),
+        ("optimize", "l_tot", "inf"),
+    ]:
+        assert main([command, "--set", f"hardware.{key}={value}"]) == 2, (key, value)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, (key, value, err)
+    assert main(["sweep", "--set", "sweep.axis=l_tot", "--set", "sweep.values=100,nan"]) == 2
+    assert "l_tot grid value" in capsys.readouterr().err
+
+
+def test_evaluate_every_family_through_config(capsys, monkeypatch):
+    monkeypatch.delenv("QRCOST_CONFIG", raising=False)
+    for family in FAMILIES:
+        override = f"evaluate.family={family}"
+        assert main(["evaluate", "--set", override]) == 0
+        record = json.loads(capsys.readouterr().out)
+        cfg = config.load_config(None, (override,), env={})
+        name, proto = config.protocol(cfg)
+        result = evaluate_config(config.hardware(cfg), proto, config.total_distance(cfg))
+        assert record["family"] == name == family
+        assert record["config"] == json.loads(json.dumps(asdict(proto)))
+        assert record["result"] == {
+            k: v if not isinstance(v, float) or math.isfinite(v) else None
+            for k, v in asdict(result).items()
+        }
+    assert main(["evaluate", "--set", "evaluate.family=gen5"]) == 2
+    err = capsys.readouterr().err
+    assert "gen5" in err and all(family in err for family in FAMILIES)
+
+
+def test_evaluate_error_messages_name_the_key(capsys):
+    for override, want in [
+        ("evaluate.n=five", "evaluate.n: not an integer: 'five'"),
+        ("evaluate.code=hamming", "evaluate.code: unknown code 'hamming'"),
+    ]:
+        family = "gen2_enc" if "code" in override else "gen3"
+        argv = ["evaluate", "--set", f"evaluate.family={family}", "--set", override]
+        assert main(argv) == 2
+        assert want in capsys.readouterr().err
+
+
+def test_search_defaults_match_dataclasses():
+    # DEFAULTS keeps the grids as raw strings because grid_hash hashes them
+    assert config.search_space(config.load_config(None, (), env={})) == SearchSpace()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+def test_version_matches_pyproject():
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == qrcost.__version__
 
 
 def test_config_file_and_set_precedence(tmp_path, capsys):

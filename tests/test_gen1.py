@@ -2,10 +2,11 @@ import math
 import random
 
 import pytest
+from chain_reference import pump_schedule
 
 from qrcost import gen1
 from qrcost.core import Gen1Config, HardwareParams
-from qrcost.pairs import elementary_pair, heg_success_prob, pump_schedule, swap
+from qrcost.pairs import elementary_pair, heg_success_prob, swap
 
 
 def _level_time(scheme, entry, comm, probs):

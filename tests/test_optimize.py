@@ -130,6 +130,16 @@ def test_report_row_shapes():
     assert row["cost_coeff"] == math.inf and row["config"] == ""
 
 
+def test_nan_cost_never_wins():
+    # every evaluator prices a NaN gate time as a feasible NaN cost
+    params = HardwareParams(eta_c=0.9, eps_g=1e-3, t0=float("nan"))
+    report = optimize_all(params, 1000.0, _SMALL)
+    assert report.winner is None
+    assert report.per_family == {f: None for f in FAMILIES}
+    with pytest.raises(ValueError):
+        optimize_family("gen5", params, 1000.0, _SMALL)
+
+
 def test_sweep_axes():
     params = HardwareParams(eta_c=0.9, eps_g=1e-3, t0=1e-6)
     rows = sweep("eps_g", (1e-4, 1e-3, 1e-2), params, 200.0, _SMALL)
