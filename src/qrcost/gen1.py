@@ -18,6 +18,7 @@ classical heralding over a level-k pair costs 2^k signal times.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .core import BellDiagonalState, CostResult, Gen1Config, HardwareParams
@@ -161,25 +162,28 @@ def qubits_per_station(config: Gen1Config) -> int:
 
 
 def waiting_time(params: HardwareParams, config: Gen1Config, l_tot_km: float) -> float:
-    """Mean seconds to deliver one purified end-to-end pair."""
+    """Mean seconds to deliver one purified end-to-end pair; infinite when the
+    elementary heralding never succeeds."""
     if l_tot_km <= 0:
         raise ValueError("l_tot_km must be > 0")
     alpha, beta, gamma = time_constants(params, config)
-    return _waiting_time_from_constants(alpha, beta, gamma, params, config.levels, l_tot_km)
+    return _waiting_time(alpha, beta, gamma, params.t0, _link(params, config.levels, l_tot_km))
 
 
-def _waiting_time_from_constants(
-    alpha: float,
-    beta: float,
-    gamma: float,
-    params: HardwareParams,
-    levels: int,
-    l_tot_km: float,
-) -> float:
+def _link(params: HardwareParams, levels: int, l_tot_km: float) -> tuple[float, float]:
+    """(T_signal, p0) of one elementary link of a `levels`-deep chain; shared by
+    every schedule at that depth."""
     l0 = l_tot_km / 2**levels
-    t_signal = l0 / params.c_fiber
-    p0 = heg_success_prob(params.eta_c, l0, params.l_att)
-    return t_signal * (alpha / p0 + beta) + params.t0 * gamma
+    return l0 / params.c_fiber, heg_success_prob(params.eta_c, l0, params.l_att)
+
+
+def _waiting_time(
+    alpha: float, beta: float, gamma: float, t0: float, link: tuple[float, float]
+) -> float:
+    t_signal, p0 = link
+    if p0 <= 0.0:  # the success probability underflows on very long links
+        return math.inf
+    return t_signal * (alpha / p0 + beta) + t0 * gamma
 
 
 def _finish(
@@ -187,12 +191,13 @@ def _finish(
     params: HardwareParams,
     levels: int,
     l_tot_km: float,
+    link: tuple[float, float],
 ) -> CostResult:
     alpha, beta, gamma, r, qps = summary
     stations = 2**levels
     if r <= 0.0:
         return CostResult.infeasible(qps, stations)
-    w = _waiting_time_from_constants(alpha, beta, gamma, params, levels, l_tot_km)
+    w = _waiting_time(alpha, beta, gamma, params.t0, link)
     return CostResult.from_rate(r / w, qps, stations, l_tot_km)
 
 
@@ -201,4 +206,4 @@ def evaluate(params: HardwareParams, config: Gen1Config, l_tot_km: float) -> Cos
     if l_tot_km <= 0:
         raise ValueError("l_tot_km must be > 0")
     summary = _schedule_summary(config.scheme, config.rounds, params.eps_g, params.xi)
-    return _finish(summary, params, config.levels, l_tot_km)
+    return _finish(summary, params, config.levels, l_tot_km, _link(params, config.levels, l_tot_km))

@@ -125,6 +125,14 @@ def encoded_qber(code: CssCode, eps: float, segments: int) -> float:
     return 0.5 * (1.0 - (1.0 - 2.0 * p_flip) ** segments)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _encoded_availability(attempts: int, p_gen: float, n_phys: int) -> float:
+    """Chance that `attempts` generation attempts yield the n_phys physical
+    pairs of one logical pair. Independent of t0 and of the error rates, so
+    every gate time of a region-map cell reuses it."""
+    return tail_at_least(attempts, p_gen, n_phys)
+
+
 def evaluate_encoded(
     params: HardwareParams, config: Gen2EncConfig, l_tot_km: float
 ) -> CostResult:
@@ -135,5 +143,5 @@ def evaluate_encoded(
     # every logical pair needs n_phys physical pairs from the segment's pool
     return _chain_cost(
         params, config, l_tot_km, segments, r,
-        lambda p_gen, attempts: tail_at_least(attempts, p_gen, config.code.n_phys),
+        lambda p_gen, attempts: _encoded_availability(attempts, p_gen, config.code.n_phys),
     )

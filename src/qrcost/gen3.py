@@ -124,21 +124,32 @@ def station_outcome(n: int, m: int, mu: float, eps_q: float) -> tuple[float, flo
     return ratio_z, ratio_x, p_unknown, True
 
 
-def evaluate(params: HardwareParams, config: Gen3Config, l_tot_km: float) -> CostResult:
-    """Rate and cost of the one-way parity-code chain."""
-    if l_tot_km <= 0:
-        raise ValueError("l_tot_km must be > 0")
+def _throughput(
+    params: HardwareParams, config: Gen3Config, l_tot_km: float
+) -> tuple[float, int, int]:
+    """(x, qubits_per_station, stations) with x = p_succ * r the secret bits
+    per gate time; x = 0 when the code cannot work. t0 is not read: the rate
+    is x / t0."""
     stations = math.ceil(l_tot_km / config.spacing_km)
     qps = 2 * config.n * config.m
     mu = transmissivity(params.eta_c, config.spacing_km, params.l_att)
     if mu <= 0.5:
-        return CostResult.infeasible(qps, stations)
+        return 0.0, qps, stations
     eps_q = photon_error_rate(params)
     ratio_z, ratio_x, p_unknown, ok = station_outcome(config.n, config.m, mu, eps_q)
     if not ok:
-        return CostResult.infeasible(qps, stations)
+        return 0.0, qps, stations
     p_succ = (1.0 - p_unknown) ** stations
     q_z = 0.5 * (1.0 - ratio_z**stations)
     q_x = 0.5 * (1.0 - ratio_x**stations)
-    r = secure_fraction(average_qber(q_x, q_z))
-    return CostResult.from_rate(p_succ * r / params.t0, qps, stations, l_tot_km)
+    return p_succ * secure_fraction(average_qber(q_x, q_z)), qps, stations
+
+
+def evaluate(params: HardwareParams, config: Gen3Config, l_tot_km: float) -> CostResult:
+    """Rate and cost of the one-way parity-code chain."""
+    if l_tot_km <= 0:
+        raise ValueError("l_tot_km must be > 0")
+    x, qps, stations = _throughput(params, config, l_tot_km)
+    if x <= 0.0:
+        return CostResult.infeasible(qps, stations)
+    return CostResult.from_rate(x / params.t0, qps, stations, l_tot_km)

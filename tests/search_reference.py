@@ -1,0 +1,56 @@
+"""Unpruned reference search: every configuration of a family's grid priced
+through its public evaluator, first strict minimum kept. The production
+optimizer prunes; the tests check it against this scan."""
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Optional
+
+from qrcost.core import Gen1Config, Gen2EncConfig, Gen2NoEncConfig, Gen3Config, HardwareParams
+from qrcost.optimize import Candidate, SearchSpace, evaluate_config
+
+
+def configs(family: str, l_tot_km: float, space: SearchSpace):
+    """The family's grid in the optimizer's enumeration order."""
+    if family == "gen1":
+        s = space.gen1
+        for scheme in s.schemes:
+            for levels in range(s.min_levels, s.max_levels + 1):
+                for rounds in itertools.product(range(s.max_rounds + 1), repeat=levels + 1):
+                    yield Gen1Config(scheme, levels, rounds)
+        return
+    if family == "gen3":
+        s = space.gen3
+        for spacing in s.spacings_km:
+            for n in range(s.min_n, s.max_n + 1):
+                for m in range(s.min_m, s.max_m + 1):
+                    if n * m <= s.max_photons:
+                        yield Gen3Config(n, m, spacing)
+        return
+    s = space.gen2
+    spacings = [l_tot_km / k for k in s.segment_counts if l_tot_km / k >= s.min_spacing_km]
+    grid = list(itertools.product(spacings, s.memories, s.gen_rounds))
+    if family == "gen2_noenc":
+        for spacing, memories, gen_rounds in grid:
+            yield Gen2NoEncConfig(memories, spacing, gen_rounds)
+        return
+    for code in s.codes:
+        for spacing, memories, gen_rounds in grid:
+            yield Gen2EncConfig(code, memories, spacing, gen_rounds)
+
+
+def reference_optimum(
+    family: str, params: HardwareParams, l_tot_km: float, space: SearchSpace
+) -> Optional[Candidate]:
+    """First feasible configuration with the strictly smallest non-NaN
+    cost_coeff, or None."""
+    best = None
+    for config in configs(family, l_tot_km, space):
+        result = evaluate_config(params, config, l_tot_km)
+        cost = result.cost_coeff
+        if not result.feasible or math.isnan(cost):
+            continue
+        if best is None or cost < best.result.cost_coeff:
+            best = Candidate(family, config, result)
+    return best

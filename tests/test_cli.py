@@ -165,6 +165,14 @@ def test_sweep_dataset_layout(capsys):
     assert [row.split(",")[1] for row in rows] == ["0.001", "0.002", "0.005"]
 
 
+def test_sweep_past_link_probability_underflow(capsys):
+    # at 30,000 km a one-level gen1 link's success probability is 0.0
+    argv = ["sweep", "--set", "sweep.axis=l_tot", "--set", "sweep.values=30000"] + _FAST_SPACE
+    assert main(argv) == 0
+    row = capsys.readouterr().out.splitlines()[7].split(",")
+    assert row[3] == "30000.0" and row[4] in FAMILIES
+
+
 def test_optimize_dataset_single_row(capsys):
     assert main(["optimize"] + _FAST_SPACE) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -1,8 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from search_reference import reference_optimum
 
+from qrcost import gen1
 from qrcost.core import (
     GOLAY,
     Gen1Config,
@@ -189,3 +194,122 @@ def test_gate_error_never_flips_purify_chain_to_one_way():
             for row in rows:
                 seen_gen1 = seen_gen1 or row["winner"] == "gen1"
                 assert not (seen_gen1 and row["winner"] == "gen3"), (eta, t0, row)
+
+
+_ETAS = (0.1, 0.5, 0.7, 1.0)
+_EPSS = (0.0, 1e-4, 1e-3, 1e-2, 0.04)
+_T0S = (5e-324, 1e-310, 1e-9, 1e-6, 1e-3, 1.0)
+_LENGTHS = (10.0, 1000.0, 10000.0, 28000.0)
+# explicit measurement and storage errors, off the eps_g / 4 coupling
+_EXPLICIT = HardwareParams(eta_c=0.8, eps_g=2e-3, xi=1e-4, eps_d=1e-3, t0=1e-6)
+
+
+def _assert_matches_reference(params, l_tot_km, space):
+    for family in FAMILIES:
+        got = optimize_family(family, params, l_tot_km, space)
+        assert got == reference_optimum(family, params, l_tot_km, space), (family, params, l_tot_km)
+
+
+def test_pruned_search_equals_full_scan_small_space():
+    # at t0 >= 1e300 the rates of some survivors underflow while pruned
+    # configurations with a larger x stay finite: the full scan must take over
+    for eta, eps, t0, l_tot in itertools.product(_ETAS, _EPSS, _T0S + (1e300, 1e303), _LENGTHS):
+        _assert_matches_reference(HardwareParams(eta_c=eta, eps_g=eps, t0=t0), l_tot, _SMALL)
+    for l_tot in _LENGTHS:
+        _assert_matches_reference(_EXPLICIT, l_tot, _SMALL)
+
+
+def test_pruned_search_equals_full_scan_default_space():
+    # at a subnormal gate time x / t0 overflows for some or all gen3
+    # configurations; the optimizer must then scan in full, as the reference does
+    pairs = ((5e-324, 1000.0), (1e-6, 28000.0), (1e-310, 10000.0), (1.0, 10.0))
+    for k, (eta, eps) in enumerate(itertools.product(_ETAS, _EPSS)):
+        for t0, l_tot in (pairs[k % 4], pairs[(k + 1) % 4]):
+            _assert_matches_reference(HardwareParams(eta_c=eta, eps_g=eps, t0=t0), l_tot, SearchSpace())
+    for t0 in (1e-310, 1e-6):
+        _assert_matches_reference(_EXPLICIT.with_(t0=t0), 1000.0, SearchSpace())
+
+
+def test_gen1_survives_link_probability_underflow():
+    # one 30,000 km link has p0 = exp(-1500) = 0.0: that depth is infeasible
+    params = HardwareParams(eta_c=0.9, eps_g=1e-3, t0=1e-6)
+    shallow = Gen1Config("deutsch", 1, (0, 0))
+    assert gen1.waiting_time(params, shallow, 60000.0) == math.inf
+    assert not gen1.evaluate(params, shallow, 60000.0).feasible
+    best = optimize_family("gen1", params, 60000.0)
+    assert best == reference_optimum("gen1", params, 60000.0, SearchSpace())
+    assert best is not None and best.config.levels > 1
+
+
+@pytest.mark.parametrize(
+    "etas, epss",
+    # 15 cells split unevenly over 2 and 3 workers; 2 cells under 3 workers
+    [((0.6, 0.8, 0.95), (1e-4, 1e-3, 3e-3, 1e-2, 3e-2)), ((0.7, 0.9), (2e-3,))],
+)
+def test_region_map_rows_identical_for_any_worker_count(etas, epss):
+    t0s = (1e-7, 1e-5)
+    rows = region_map(etas, epss, t0s, 300.0, _SMALL)
+    want = [(e, g, t) for e in etas for g in epss for t in t0s]
+    assert [(r["eta_c"], r["eps_g"], r["t0"]) for r in rows] == want
+    for threads in (2, 3):
+        assert region_map(etas, epss, t0s, 300.0, _SMALL, threads=threads) == rows
+
+
+def _cost(candidate):
+    return math.inf if candidate is None else candidate.result.cost_coeff
+
+
+def _subset(pool):
+    """A non-empty subset of `pool` and a superset of it drawn from `pool`."""
+    return st.lists(st.sampled_from(pool), min_size=1, unique=True).flatmap(
+        lambda small: st.lists(st.sampled_from(pool), unique=True).map(
+            lambda extra: (tuple(sorted(small)), tuple(sorted(set(small) | set(extra))))
+        )
+    )
+
+
+_POINTS = st.builds(
+    HardwareParams,
+    eta_c=st.floats(0.3, 1.0),
+    eps_g=st.sampled_from((1e-4, 1e-3, 5e-3, 2e-2)),
+    t0=st.sampled_from((1e-8, 1e-6, 1e-4)),
+)
+_DISTANCES = st.sampled_from((100.0, 1000.0, 4000.0))
+
+
+def _check_superset(family, params, l_tot, small, large):
+    assert _cost(optimize_family(family, params, l_tot, large)) <= _cost(
+        optimize_family(family, params, l_tot, small)
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(_POINTS, _DISTANCES, st.integers(1, 3), st.integers(0, 1), st.integers(0, 2), st.integers(0, 1))
+def test_larger_gen1_grid_never_raises_optimum(params, l_tot, levels, more_levels, rounds, more_rounds):
+    small = SearchSpace(gen1=Gen1Search(max_levels=levels, max_rounds=rounds))
+    large = SearchSpace(
+        gen1=Gen1Search(max_levels=levels + more_levels, max_rounds=rounds + more_rounds)
+    )
+    _check_superset("gen1", params, l_tot, small, large)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_POINTS, _DISTANCES, _subset((2, 4, 8, 16, 64, 256)), _subset((1, 4, 16, 64)))
+def test_larger_gen2_grid_never_raises_optimum(params, l_tot, segments, memories):
+    small = SearchSpace(gen2=Gen2Search(segment_counts=segments[0], memories=memories[0]))
+    large = SearchSpace(gen2=Gen2Search(segment_counts=segments[1], memories=memories[1]))
+    for family in ("gen2_noenc", "gen2_enc"):
+        _check_superset(family, params, l_tot, small, large)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    _POINTS, _DISTANCES, _subset((0.5, 1.0, 1.5, 2.5, 4.0)),
+    st.integers(2, 6), st.integers(0, 3), st.integers(2, 6), st.integers(0, 3),
+)
+def test_larger_gen3_grid_never_raises_optimum(params, l_tot, spacings, n, more_n, m, more_m):
+    small = SearchSpace(gen3=Gen3Search(spacings_km=spacings[0], max_n=n, max_m=m))
+    large = SearchSpace(
+        gen3=Gen3Search(spacings_km=spacings[1], max_n=n + more_n, max_m=m + more_m)
+    )
+    _check_superset("gen3", params, l_tot, small, large)
