@@ -183,6 +183,16 @@ def _check(lines: list[str], status: str, name: str, detail: str) -> bool:
     return status == "FAIL"
 
 
+def _verdict(lines: list[str], name: str, powered: bool, trials: int, judge) -> bool:
+    """One comparison: flagged and skipped when underpowered, otherwise judged
+    by judge() -> (passed, detail)."""
+    if not powered:
+        detail = f"trials={trials} < {_MIN_POWERED_TRIALS}, comparison skipped"
+        return _check(lines, "UNDERPOWERED", name, detail)
+    passed, detail = judge()
+    return _check(lines, "PASS" if passed else "FAIL", name, detail)
+
+
 def _qpc_checks(lines: list[str], trials: int, seed: int) -> bool:
     failed = False
     powered = trials >= _MIN_POWERED_TRIALS
@@ -200,14 +210,10 @@ def _qpc_checks(lines: list[str], trials: int, seed: int) -> bool:
             ):
                 sigmas.append(abs(got - want) / max(se, 1.0 / trials))
             worst = max(sigmas)
-            if not powered:
-                failed |= _check(
-                    lines, "UNDERPOWERED", name,
-                    f"trials={trials} < {_MIN_POWERED_TRIALS}, comparison skipped",
-                )
-            else:
-                status = "PASS" if worst <= 3.0 else "FAIL"
-                failed |= _check(lines, status, name, f"max deviation {worst:.2f} sigma (limit 3)")
+            failed |= _verdict(
+                lines, name, powered, trials,
+                lambda: (worst <= 3.0, f"max deviation {worst:.2f} sigma (limit 3)"),
+            )
     est = oracles.mc_qpc_decode(4, 4, 1.0, 0.0, "z", trials=min(trials, 10_000), seed=seed)
     exact = (est.p_correct, est.p_incorrect, est.p_unknown) == (1.0, 0.0, 0.0)
     failed |= _check(
@@ -231,17 +237,10 @@ def _gen1_time_checks(lines: list[str], trials: int, seed: int) -> bool:
             scheme, levels, tuple(rounds), params, l_tot, trials=n_trials, seed=seed
         )
         rel = est.mean_s / analytic - 1.0
-        if not powered:
-            failed |= _check(
-                lines, "UNDERPOWERED", name,
-                f"trials={n_trials} < {_MIN_POWERED_TRIALS}, comparison skipped",
-            )
-        else:
-            status = "PASS" if abs(rel) <= band else "FAIL"
-            failed |= _check(
-                lines, status, name,
-                f"mc/analytic - 1 = {rel:+.3%} (band +-{band:.0%})",
-            )
+        failed |= _verdict(
+            lines, name, powered, n_trials,
+            lambda: (abs(rel) <= band, f"mc/analytic - 1 = {rel:+.3%} (band +-{band:.0%})"),
+        )
         return est
 
     one = banded(
@@ -256,18 +255,13 @@ def _gen1_time_checks(lines: list[str], trials: int, seed: int) -> bool:
         "gen1 time levels=0 elementary generation",
         "deutsch", 0, (0,), example, 25.0, trials,
     )
-    if powered:
+
+    def scaling():
         ratio = one.std_error_s / two.std_error_s
-        status = "PASS" if abs(ratio - math.sqrt(2.0)) <= 0.1 else "FAIL"
-        failed |= _check(
-            lines, status, "gen1 time standard-error scaling",
-            f"se(n)/se(2n) = {ratio:.4f} (want sqrt(2) +- 0.1)",
-        )
-    else:
-        failed |= _check(
-            lines, "UNDERPOWERED", "gen1 time standard-error scaling",
-            f"trials={trials} < {_MIN_POWERED_TRIALS}, comparison skipped",
-        )
+        detail = f"se(n)/se(2n) = {ratio:.4f} (want sqrt(2) +- 0.1)"
+        return abs(ratio - math.sqrt(2.0)) <= 0.1, detail
+
+    failed |= _verdict(lines, "gen1 time standard-error scaling", powered, trials, scaling)
 
     # certain-success limit: every sample must equal the analytic value exactly
     stream = oracles._UniformStream(oracles._partition_rng(seed, 0))

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import CSS_CATALOG, CssCode, HardwareParams, validate_hardware
-from .optimize import FAMILIES, FAMILY_TABLE, SearchSpace
+from .optimize import FAMILIES, FAMILY_TABLE, SWEEP_AXES, SearchSpace
 
 ENV_CONFIG_PATH = "QRCOST_CONFIG"
 
@@ -289,7 +289,7 @@ def protocol(cfg):
 
 def sweep_spec(cfg) -> tuple[str, tuple[float, ...]]:
     axis = cfg["sweep"]["axis"].strip()
-    if axis not in ("eta_c", "eps_g", "t0", "l_tot"):
+    if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep.axis must be eta_c, eps_g, t0 or l_tot, got {axis!r}")
     return axis, parse_grid(cfg["sweep"]["values"], "sweep.values")
 

@@ -77,7 +77,8 @@ class HardwareParams:
     """Physical-layer parameters shared by every repeater generation.
 
     xi is the measurement error probability; when omitted it defaults to
-    eps_g / 4 (one two-qubit gate spread over the four Bell outcomes).
+    eps_g / 4 (one two-qubit gate spread over the four Bell outcomes) and
+    stays coupled to eps_g through with_(). An explicit xi stays as given.
     """
 
     eta_c: float = 0.9  # photon-memory coupling efficiency
@@ -89,12 +90,14 @@ class HardwareParams:
     c_fiber: float = FIBER_SPEED_KM_S  # fiber signal speed, km/s
 
     def __post_init__(self) -> None:
+        # an instance attribute, not a field: asdict, == and hash ignore it
+        object.__setattr__(self, "_xi_coupled", self.xi is None)
         if self.xi is None:
             object.__setattr__(self, "xi", self.eps_g / 4.0)
 
     def with_(self, **kwargs) -> "HardwareParams":
-        if "xi" not in kwargs and "eps_g" in kwargs and self.xi == self.eps_g / 4.0:
-            kwargs["xi"] = None  # keep the default coupling when only eps_g moves
+        if "xi" not in kwargs and self._xi_coupled:
+            kwargs["xi"] = None
         return replace(self, **kwargs)
 
 

@@ -15,8 +15,6 @@ from .core import (
     BellDiagonalState,
     CostResult,
     CssCode,
-    Gen2EncConfig,
-    Gen2NoEncConfig,
     HardwareParams,
 )
 from .keyrate import average_qber, secure_fraction
@@ -76,31 +74,6 @@ def link_availability(p_gen: float, attempts: int) -> float:
     return -math.expm1(attempts * math.log1p(-p_gen))
 
 
-def _chain_cost(
-    params: HardwareParams, config, l_tot_km: float, segments: int, r: float, availability
-) -> CostResult:
-    """Shared tail of both chains: `availability(p_gen, attempts)` is the chance
-    that one segment is ready in a cycle; all segments must be ready at once."""
-    qps = 2 * config.memories
-    if r <= 0.0:
-        return CostResult.infeasible(qps, segments)
-    p_gen = heg_success_prob(params.eta_c, config.spacing_km, params.l_att)
-    avail = availability(p_gen, config.memories * config.gen_rounds)
-    if avail <= 0.0:
-        return CostResult.infeasible(qps, segments)
-    cycle = config.gen_rounds * (config.spacing_km / params.c_fiber + params.t0)
-    return CostResult.from_rate(avail**segments * r / cycle, qps, segments, l_tot_km)
-
-
-def evaluate_no_encoding(
-    params: HardwareParams, config: Gen2NoEncConfig, l_tot_km: float
-) -> CostResult:
-    """Rate and cost of the bare multiplexed swap chain."""
-    segments = segment_count(l_tot_km, config.spacing_km)
-    r = _chain_secure_fraction(params.eps_g, params.xi, segments)
-    return _chain_cost(params, config, l_tot_km, segments, r, link_availability)
-
-
 def physical_error_rate(params: HardwareParams) -> float:
     """Effective independent error probability per physical qubit entering the
     CSS correction step: depolarizing storage error, one two-qubit gate, two
@@ -133,15 +106,35 @@ def _encoded_availability(attempts: int, p_gen: float, n_phys: int) -> float:
     return tail_at_least(attempts, p_gen, n_phys)
 
 
-def evaluate_encoded(
-    params: HardwareParams, config: Gen2EncConfig, l_tot_km: float
-) -> CostResult:
-    """Rate and cost of the CSS-encoded swap chain."""
+def _evaluate(params: HardwareParams, config, l_tot_km: float) -> CostResult:
+    """Rate and cost of the swap chain: CSS-encoded for a Gen2EncConfig, bare
+    for a Gen2NoEncConfig."""
+    x, qps, segments = _throughput(params, config, l_tot_km)
+    cycle = config.gen_rounds * (config.spacing_km / params.c_fiber + params.t0)
+    return CostResult.from_rate(x / cycle, qps, segments, l_tot_km)
+
+
+evaluate_no_encoding = evaluate_encoded = _evaluate
+
+
+def _throughput(params: HardwareParams, config, l_tot_km: float) -> tuple[float, int, int]:
+    """(x, qubits_per_station, segments) with x = avail**segments * r the
+    secret bits per cycle; x = 0 when the chain cannot work. t0 is not read:
+    the rate is x / cycle. All segments must be ready in the same cycle."""
     segments = segment_count(l_tot_km, config.spacing_km)
-    eps = physical_error_rate(params)
-    r = secure_fraction(encoded_qber(config.code, eps, segments))
+    qps = 2 * config.memories
+    code = getattr(config, "code", None)  # only the encoded chain has one
+    if code is None:
+        r = _chain_secure_fraction(params.eps_g, params.xi, segments)
+    else:
+        r = secure_fraction(encoded_qber(code, physical_error_rate(params), segments))
+    if r <= 0.0:
+        return 0.0, qps, segments
+    p_gen = heg_success_prob(params.eta_c, config.spacing_km, params.l_att)
+    attempts = config.memories * config.gen_rounds
     # every logical pair needs n_phys physical pairs from the segment's pool
-    return _chain_cost(
-        params, config, l_tot_km, segments, r,
-        lambda p_gen, attempts: _encoded_availability(attempts, p_gen, config.code.n_phys),
-    )
+    avail = (link_availability(p_gen, attempts) if code is None
+             else _encoded_availability(attempts, p_gen, code.n_phys))
+    if avail <= 0.0:
+        return 0.0, qps, segments
+    return avail**segments * r, qps, segments

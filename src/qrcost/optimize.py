@@ -3,21 +3,24 @@ per parameter point, and sweep/region-map datasets.
 
 Every search returns what an exhaustive scan of its discrete grid returns:
 the first configuration, in a fixed lexicographic order, with the strictly
-smallest cost, so ties break toward the earlier configuration. The gen1 and
-gen3 searches price only the configurations that can still win, and the
-pruning is exact for these reasons:
+smallest cost, so ties break toward the earlier configuration. Each search
+prices only the configurations that can still win, and the pruning is exact
+for these reasons:
 
-- A cost is a non-negative weighted sum of per-configuration terms whose
-  weights the point fixes: for gen1 at one nesting level the terms are
-  qps*alpha/r, qps*beta/r and qps*gamma/r; for gen3 in one cell (every
-  hardware parameter but t0) the one term is stations*qps/(p_succ*r),
-  weighted by t0. A configuration beaten in every term by a relative margin
-  of 1e-9 costs more at every point.
+- Within a group, a family's cost is a positive multiple of a non-negative
+  weighted sum of per-configuration terms: the terms depend only on a cell
+  of the point, the weights on the rest. gen1 (per nesting level): terms
+  qps*alpha/r, qps*beta/r, qps*gamma/r, weights T_signal/p0, T_signal, t0,
+  cell (eps_g, xi). gen2: terms N*g*L0/x and N*g/x, weights 1/c and t0.
+  gen3: term N/x, weight t0. For gen2 and gen3, N = stations * qps, g the
+  generation rounds, x the t0-free throughput and the cell every hardware
+  parameter but t0, plus L. A configuration beaten in every term by a
+  relative margin of 1e-9 costs more at every point of the cell.
 - The margin is far above float rounding, so the pruned configuration also
   loses in floating point. The survivors keep their enumeration order and go
   through the same first-strict-minimum rule, so ties resolve as before.
 - The rounding bound fails only where the arithmetic over- or underflows: a
-  subnormal gate time or signal time, or a winner whose cost is subnormal or
+  weight that is not a normal float, or a winner whose cost is subnormal or
   near overflow. There the family is scanned in full.
 
 Grid points are independent; the region map fans (eta_c, eps_g) cells out over
@@ -119,6 +122,7 @@ _MARGIN = 1e-9
 # stays below what any subnormal rate yields (cost >= 2 / float_info.min, about
 # 9e307); otherwise the family is scanned in full.
 _COST_CEILING = 2.0**1000
+_NO_RESULT = CostResult.infeasible()
 
 
 def _undominated(vectors) -> list[int]:
@@ -128,8 +132,6 @@ def _undominated(vectors) -> list[int]:
     weighted sum of the columns then prices a dominated row strictly above a
     kept one. A row with a non-finite entry dominates nothing."""
     v = np.asarray(vectors, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
     alive = np.arange(len(v))
     kept: list[int] = []
     while alive.size:
@@ -145,85 +147,50 @@ def _undominated(vectors) -> list[int]:
     return sorted(kept)
 
 
-def _gen1_candidates(search: Gen1Search, eps_g: float, xi: float):
-    """Schedule summaries in enumeration order."""
-    out = []
+def _gen1_grid(search: Gen1Search):
+    """(scheme, levels, rounds) in search order."""
     for scheme in search.schemes:
         for levels in range(search.min_levels, search.max_levels + 1):
-            for rounds in itertools.product(
-                range(search.max_rounds + 1), repeat=levels + 1
-            ):
-                summary = gen1._schedule_summary(scheme, rounds, eps_g, xi)
-                out.append((scheme, levels, rounds, summary))
-    return out
+            for rounds in itertools.product(range(search.max_rounds + 1), repeat=levels + 1):
+                yield scheme, levels, rounds
 
 
-@lru_cache(maxsize=32)
-def _gen1_frontier(search: Gen1Search, eps_g: float, xi: float):
-    """The schedules, in enumeration order, that can win at some point.
-
-    At a fixed nesting level the cost is (2^n / L) * (K1 * qps*alpha/r +
-    K2 * qps*beta/r + K3 * qps*gamma/r) with K1 = T_signal/p0, K2 = T_signal and
-    K3 = t0, all non-negative and shared by the level's schedules. So only
-    schedules undominated in those three products can be cheapest. A schedule
-    with r <= 0 is infeasible everywhere.
-    """
-    entries = [e for e in _gen1_candidates(search, eps_g, xi) if e[3][3] > 0.0]
-    keep = []
-    for levels in range(search.min_levels, search.max_levels + 1):
-        index = [i for i, e in enumerate(entries) if e[1] == levels]
-        products = []
-        for i in index:
-            alpha, beta, gamma, r, qps = entries[i][3]
-            products.append((qps * alpha / r, qps * beta / r, qps * gamma / r))
-        keep.extend(index[j] for j in _undominated(products))
-    return [entries[i] for i in sorted(keep)]
-
-
-def _gen1_priced(entries, params: HardwareParams, l_tot_km: float, links: dict):
-    for scheme, levels, rounds, summary in entries:
-        yield (scheme, levels, rounds), gen1._finish(summary, params, levels, l_tot_km, links[levels])
-
-
-def _gen1_links(params: HardwareParams, l_tot_km: float, search: Gen1Search) -> dict:
-    levels = range(search.min_levels, search.max_levels + 1)
-    return {n: gen1._link(params, n, l_tot_km) for n in levels}
-
-
-def _gen1_results(params: HardwareParams, l_tot_km: float, space: SearchSpace):
-    entries = _gen1_candidates(space.gen1, params.eps_g, params.xi)
-    return _gen1_priced(entries, params, l_tot_km, _gen1_links(params, l_tot_km, space.gen1))
-
-
-def _gen1_survivors(params: HardwareParams, l_tot_km: float, space: SearchSpace):
-    """Frontier schedules priced at this point, or None when a link's signal
-    time is subnormal: its rate ceiling 1/T_signal could then overflow."""
-    links = _gen1_links(params, l_tot_km, space.gen1)
-    if any(t_signal < sys.float_info.min for t_signal, _ in links.values()):
-        return None
-    frontier = _gen1_frontier(space.gen1, params.eps_g, params.xi)
-    return list(_gen1_priced(frontier, params, l_tot_km, links))
-
-
-def _gen2_grid(search: Gen2Search, l_tot_km: float):
-    """(spacing, memories, gen_rounds) in search order."""
-    spacings = [
-        l_tot_km / k for k in search.segment_counts if l_tot_km / k >= search.min_spacing_km
+def _gen1_candidates(search: Gen1Search, eps_g: float, xi: float):
+    """Schedule summaries in enumeration order."""
+    return [
+        (scheme, levels, rounds, gen1._schedule_summary(scheme, rounds, eps_g, xi))
+        for scheme, levels, rounds in _gen1_grid(search)
     ]
-    return itertools.product(spacings, search.memories, search.gen_rounds)
 
 
-def _gen2_noenc_results(params: HardwareParams, l_tot_km: float, space: SearchSpace):
-    for spacing, memories, gen_rounds in _gen2_grid(space.gen2, l_tot_km):
-        key = (memories, spacing, gen_rounds)
-        yield key, gen2.evaluate_no_encoding(params, Gen2NoEncConfig(*key), l_tot_km)
+def _gen1_terms(space: SearchSpace, cell):
+    """At nesting level n the cost is (2^n / L) * (K1 * qps*alpha/r + K2 *
+    qps*beta/r + K3 * qps*gamma/r) with K1 = T_signal/p0, K2 = T_signal and
+    K3 = t0. The three products are the terms, grouped by level; a schedule
+    with r <= 0 is infeasible everywhere."""
+    for scheme, levels, rounds, summary in _gen1_candidates(space.gen1, *cell):
+        alpha, beta, gamma, r, qps = summary
+        if r > 0.0:
+            terms = (qps * alpha / r, qps * beta / r, qps * gamma / r)
+            yield (scheme, levels, rounds), levels, terms
 
 
-def _gen2_enc_results(params: HardwareParams, l_tot_km: float, space: SearchSpace):
-    for code in space.gen2.codes:
-        for spacing, memories, gen_rounds in _gen2_grid(space.gen2, l_tot_km):
-            key = (code, memories, spacing, gen_rounds)
-            yield key, gen2.evaluate_encoded(params, Gen2EncConfig(*key), l_tot_km)
+def _gen1_weights(params: HardwareParams, l_tot_km: float, space: SearchSpace) -> list:
+    """A level whose link never succeeds (p0 = 0) is infeasible in every scan
+    and adds no weights."""
+    weights = [params.t0]
+    for levels in range(space.gen1.min_levels, space.gen1.max_levels + 1):
+        t_signal, p0 = gen1._link(params, levels, l_tot_km)
+        if p0 > 0.0:
+            weights += [t_signal, t_signal / p0]
+    return weights
+
+
+def _gen2_grid(s: Gen2Search, l_tot_km: float):
+    """(memories, spacing, gen_rounds) in search order."""
+    spacings = [l_tot_km / k for k in s.segment_counts if l_tot_km / k >= s.min_spacing_km]
+    for spacing, memories, gen_rounds in itertools.product(spacings, s.memories, s.gen_rounds):
+        yield memories, spacing, gen_rounds
 
 
 def _gen3_grid(search: Gen3Search):
@@ -235,33 +202,25 @@ def _gen3_grid(search: Gen3Search):
             yield n, m, spacing
 
 
-def _gen3_results(params: HardwareParams, l_tot_km: float, space: SearchSpace):
-    for key in _gen3_grid(space.gen3):
-        yield key, gen3.evaluate(params, Gen3Config(*key), l_tot_km)
+def _without_t0(params: HardwareParams, l_tot_km: float):
+    return params.with_(t0=1.0), l_tot_km
 
 
-@lru_cache(maxsize=64)
-def _gen3_cell(search: Gen3Search, cell: HardwareParams, l_tot_km: float) -> list:
-    """Configurations, in search order, that can win at some t0 of the cell
-    (every hardware parameter but t0). Cost is t0 * N / x with N = stations *
-    qps and x = p_succ * r, so only N/x within the margin of its minimum can
-    be cheapest; x = 0 is infeasible at every t0."""
-    keys, ratios = [], []
-    for key in _gen3_grid(search):
-        x, qps, stations = gen3._throughput(cell, Gen3Config(*key), l_tot_km)
-        if x > 0.0:
-            keys.append(key)
-            ratios.append(stations * qps / x)
-    return [keys[i] for i in _undominated(ratios)]
+def _throughput_terms(family: str, throughput: Callable, factors: Callable) -> Callable:
+    """Terms of a family whose cost in a cell is stations * qps * sum(weight *
+    factor) / x, with throughput(params, config, l_tot_km) = (x, qps, stations)
+    t0-free; x = 0 is infeasible at every t0."""
 
+    def terms(space: SearchSpace, cell):
+        params, l_tot_km = cell
+        spec = FAMILY_TABLE[family]
+        for key in spec.grid(space, l_tot_km):
+            config = spec.config_type(*key)
+            x, qps, stations = throughput(params, config, l_tot_km)
+            if x > 0.0:
+                yield key, 0, tuple(stations * qps * f / x for f in factors(config))
 
-def _gen3_survivors(params: HardwareParams, l_tot_km: float, space: SearchSpace):
-    """The cell's survivors priced at this t0, or None for a subnormal t0,
-    whose rate x / t0 can overflow."""
-    if params.t0 < sys.float_info.min:
-        return None
-    keys = _gen3_cell(space.gen3, params.with_(t0=1.0), l_tot_km)
-    return [(key, gen3.evaluate(params, Gen3Config(*key), l_tot_km)) for key in keys]
+    return terms
 
 
 def _describe_gen2(config) -> str:
@@ -274,22 +233,30 @@ def _describe_gen2(config) -> str:
 class Family(NamedTuple):
     """One repeater family.
 
-    evaluate(params, config, l_tot_km) prices one configuration; results(params,
-    l_tot_km, space) yields (arguments, CostResult) over the family's search
-    grid in a fixed order, and config_type(*arguments) rebuilds the
-    configuration; describe(config) is its one-line text. survivors(params,
-    l_tot_km, space), where present, lists the (arguments, CostResult) of the
-    configurations that can still win at the point, in the same order, or
-    returns None when the point needs the full scan. Evaluators are looked up
-    on their module at call time, so a replaced module attribute is honored.
+    config_type(*arguments) builds a configuration, evaluate(params, config,
+    l_tot_km) prices it and describe(config) is its one-line text;
+    grid(space, l_tot_km) yields the arguments of the search grid in a fixed
+    order. Within a group, the cost at a point is a positive multiple of
+    sum(weight * term): cell(params, l_tot_km) is the hashable part of the
+    point the terms depend on, terms(space, cell) yields (arguments, group,
+    terms) of every configuration feasible somewhere in the cell, in grid
+    order, and weights(params, l_tot_km, space) lists the point's weights.
+    Evaluators are looked up on their module at call time, so a replaced
+    module attribute is honored.
     """
 
     config_type: type
     evaluate: Callable
-    results: Callable
+    grid: Callable
+    cell: Callable
+    terms: Callable
+    weights: Callable
     describe: Callable
-    survivors: Optional[Callable] = None
 
+
+# gen2 cost: stations * qps * gen_rounds * (spacing / c + t0) / x
+_gen2_factors = lambda c: (c.gen_rounds * c.spacing_km, c.gen_rounds)  # noqa: E731
+_gen2_weights = lambda params, l_tot_km, space: (1.0 / params.c_fiber, params.t0)  # noqa: E731
 
 # The one place to add a family: the optimizer, evaluate_config,
 # describe_config and the [evaluate] config section all read this table.
@@ -297,28 +264,40 @@ FAMILY_TABLE: dict[str, Family] = {
     "gen1": Family(
         Gen1Config,
         lambda *args: gen1.evaluate(*args),
-        _gen1_results,
+        lambda space, l_tot_km: _gen1_grid(space.gen1),
+        lambda params, l_tot_km: (params.eps_g, params.xi),
+        _gen1_terms,
+        _gen1_weights,
         lambda c: f"scheme={c.scheme} levels={c.levels} rounds={','.join(map(str, c.rounds))}",
-        _gen1_survivors,
     ),
     "gen2_noenc": Family(
         Gen2NoEncConfig,
         lambda *args: gen2.evaluate_no_encoding(*args),
-        _gen2_noenc_results,
+        lambda space, l_tot_km: _gen2_grid(space.gen2, l_tot_km),
+        _without_t0,
+        _throughput_terms("gen2_noenc", gen2._throughput, _gen2_factors),
+        _gen2_weights,
         _describe_gen2,
     ),
     "gen2_enc": Family(
         Gen2EncConfig,
         lambda *args: gen2.evaluate_encoded(*args),
-        _gen2_enc_results,
+        lambda space, l_tot_km: (
+            (code, *key) for code in space.gen2.codes for key in _gen2_grid(space.gen2, l_tot_km)
+        ),
+        _without_t0,
+        _throughput_terms("gen2_enc", gen2._throughput, _gen2_factors),
+        _gen2_weights,
         lambda c: f"code=[[{c.code.n_phys},1,{2 * c.code.t + 1}]] " + _describe_gen2(c),
     ),
     "gen3": Family(
         Gen3Config,
         lambda *args: gen3.evaluate(*args),
-        _gen3_results,
+        lambda space, l_tot_km: _gen3_grid(space.gen3),
+        _without_t0,
+        _throughput_terms("gen3", gen3._throughput, lambda c: (1.0,)),
+        lambda params, l_tot_km, space: (params.t0,),
         lambda c: f"n={c.n} m={c.m} spacing_km={c.spacing_km!r}",
-        _gen3_survivors,
     ),
 }
 FAMILIES = tuple(FAMILY_TABLE)
@@ -342,6 +321,21 @@ def evaluate_config(params: HardwareParams, config, l_tot_km: float) -> CostResu
     return _family_of(config).evaluate(params, config, l_tot_km)
 
 
+@lru_cache(maxsize=256)
+def _frontier(family: str, space: SearchSpace, cell) -> tuple:
+    """Arguments, in grid order, of the configurations that can win at some
+    point of the cell: per group, those no other beats by the margin in
+    every term."""
+    rows = list(FAMILY_TABLE[family].terms(space, cell))
+    groups: dict = {}
+    for i, (_, group, _) in enumerate(rows):
+        groups.setdefault(group, []).append(i)
+    keep = [
+        index[j] for index in groups.values() for j in _undominated([rows[i][2] for i in index])
+    ]
+    return tuple(rows[i][0] for i in sorted(keep))
+
+
 def _argmin(results: Iterable[tuple[Any, CostResult]]) -> Optional[tuple[Any, CostResult]]:
     """First strict cost_coeff minimum among feasible results, or None. NaN
     compares false against any cost, so keeping it out of the empty slot is
@@ -354,12 +348,17 @@ def _argmin(results: Iterable[tuple[Any, CostResult]]) -> Optional[tuple[Any, Co
     return best
 
 
+def _weights_hold(weights: Iterable[float]) -> bool:
+    """True when every weight of the point is a normal, finite float: then
+    each evaluator computes a cost within a few ulps of the weighted sum of
+    its terms, unless the rate itself over- or underflows (see _margin_holds)."""
+    return all(sys.float_info.min <= w <= sys.float_info.max for w in weights)
+
+
 def _margin_holds(best: Optional[tuple[Any, CostResult]]) -> bool:
     """True when the pruned winner's float cost is accurate enough for the
     margin argument (see _COST_CEILING)."""
-    if best is None:
-        return False
-    result = best[1]
+    result = best[1] if best is not None else _NO_RESULT
     return sys.float_info.min <= result.cost_coeff and result.cost <= _COST_CEILING
 
 
@@ -374,10 +373,16 @@ def optimize_family(
     spec = FAMILY_TABLE.get(family)
     if spec is None:
         raise ValueError(f"unknown family {family!r}")
-    survivors = spec.survivors(params, l_tot_km, space) if spec.survivors else None
-    best = _argmin(survivors) if survivors is not None else None
-    if survivors is None or (survivors and not _margin_holds(best)):
-        best = _argmin(spec.results(params, l_tot_km, space))
+
+    def priced(keys):
+        return ((key, spec.evaluate(params, spec.config_type(*key), l_tot_km)) for key in keys)
+
+    keys = None
+    if _weights_hold(spec.weights(params, l_tot_km, space)):
+        keys = _frontier(family, space, spec.cell(params, l_tot_km))
+        best = _argmin(priced(keys))
+    if keys is None or (keys and not _margin_holds(best)):
+        best = _argmin(priced(spec.grid(space, l_tot_km)))
     if best is None:
         return None
     key, result = best
@@ -393,9 +398,6 @@ def optimize_all(
     per_family = {f: optimize_family(f, params, l_tot_km, space) for f in FAMILIES}
     best = _argmin((c, c.result) for c in per_family.values() if c is not None)
     return OptimumReport(per_family, best[0] if best else None)
-
-
-_NO_RESULT = CostResult.infeasible()
 
 
 def report_row(
@@ -423,6 +425,9 @@ def report_row(
     return row
 
 
+SWEEP_AXES = ("eta_c", "eps_g", "t0", "l_tot")
+
+
 def sweep(
     axis: str,
     values: tuple[float, ...],
@@ -432,7 +437,7 @@ def sweep(
 ) -> list[dict]:
     """One optimization per value of a single hardware axis or of the total
     distance."""
-    if axis not in ("eta_c", "eps_g", "t0", "l_tot"):
+    if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be eta_c, eps_g, t0 or l_tot, got {axis!r}")
     rows = []
     for value in values:

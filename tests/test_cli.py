@@ -173,6 +173,17 @@ def test_sweep_past_link_probability_underflow(capsys):
     assert row[3] == "30000.0" and row[4] in FAMILIES
 
 
+def test_sweep_over_eps_g_keeps_explicit_xi(capsys):
+    def data_row(argv):
+        assert main(argv + _FAST_SPACE) == 0
+        return capsys.readouterr().out.splitlines()[7]
+
+    sweep = data_row(["sweep", "--set", "hardware.xi=2.5e-4", "--set", "sweep.values=2e-3"])
+    explicit = data_row(["optimize", "--set", "hardware.eps_g=2e-3", "--set", "hardware.xi=2.5e-4"])
+    coupled = data_row(["optimize", "--set", "hardware.eps_g=2e-3"])
+    assert sweep == explicit != coupled
+
+
 def test_optimize_dataset_single_row(capsys):
     assert main(["optimize"] + _FAST_SPACE) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from search_reference import reference_optimum
 
 from qrcost import gen1
 from qrcost.core import (
+    ATTENUATION_KM,
+    FIBER_SPEED_KM_S,
     GOLAY,
     Gen1Config,
     Gen2EncConfig,
@@ -156,6 +159,18 @@ def test_sweep_axes():
         sweep("spacing", (1.0,), params, 200.0, _SMALL)
 
 
+def test_explicit_xi_survives_with_():
+    explicit = HardwareParams(eps_g=1e-3, xi=2.5e-4)
+    assert explicit.with_(eps_g=2e-3).xi == 2.5e-4
+    assert explicit.with_(t0=1e-5).with_(eps_g=2e-3).xi == 2.5e-4
+    coupled = HardwareParams(eps_g=1e-3)
+    assert coupled.with_(t0=1e-5).with_(eps_g=2e-3).xi == 5e-4
+    assert coupled.with_(xi=1e-4).with_(eps_g=2e-3).xi == 1e-4
+    # the coupling is no field: equal parameters compare, hash and print alike
+    assert coupled == explicit and hash(coupled) == hash(explicit)
+    assert asdict(coupled) == asdict(explicit) and repr(coupled) == repr(explicit)
+
+
 def test_region_map_lattice_order_and_threads():
     etas = (0.6, 0.9)
     epss = (1e-3, 5e-3)
@@ -217,6 +232,14 @@ def test_pruned_search_equals_full_scan_small_space():
         _assert_matches_reference(HardwareParams(eta_c=eta, eps_g=eps, t0=t0), l_tot, _SMALL)
     for l_tot in _LENGTHS:
         _assert_matches_reference(_EXPLICIT, l_tot, _SMALL)
+    # c = 1.7e308 km/s makes 1/c and short-link signal times subnormal,
+    # l_att = 1e-3 km leaves no link that ever succeeds, l_att = 1e18 km no loss
+    fibers = list(itertools.product((FIBER_SPEED_KM_S, 1.0, 1.7e308), (ATTENUATION_KM, 1e-3, 1e18)))
+    for (c, l_att), eta, eps, t0, l_tot in itertools.product(
+        fibers[1:], (0.5, 1.0), (0.0, 1e-3, 0.04), _T0S + (1e300, 1e303), _LENGTHS
+    ):
+        params = HardwareParams(eta_c=eta, eps_g=eps, t0=t0, l_att=l_att, c_fiber=c)
+        _assert_matches_reference(params, l_tot, _SMALL)
 
 
 def test_pruned_search_equals_full_scan_default_space():
