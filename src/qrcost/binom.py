@@ -44,5 +44,14 @@ def tail_at_least(trials: int, p: float, threshold: int) -> float:
         return 0.0
     pmf = binomial_pmf(trials, p)
     if threshold > trials * p:
-        return min(sum(pmf[threshold:]), 1.0)
-    return max(1.0 - sum(pmf[:threshold]), 0.0)
+        return min(_fold(pmf[threshold:]), 1.0)
+    return max(1.0 - _fold(pmf[:threshold]), 0.0)
+
+
+def _fold(values: list[float]) -> float:
+    """Left-to-right float total. Builtin sum() of floats is compensated from
+    Python 3.12 on, which would change the last bits between versions."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total

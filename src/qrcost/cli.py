@@ -183,10 +183,10 @@ def _check(lines: list[str], status: str, name: str, detail: str) -> bool:
     return status == "FAIL"
 
 
-def _verdict(lines: list[str], name: str, powered: bool, trials: int, judge) -> bool:
-    """One comparison: flagged and skipped when underpowered, otherwise judged
-    by judge() -> (passed, detail)."""
-    if not powered:
+def _verdict(lines: list[str], name: str, trials: int, judge) -> bool:
+    """One comparison over `trials` samples: flagged and skipped when they are
+    too few, otherwise judged by judge() -> (passed, detail)."""
+    if trials < _MIN_POWERED_TRIALS:
         detail = f"trials={trials} < {_MIN_POWERED_TRIALS}, comparison skipped"
         return _check(lines, "UNDERPOWERED", name, detail)
     passed, detail = judge()
@@ -195,7 +195,6 @@ def _verdict(lines: list[str], name: str, powered: bool, trials: int, judge) -> 
 
 def _qpc_checks(lines: list[str], trials: int, seed: int) -> bool:
     failed = False
-    powered = trials >= _MIN_POWERED_TRIALS
     cases = [(3, 3, 0.95, 0.01), (4, 4, 0.9, 0.02)]
     for n, m, mu, eps_q in cases:
         for basis in ("z", "x"):
@@ -211,7 +210,7 @@ def _qpc_checks(lines: list[str], trials: int, seed: int) -> bool:
                 sigmas.append(abs(got - want) / max(se, 1.0 / trials))
             worst = max(sigmas)
             failed |= _verdict(
-                lines, name, powered, trials,
+                lines, name, trials,
                 lambda: (worst <= 3.0, f"max deviation {worst:.2f} sigma (limit 3)"),
             )
     est = oracles.mc_qpc_decode(4, 4, 1.0, 0.0, "z", trials=min(trials, 10_000), seed=seed)
@@ -225,7 +224,6 @@ def _qpc_checks(lines: list[str], trials: int, seed: int) -> bool:
 
 def _gen1_time_checks(lines: list[str], trials: int, seed: int) -> bool:
     failed = False
-    powered = trials >= _MIN_POWERED_TRIALS
     band = 0.15
     perfect = HardwareParams(eta_c=0.9, eps_g=0.0, eps_d=0.0, t0=0.0)
     example = HardwareParams(eta_c=0.9, eps_g=1e-3, eps_d=0.0, t0=1e-6)
@@ -238,7 +236,7 @@ def _gen1_time_checks(lines: list[str], trials: int, seed: int) -> bool:
         )
         rel = est.mean_s / analytic - 1.0
         failed |= _verdict(
-            lines, name, powered, n_trials,
+            lines, name, n_trials,
             lambda: (abs(rel) <= band, f"mc/analytic - 1 = {rel:+.3%} (band +-{band:.0%})"),
         )
         return est
@@ -261,7 +259,7 @@ def _gen1_time_checks(lines: list[str], trials: int, seed: int) -> bool:
         detail = f"se(n)/se(2n) = {ratio:.4f} (want sqrt(2) +- 0.1)"
         return abs(ratio - math.sqrt(2.0)) <= 0.1, detail
 
-    failed |= _verdict(lines, "gen1 time standard-error scaling", powered, trials, scaling)
+    failed |= _verdict(lines, "gen1 time standard-error scaling", trials, scaling)
 
     # certain-success limit: every sample must equal the analytic value exactly
     stream = oracles._UniformStream(oracles._partition_rng(seed, 0))

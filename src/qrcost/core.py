@@ -19,6 +19,24 @@ MAX_GATE_ERROR = 0.04
 _RENORM_TOL = 1e-9
 
 
+def _any(flags) -> bool:
+    """A comparison's truth for a float, or whether any element holds for an
+    array."""
+    return flags.any() if hasattr(flags, "any") else flags
+
+
+def _checked_total(a, b, c, d):
+    """The left-to-right sum of Bell weights (floats or arrays), after
+    checking that none is negative and that it lies within the tolerance
+    of 1."""
+    if _any((a < 0.0) | (b < 0.0) | (c < 0.0) | (d < 0.0)):
+        raise ValueError(f"Bell weights must be non-negative, got {(a, b, c, d)}")
+    total = ((a + b) + c) + d
+    if _any(abs(total - 1.0) > _RENORM_TOL):
+        raise ValueError(f"Bell weights must sum to 1, got {total!r}")
+    return total
+
+
 @dataclass(frozen=True)
 class BellDiagonalState:
     """Diagonal two-qubit state in the Bell basis.
@@ -26,6 +44,10 @@ class BellDiagonalState:
     Weights (a, b, c, d) sit on |phi+>, |phi->, |psi+>, |psi->; the fidelity
     with respect to |phi+> is `a`. Weights must be non-negative and sum to 1
     (tiny float drift up to 1e-9 is silently renormalized).
+
+    The weights may also be numpy arrays of one shape: a batch of states,
+    checked and renormalized elementwise by the same arithmetic, and accepted
+    by `pairs.purify` and `pairs.swap`. A batch supports no == or hash.
     """
 
     a: float
@@ -34,17 +56,10 @@ class BellDiagonalState:
     d: float
 
     def __post_init__(self) -> None:
-        vals = (self.a, self.b, self.c, self.d)
-        if any(v < 0.0 for v in vals):
-            raise ValueError(f"Bell weights must be non-negative, got {vals}")
-        total = sum(vals)
-        if abs(total - 1.0) > _RENORM_TOL:
-            raise ValueError(f"Bell weights must sum to 1, got {total!r}")
-        if total != 1.0:
-            object.__setattr__(self, "a", self.a / total)
-            object.__setattr__(self, "b", self.b / total)
-            object.__setattr__(self, "c", self.c / total)
-            object.__setattr__(self, "d", self.d / total)
+        vals = self.as_tuple()
+        total = _checked_total(*vals)
+        for name, value in zip("abcd", vals):  # dividing by exactly 1.0 keeps every bit
+            object.__setattr__(self, name, value / total)
 
     @property
     def fidelity(self) -> float:
@@ -62,6 +77,17 @@ class BellDiagonalState:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
+
+
+def _normalized(a, b, c, d) -> BellDiagonalState:
+    """A state of weights that BellDiagonalState already renormalized, such
+    as a row re-packed from a batch: checked again but not divided again,
+    since renormalizing twice can move the last bit."""
+    _checked_total(a, b, c, d)
+    state = object.__new__(BellDiagonalState)
+    for name, value in zip("abcd", (a, b, c, d)):
+        object.__setattr__(state, name, value)
+    return state
 
 
 def werner_state(fidelity: float) -> BellDiagonalState:

@@ -15,49 +15,152 @@ measurement errors and the pumping schedule. Retries are modeled with the
 standard mean-value bookkeeping: producing two pairs in parallel costs 3/2 of
 one mean, a failed purification discards and retries (geometrically), and
 classical heralding over a level-k pair costs 2^k signal times.
+
+Schedule tables. The schedules of a grid form a prefix tree: level k starts
+from swap(prefix, prefix) of its level-(k-1) prefix and then runs its own
+rounds. `_schedule_summary` builds one table per (scheme, eps_g, xi) and
+search bounds (max_levels, max_rounds). It advances every prefix of a level at once, as one batch of states, and each
+row gets exactly the float operations of a one-schedule fold, so a row does
+not depend on the table that holds it. Every reader (the optimizer's
+candidates, evaluate, time_constants, final_state, ladder_success_probs)
+reads one row: of the search's table when the schedule lies in its grid
+(`evaluate` takes the bounds of the search that calls it, every other reader
+the default ones), otherwise of a one-path table that holds the schedule
+alone. One-path tables have a cache of their own, so they never
+evict a grid table.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
-from .core import BellDiagonalState, CostResult, Gen1Config, HardwareParams
+import numpy as np
+
+from .core import BellDiagonalState, CostResult, Gen1Config, HardwareParams, _normalized
 from .keyrate import average_qber, secure_fraction
 from .pairs import elementary_pair, heg_success_prob, purify, swap
 
-_CACHE_SIZE = 1 << 18
+# The default search: nesting levels 0..7, each with 0..2 rounds.
+SEARCH_LEVELS = 7
+SEARCH_ROUNDS = 2
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _level_chain(
+class _Table(NamedTuple):
+    """Every schedule prefix of a grid, one batch per nesting level. The rows
+    of level k are the prefixes (r_0, ..., r_k) with r_j in grid[j], in
+    lexicographic order."""
+
+    grid: tuple[tuple[int, ...], ...]
+    states: tuple[BellDiagonalState, ...]  # per level, one batch over its rows
+    probs: tuple[np.ndarray, ...]  # per level, [parent row, round] success probabilities
+    summaries: tuple[tuple[tuple[float, float, float, float, int], ...], ...]  # per level, per row
+
+
+def _row(grid: tuple[tuple[int, ...], ...], rounds: tuple[int, ...]) -> int:
+    """The row of a schedule prefix at its level."""
+    index = 0
+    for options, m in zip(grid, rounds):
+        index = index * len(options) + options.index(m)
+    return index
+
+
+def _parent_major(columns, parents: int) -> np.ndarray:
+    """[parent, j] = columns[j] of that parent; a column may be one float
+    shared by every parent."""
+    out = np.empty((parents, len(columns)))
+    for j, column in enumerate(columns):
+        out[:, j] = column
+    return out
+
+
+def _build_table(
     scheme: str,
-    rounds_prefix: tuple[int, ...],
     eps_g: float,
     xi: float,
-) -> tuple[BellDiagonalState, tuple[float, ...]]:
-    """State and per-round success probabilities at level len(prefix)-1.
+    grid: tuple[tuple[int, ...], ...],
+) -> _Table:
+    """The schedule table of a grid; grid[k] lists the round counts allowed at
+    level k."""
+    states, probs, summaries, a_levels, s_levels = [], [], [], [], []
+    # the rounds prefix of each row, as Python ints so that qps stays exact
+    rounds = np.zeros((1, 0), dtype=object)
+    for k, options in enumerate(grid):
+        parents = len(rounds)
+        entry = elementary_pair(eps_g) if k == 0 else swap(states[-1], states[-1], eps_g, xi)
+        state, pumped, level_probs = entry, [entry], []
+        for _ in range(max(options)):
+            p, state = purify(state, state if scheme == "deutsch" else entry, eps_g, xi)
+            level_probs.append(p)
+            pumped.append(state)
+        weights = zip(*(pumped[m].as_tuple() for m in options))
+        states.append(_normalized(*(_parent_major(w, parents).ravel() for w in weights)))
+        probs.append(_parent_major(level_probs, parents))
+        coefficients = [_retry_coefficients(scheme, level_probs[:m]) for m in options]
+        a_levels.append(_parent_major([a for a, _ in coefficients], parents).ravel())
+        s_levels.append(_parent_major([s for _, s in coefficients], parents).ravel())
+        rounds = np.column_stack(
+            (np.repeat(rounds, len(options), axis=0), np.tile(options, parents))
+        )
 
-    Prefix caching lets the optimizer share work across schedules that agree
-    on their lower levels.
-    """
-    m = rounds_prefix[-1]
-    if len(rounds_prefix) == 1:
-        entry = elementary_pair(eps_g)
+        size = len(rounds)
+        alpha, beta, gamma = _time_coefficients(
+            [np.repeat(a, size // len(a)) for a in a_levels],
+            [np.repeat(s, size // len(s)) for s in s_levels],
+        )
+        qber_x, qber_z = states[-1].qber_x.tolist(), states[-1].qber_z.tolist()
+        r = [secure_fraction(average_qber(x, z)) for x, z in zip(qber_x, qber_z)]
+        qps = _qubits_per_station(scheme, tuple(rounds.T))
+        summaries.append(tuple(zip(alpha.tolist(), beta.tolist(), gamma.tolist(), r, qps.tolist())))
+    return _Table(grid, tuple(states), tuple(probs), tuple(summaries))
+
+
+@lru_cache(maxsize=32)
+def _schedule_summary(
+    scheme: str, eps_g: float, xi: float, max_levels: int, max_rounds: int
+) -> _Table:
+    """The table of every schedule at most max_levels deep with at most
+    max_rounds rounds per level."""
+    grid = (tuple(range(max_rounds + 1)),) * (max_levels + 1)
+    return _build_table(scheme, eps_g, xi, grid)
+
+
+@lru_cache(maxsize=256)
+def _one_path(scheme: str, eps_g: float, xi: float, rounds: tuple[int, ...]) -> _Table:
+    """The table of one schedule alone: one row per level."""
+    return _build_table(scheme, eps_g, xi, tuple((m,) for m in rounds))
+
+
+def _table_row(
+    params: HardwareParams,
+    config: Gen1Config,
+    max_levels: int = SEARCH_LEVELS,
+    max_rounds: int = SEARCH_ROUNDS,
+) -> tuple[_Table, int]:
+    """The search's table when its grid holds the schedule, otherwise the
+    schedule's own one-path table; and the schedule's row in it."""
+    if config.levels <= max_levels and max(config.rounds) <= max_rounds:
+        table = _schedule_summary(config.scheme, params.eps_g, params.xi, max_levels, max_rounds)
     else:
-        below, _ = _level_chain(scheme, rounds_prefix[:-1], eps_g, xi)
-        entry = swap(below, below, eps_g, xi)
-    probs: list[float] = []
-    state = entry
-    for _ in range(m):
-        other = state if scheme == "deutsch" else entry
-        p, state = purify(state, other, eps_g, xi)
-        probs.append(p)
-    return state, tuple(probs)
+        table = _one_path(config.scheme, params.eps_g, params.xi, config.rounds)
+    return table, _row(table.grid, config.rounds)
 
 
-def _retry_coefficients(scheme: str, probs: tuple[float, ...]) -> tuple[float, float]:
+def _summary(
+    params: HardwareParams,
+    config: Gen1Config,
+    max_levels: int = SEARCH_LEVELS,
+    max_rounds: int = SEARCH_ROUNDS,
+) -> tuple[float, float, float, float, int]:
+    """(alpha, beta, gamma, secure_fraction, qubits_per_station) of a schedule."""
+    table, i = _table_row(params, config, max_levels, max_rounds)
+    return table.summaries[config.levels][i]
+
+
+def _retry_coefficients(scheme: str, probs: list) -> tuple:
     """Coefficients (A, S) such that the mean time to finish one level's
-    pumping is A * t_entry + S * t_round.
+    pumping is A * t_entry + S * t_round; per-round success probabilities
+    are floats or arrays of one shape.
 
     t_entry is the mean time to furnish one entry pair and t_round the fixed
     per-round overhead (gate plus heralding). Deutsch pumping rebuilds both
@@ -87,23 +190,10 @@ def _retry_coefficients(scheme: str, probs: tuple[float, ...]) -> tuple[float, f
     return prod + suffix, suffix
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _schedule_summary(
-    scheme: str,
-    rounds: tuple[int, ...],
-    eps_g: float,
-    xi: float,
-) -> tuple[float, float, float, float, int]:
-    """(alpha, beta, gamma, secure_fraction, qubits_per_station) for a schedule."""
-    n = len(rounds) - 1
-    a_list: list[float] = []
-    s_list: list[float] = []
-    for k in range(n + 1):
-        _, probs = _level_chain(scheme, rounds[: k + 1], eps_g, xi)
-        a, s = _retry_coefficients(scheme, probs)
-        a_list.append(a)
-        s_list.append(s)
-
+def _time_coefficients(a_list: list, s_list: list) -> tuple:
+    """(alpha, beta, gamma) from each level's retry coefficients (A, S),
+    elementary level first; floats or arrays of one shape."""
+    n = len(a_list) - 1
     suf = [1.0] * (n + 2)
     for y in range(n, -1, -1):
         suf[y] = a_list[y] * suf[y + 1]
@@ -115,44 +205,41 @@ def _schedule_summary(
         w = 1.5 ** (n - y)
         beta += w * 2.0**y * s_list[y] * suf[y + 1]
         gamma += w * (s_list[y] * suf[y + 1] + suf[y])
-
-    state, _ = _level_chain(scheme, rounds, eps_g, xi)
-    r = secure_fraction(average_qber(state.qber_x, state.qber_z))
-    return alpha, beta, gamma, r, _qubits_per_station(scheme, rounds)
+    return alpha, beta, gamma
 
 
 def _qubits_per_station(scheme: str, rounds: tuple[int, ...]) -> int:
     """Deutsch pumping holds every pair of the binary round tree at once;
     fresh-copy pumping holds one storage pair per pumped level plus the
-    working pair."""
+    working pair. The round counts may be ints or arrays of one shape; an
+    array of Python ints (object dtype) keeps the Deutsch count exact."""
     if scheme == "deutsch":
         z = 2 ** sum(rounds)
     else:
-        z = len(rounds) + 1 - sum(1 for mi in rounds if mi == 0)
+        z = len(rounds) + 1 - sum(mi == 0 for mi in rounds)
     return 2 * z
 
 
 def final_state(params: HardwareParams, config: Gen1Config) -> BellDiagonalState:
     """End-to-end Bell-diagonal state after all swaps and purification."""
-    state, _ = _level_chain(config.scheme, config.rounds, params.eps_g, params.xi)
-    return state
+    table, i = _table_row(params, config)
+    return _normalized(*(w[i].item() for w in table.states[config.levels].as_tuple()))
 
 
 def ladder_success_probs(
     params: HardwareParams, config: Gen1Config
 ) -> tuple[tuple[float, ...], ...]:
     """Per-level purification success probabilities, outermost level last."""
+    table, _ = _table_row(params, config)
     return tuple(
-        _level_chain(config.scheme, config.rounds[: k + 1], params.eps_g, params.xi)[1]
-        for k in range(config.levels + 1)
+        tuple(table.probs[k][_row(table.grid, config.rounds[:k]), :m].tolist())
+        for k, m in enumerate(config.rounds)
     )
 
 
 def time_constants(params: HardwareParams, config: Gen1Config) -> tuple[float, float, float]:
     """(alpha, beta, gamma) of the waiting-time decomposition."""
-    alpha, beta, gamma, _, _ = _schedule_summary(
-        config.scheme, config.rounds, params.eps_g, params.xi
-    )
+    alpha, beta, gamma, _, _ = _summary(params, config)
     return alpha, beta, gamma
 
 
@@ -201,9 +288,18 @@ def _finish(
     return CostResult.from_rate(r / w, qps, stations, l_tot_km)
 
 
-def evaluate(params: HardwareParams, config: Gen1Config, l_tot_km: float) -> CostResult:
-    """Secret-key rate and qubit cost of one purify-and-swap architecture."""
+def evaluate(
+    params: HardwareParams,
+    config: Gen1Config,
+    l_tot_km: float,
+    max_levels: int = SEARCH_LEVELS,
+    max_rounds: int = SEARCH_ROUNDS,
+) -> CostResult:
+    """Secret-key rate and qubit cost of one purify-and-swap architecture;
+    max_levels and max_rounds bound the search that asks, whose table is read
+    when it holds the schedule."""
     if l_tot_km <= 0:
         raise ValueError("l_tot_km must be > 0")
-    summary = _schedule_summary(config.scheme, config.rounds, params.eps_g, params.xi)
-    return _finish(summary, params, config.levels, l_tot_km, _link(params, config.levels, l_tot_km))
+    link = _link(params, config.levels, l_tot_km)
+    summary = _summary(params, config, max_levels, max_rounds)
+    return _finish(summary, params, config.levels, l_tot_km, link)

@@ -63,8 +63,8 @@ _GEN3_SPACINGS = tuple(k * 0.5 for k in range(1, 21))  # 0.5 .. 10 km
 class Gen1Search:
     schemes: tuple[str, ...] = ("deutsch", "dur")
     min_levels: int = 1
-    max_levels: int = 7
-    max_rounds: int = 2
+    max_levels: int = gen1.SEARCH_LEVELS
+    max_rounds: int = gen1.SEARCH_ROUNDS
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,9 @@ class SearchSpace:
     gen1: Gen1Search = field(default_factory=Gen1Search)
     gen2: Gen2Search = field(default_factory=Gen2Search)
     gen3: Gen3Search = field(default_factory=Gen3Search)
+
+
+_DEFAULT_SPACE = SearchSpace()
 
 
 @dataclass(frozen=True)
@@ -156,11 +159,15 @@ def _gen1_grid(search: Gen1Search):
 
 
 def _gen1_candidates(search: Gen1Search, eps_g: float, xi: float):
-    """Schedule summaries in enumeration order."""
-    return [
-        (scheme, levels, rounds, gen1._schedule_summary(scheme, rounds, eps_g, xi))
-        for scheme, levels, rounds in _gen1_grid(search)
-    ]
+    """Schedule summaries in enumeration order, read off one table per scheme
+    whose rows run in the same order."""
+    bounds = (search.max_levels, search.max_rounds)
+    summaries = itertools.chain.from_iterable(
+        gen1._schedule_summary(scheme, eps_g, xi, *bounds).summaries[levels]
+        for scheme in search.schemes
+        for levels in range(search.min_levels, search.max_levels + 1)
+    )
+    return [(*key, summary) for key, summary in zip(_gen1_grid(search), summaries)]
 
 
 def _gen1_terms(space: SearchSpace, cell):
@@ -234,15 +241,15 @@ class Family(NamedTuple):
     """One repeater family.
 
     config_type(*arguments) builds a configuration, evaluate(params, config,
-    l_tot_km) prices it and describe(config) is its one-line text;
-    grid(space, l_tot_km) yields the arguments of the search grid in a fixed
-    order. Within a group, the cost at a point is a positive multiple of
-    sum(weight * term): cell(params, l_tot_km) is the hashable part of the
-    point the terms depend on, terms(space, cell) yields (arguments, group,
-    terms) of every configuration feasible somewhere in the cell, in grid
-    order, and weights(params, l_tot_km, space) lists the point's weights.
-    Evaluators are looked up on their module at call time, so a replaced
-    module attribute is honored.
+    l_tot_km, space) prices it (reading the tables of that search space) and
+    describe(config) is its one-line text; grid(space, l_tot_km) yields the
+    arguments of the search grid in a fixed order. Within a group, the cost at
+    a point is a positive multiple of sum(weight * term): cell(params,
+    l_tot_km) is the hashable part of the point the terms depend on,
+    terms(space, cell) yields (arguments, group, terms) of every configuration
+    feasible somewhere in the cell, in grid order, and weights(params,
+    l_tot_km, space) lists the point's weights. Evaluators are looked up on
+    their module at call time, so a replaced module attribute is honored.
     """
 
     config_type: type
@@ -263,7 +270,9 @@ _gen2_weights = lambda params, l_tot_km, space: (1.0 / params.c_fiber, params.t0
 FAMILY_TABLE: dict[str, Family] = {
     "gen1": Family(
         Gen1Config,
-        lambda *args: gen1.evaluate(*args),
+        lambda params, config, l_tot_km, space: gen1.evaluate(
+            params, config, l_tot_km, space.gen1.max_levels, space.gen1.max_rounds
+        ),
         lambda space, l_tot_km: _gen1_grid(space.gen1),
         lambda params, l_tot_km: (params.eps_g, params.xi),
         _gen1_terms,
@@ -272,7 +281,7 @@ FAMILY_TABLE: dict[str, Family] = {
     ),
     "gen2_noenc": Family(
         Gen2NoEncConfig,
-        lambda *args: gen2.evaluate_no_encoding(*args),
+        lambda params, config, l_tot_km, space: gen2.evaluate_no_encoding(params, config, l_tot_km),
         lambda space, l_tot_km: _gen2_grid(space.gen2, l_tot_km),
         _without_t0,
         _throughput_terms("gen2_noenc", gen2._throughput, _gen2_factors),
@@ -281,7 +290,7 @@ FAMILY_TABLE: dict[str, Family] = {
     ),
     "gen2_enc": Family(
         Gen2EncConfig,
-        lambda *args: gen2.evaluate_encoded(*args),
+        lambda params, config, l_tot_km, space: gen2.evaluate_encoded(params, config, l_tot_km),
         lambda space, l_tot_km: (
             (code, *key) for code in space.gen2.codes for key in _gen2_grid(space.gen2, l_tot_km)
         ),
@@ -292,7 +301,7 @@ FAMILY_TABLE: dict[str, Family] = {
     ),
     "gen3": Family(
         Gen3Config,
-        lambda *args: gen3.evaluate(*args),
+        lambda params, config, l_tot_km, space: gen3.evaluate(params, config, l_tot_km),
         lambda space, l_tot_km: _gen3_grid(space.gen3),
         _without_t0,
         _throughput_terms("gen3", gen3._throughput, lambda c: (1.0,)),
@@ -317,8 +326,9 @@ def describe_config(config) -> str:
 
 
 def evaluate_config(params: HardwareParams, config, l_tot_km: float) -> CostResult:
-    """Dispatch a configuration to its family's evaluator."""
-    return _family_of(config).evaluate(params, config, l_tot_km)
+    """Dispatch a configuration to its family's evaluator, reading the
+    default search's tables."""
+    return _family_of(config).evaluate(params, config, l_tot_km, _DEFAULT_SPACE)
 
 
 @lru_cache(maxsize=256)
@@ -375,7 +385,9 @@ def optimize_family(
         raise ValueError(f"unknown family {family!r}")
 
     def priced(keys):
-        return ((key, spec.evaluate(params, spec.config_type(*key), l_tot_km)) for key in keys)
+        return (
+            (key, spec.evaluate(params, spec.config_type(*key), l_tot_km, space)) for key in keys
+        )
 
     keys = None
     if _weights_hold(spec.weights(params, l_tot_km, space)):

@@ -1,13 +1,15 @@
 """Elementary-pair generation, entanglement purification, and swapping.
 
 All two-pair operations act on Bell-diagonal states and include two-qubit gate
-error eps_g (depolarizing) and measurement error xi.
+error eps_g (depolarizing) and measurement error xi. `purify` and `swap` also
+take batches of states (BellDiagonalState over numpy arrays): each batch row
+gets the same float operations, in the same order, as a single state would.
 """
 from __future__ import annotations
 
 import math
 
-from .core import BellDiagonalState, MAX_GATE_ERROR, werner_state
+from .core import BellDiagonalState, MAX_GATE_ERROR, _any, werner_state
 
 
 def heg_success_prob(eta_c: float, l0_km: float, l_att_km: float) -> float:
@@ -104,7 +106,7 @@ def purify(
     ad1, bc1 = a1 + d1, b1 + c1
     ad2, bc2 = a2 + d2, b2 + c2
     p_success = g * (s * (ad1 * ad2 + bc1 * bc2) + t * (ad1 * bc2 + bc1 * ad2)) + mix / 2.0
-    if p_success <= 0.0:
+    if _any(p_success <= 0.0):
         raise ArithmeticError("purification success probability vanished")
 
     floor = mix / 8.0

@@ -1,10 +1,19 @@
 """Plain-loop reference folds of the pair algebra, kept apart from the
-cached production paths (gen1._level_chain, gen2's swap-chain table) so the
-tests can check those against an independent implementation."""
+production paths (gen1's batched schedule tables, gen2's swap-chain table) so
+the tests can check those against an independent implementation.
+
+`schedule_summary` is the scalar per-schedule fold that gen1 used before its
+tables: one `swap` and one `pump_schedule` per level on single states, then
+the retry and suffix-product loops in the same operation order. It caches
+prefixes only to keep the exhaustive comparisons fast.
+"""
 from __future__ import annotations
 
+from functools import lru_cache
+
 from qrcost.core import BellDiagonalState
-from qrcost.pairs import purify, swap
+from qrcost.keyrate import average_qber, secure_fraction
+from qrcost.pairs import elementary_pair, purify, swap
 
 
 def swap_chain(state: BellDiagonalState, segments: int, eps_g: float, xi: float) -> BellDiagonalState:
@@ -39,3 +48,69 @@ def pump_schedule(
         p, state = purify(state, other, eps_g, xi)
         probs.append(p)
     return state, tuple(probs)
+
+
+@lru_cache(maxsize=1 << 12)
+def ladder(
+    scheme: str, rounds: tuple[int, ...], eps_g: float, xi: float
+) -> tuple[BellDiagonalState, tuple[tuple[float, ...], ...]]:
+    """End state and per-level success probabilities of a schedule: the
+    elementary pair pumped, then per level a swap of two copies and a pump."""
+    if len(rounds) == 1:
+        entry, below = elementary_pair(eps_g), ()
+    else:
+        state, below = ladder(scheme, rounds[:-1], eps_g, xi)
+        entry = swap(state, state, eps_g, xi)
+    state, probs = pump_schedule(entry, rounds[-1], eps_g, xi, scheme)
+    return state, below + (probs,)
+
+
+def _retry(scheme: str, probs: tuple[float, ...]) -> tuple[float, float]:
+    m = len(probs)
+    if m == 0:
+        return 1.0, 0.0
+    inv = [1.0 / p for p in probs]
+    suffix = 0.0
+    acc = 1.0
+    if scheme == "deutsch":
+        for y in range(m):
+            acc *= inv[m - 1 - y]
+            suffix += 1.5**y * acc
+        a = 1.0
+        for q in inv:
+            a *= 1.5 * q
+        return a, suffix
+    for y in range(m):
+        acc *= inv[m - 1 - y]
+        suffix += acc
+    prod = 1.0
+    for q in inv:
+        prod *= q
+    return prod + suffix, suffix
+
+
+def schedule_summary(
+    scheme: str, rounds: tuple[int, ...], eps_g: float, xi: float
+) -> tuple[float, float, float, float, int]:
+    """(alpha, beta, gamma, secure_fraction, qubits_per_station) of one
+    schedule."""
+    state, probs = ladder(scheme, rounds, eps_g, xi)
+    n = len(rounds) - 1
+    a_list, s_list = zip(*(_retry(scheme, level) for level in probs))
+    suf = [1.0] * (n + 2)
+    for y in range(n, -1, -1):
+        suf[y] = a_list[y] * suf[y + 1]
+    top = 1.5**n * suf[1]
+    alpha = top * a_list[0]
+    beta = top * s_list[0]
+    gamma = top * s_list[0]
+    for y in range(1, n + 1):
+        w = 1.5 ** (n - y)
+        beta += w * 2.0**y * s_list[y] * suf[y + 1]
+        gamma += w * (s_list[y] * suf[y + 1] + suf[y])
+    r = secure_fraction(average_qber(state.qber_x, state.qber_z))
+    if scheme == "deutsch":
+        qps = 2 * 2 ** sum(rounds)
+    else:
+        qps = 2 * (len(rounds) + 1 - sum(1 for m in rounds if m == 0))
+    return alpha, beta, gamma, r, qps

@@ -82,3 +82,25 @@ def test_tail_small_p_large_n_keeps_precision():
     direct = math.fsum(binomial_pmf(103, 1e-3)[10:])
     assert val > 0.0
     assert math.isclose(val, direct, rel_tol=1e-12)
+
+
+def _plain_fold(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def test_tail_is_a_left_to_right_fold_on_every_python():
+    # the same bits whether or not builtin sum() compensates (Python 3.12+)
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 300)
+        p = rng.random()
+        k = rng.randint(1, n)
+        pmf = binomial_pmf(n, p)
+        if k > n * p:
+            want = min(_plain_fold(pmf[k:]), 1.0)
+        else:
+            want = max(1.0 - _plain_fold(pmf[:k]), 0.0)
+        assert tail_at_least(n, p, k) == want, (n, p, k)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -239,3 +240,15 @@ def test_validate_gen1_time_suite(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
     assert "INFO" in out  # deep-ladder bias is reported, not asserted
+
+
+def test_underpowered_lines_name_only_underpowered_counts(capsys):
+    # each comparison judges power from the trial count it prints, so the
+    # doubled-trials check at --trials 500 runs 1000 trials and is judged
+    main(["validate", "all", "--trials", "500"])
+    lines = capsys.readouterr().out.splitlines()
+    flagged = [line for line in lines if line.startswith("UNDERPOWERED")]
+    assert flagged
+    for line in flagged:
+        count = int(re.search(r"trials=(\d+) <", line).group(1))
+        assert count < 1000, line

@@ -2,9 +2,9 @@ import math
 import random
 
 import pytest
-from chain_reference import pump_schedule
+from chain_reference import ladder, pump_schedule, schedule_summary
 
-from qrcost import gen1
+from qrcost import gen1, optimize
 from qrcost.core import Gen1Config, HardwareParams
 from qrcost.pairs import elementary_pair, heg_success_prob, swap
 
@@ -126,3 +126,73 @@ def test_config_validation():
         Gen1Config("deutsch", 2, (0, 0))  # needs levels+1 entries
     with pytest.raises(ValueError):
         Gen1Config("deutsch", 1, (0, -1))
+
+
+@pytest.mark.parametrize(
+    "eps_g, xi",
+    [(0.0, 0.0), (1e-4, 2.5e-5), (1e-3, 2.5e-4), (1e-2, 2.5e-3), (3e-2, 7.5e-3), (1e-3, 0.02)],
+)
+def test_schedule_table_equals_scalar_fold(eps_g, xi):
+    # every default-grid summary, bit for bit (repr tells -0.0 and int/float apart)
+    candidates = optimize._gen1_candidates(optimize.Gen1Search(), eps_g, xi)
+    assert len(candidates) == 19_674
+    for scheme, levels, rounds, summary in candidates:
+        assert len(rounds) == levels + 1
+        assert repr(summary) == repr(schedule_summary(scheme, rounds, eps_g, xi)), (scheme, rounds)
+    params = HardwareParams(eps_g=eps_g, xi=xi)
+    for config in _seeded_configs(40, max_levels=7):
+        state, probs = ladder(config.scheme, config.rounds, eps_g, xi)
+        assert repr(gen1.final_state(params, config)) == repr(state)
+        assert gen1.ladder_success_probs(params, config) == probs
+        want = schedule_summary(config.scheme, config.rounds, eps_g, xi)
+        assert gen1.time_constants(params, config) == want[:3]
+    ladder.cache_clear()
+
+
+@pytest.mark.parametrize("scheme", ["deutsch", "dur"])
+def test_off_grid_schedules_read_a_one_path_table(scheme):
+    params = HardwareParams(eps_g=2e-3)
+    for rounds in [(5, 0, 1, 2, 3, 4, 5, 0, 1, 2), (1,) * 10, (2, 0, 2, 1, 0, 2, 1, 2, 0),
+                   (3, 1), (0, 4)]:
+        config = Gen1Config(scheme, len(rounds) - 1, rounds)
+        state, probs = ladder(scheme, rounds, params.eps_g, params.xi)
+        assert repr(gen1.final_state(params, config)) == repr(state)
+        assert gen1.ladder_success_probs(params, config) == probs
+        want = schedule_summary(scheme, rounds, params.eps_g, params.xi)
+        assert gen1.time_constants(params, config) == want[:3]
+        table, _ = gen1._table_row(params, config)
+        assert table.grid == tuple((m,) for m in rounds)
+    ladder.cache_clear()
+
+
+def test_qps_stays_exact_past_int64():
+    # 2 * 2**62 does not fit an int64; qps must still be the exact integer
+    params = HardwareParams(eps_g=1e-3)
+    for rounds in [(31, 31), (32, 31), (40, 40)]:
+        config = Gen1Config("deutsch", 1, rounds)
+        assert gen1.evaluate(params, config, 100.0).qubits_per_station == gen1.qubits_per_station(config)
+    search = optimize.Gen1Search(schemes=("deutsch", "dur"), max_levels=1, max_rounds=31)
+    for scheme, levels, rounds, summary in optimize._gen1_candidates(search, 1e-3, 2.5e-4):
+        assert summary[4] == gen1.qubits_per_station(Gen1Config(scheme, levels, rounds)), rounds
+        assert summary[4] > 0
+
+
+def test_readers_use_the_searched_grid_table():
+    params = HardwareParams(eps_g=1.5e-3)
+    config = Gen1Config("dur", 2, (4, 0, 3))  # outside the default grid, inside a wider one
+    gen1._schedule_summary.cache_clear()
+    gen1._one_path.cache_clear()
+    got = gen1.evaluate(params, config, 300.0, max_levels=2, max_rounds=4)
+    assert gen1._schedule_summary.cache_info().currsize == 1
+    assert gen1._one_path.cache_info().currsize == 0
+    # the same row as the schedule's own one-path table, which lives in its own cache
+    assert got == gen1.evaluate(params, config, 300.0)
+    assert gen1._one_path.cache_info().currsize == 1
+    assert gen1._schedule_summary.cache_info().currsize == 1
+    # a narrow search never builds the default grid's table
+    narrow = optimize.SearchSpace(gen1=optimize.Gen1Search(max_levels=2, max_rounds=1))
+    gen1._schedule_summary.cache_clear()
+    assert optimize.optimize_family("gen1", params, 300.0, narrow) is not None
+    assert gen1._schedule_summary.cache_info().currsize == 2  # one table per scheme
+    table, _ = gen1._table_row(params, Gen1Config("dur", 1, (1, 0)), 2, 1)
+    assert table.grid == ((0, 1),) * 3

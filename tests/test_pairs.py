@@ -2,8 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from chain_reference import pump_schedule, swap_chain
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrcost import gen1, gen2
 from qrcost.core import BellDiagonalState, Gen1Config, HardwareParams, werner_state
@@ -210,3 +213,65 @@ def test_fixed_point_is_stationary():
     state = deutsch_fixed_point(1e-3, 2.5e-4)
     _, next_state = purify(state, state, 1e-3, 2.5e-4)
     assert math.isclose(next_state.fidelity, state.fidelity, rel_tol=0, abs_tol=1e-12)
+
+
+_WEIGHTS = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0.0)
+_PAIRS = st.lists(st.tuples(_WEIGHTS, _WEIGHTS), min_size=1, max_size=6)
+
+
+def _drifted(weights):
+    """Weights scaled to sum to 1 up to rounding, left for the state to renormalize."""
+    total = math.fsum(weights)
+    return [w / total for w in weights]
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _outcome(operation):
+    try:
+        return operation()
+    except (ArithmeticError, ValueError) as error:
+        return type(error)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAIRS, st.floats(0.0, 0.04), st.floats(0.0, 0.5))
+def test_batched_pair_algebra_equals_single_states(pairs, eps_g, xi):
+    rows = [tuple(BellDiagonalState(*_drifted(w)) for w in pair) for pair in pairs]
+    batches = [
+        BellDiagonalState(*map(np.array, zip(*(_drifted(pair[side]) for pair in pairs))))
+        for side in (0, 1)
+    ]
+    # one renormalization, the same arithmetic for a float and for an array
+    for side in (0, 1):
+        for w, state in zip(batches[side].as_tuple(), zip(*(row[side].as_tuple() for row in rows))):
+            assert _bits(w) == _bits(state)
+    singles = [_outcome(lambda: purify(r1, r2, eps_g, xi)) for r1, r2 in rows]
+    batch = _outcome(lambda: purify(*batches, eps_g, xi))
+    errors = [out for out in singles if isinstance(out, type)]
+    if errors:
+        assert batch in errors
+    else:
+        p, out = batch
+        assert _bits(p) == _bits(q for q, _ in singles)
+        for w, want in zip(out.as_tuple(), zip(*(state.as_tuple() for _, state in singles))):
+            assert _bits(w) == _bits(want)
+    singles = [swap(r1, r2, eps_g, xi) for r1, r2 in rows]
+    out = swap(*batches, eps_g, xi)
+    for w, want in zip(out.as_tuple(), zip(*(state.as_tuple() for state in singles))):
+        assert _bits(w) == _bits(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WEIGHTS, _WEIGHTS, st.floats(0.0, 0.04), st.floats(0.0, 0.5))
+def test_pair_algebra_keeps_weights_normalized(w1, w2, eps_g, xi):
+    r1, r2 = BellDiagonalState(*_drifted(w1)), BellDiagonalState(*_drifted(w2))
+    outputs = [swap(r1, r2, eps_g, xi)]
+    purified = _outcome(lambda: purify(r1, r2, eps_g, xi))
+    if purified is not ArithmeticError:  # both inputs may sit on opposite parities
+        outputs.append(purified[1])
+    for out in outputs:
+        assert min(out.as_tuple()) >= 0.0
+        assert abs(sum(out.as_tuple()) - 1.0) <= 1e-12
