@@ -55,11 +55,14 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override one config value; repeatable",
         )
         cmd.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-        cmd.add_argument("--threads", type=int, default=1, help="worker processes for grid commands")
-        cmd.add_argument("--seed", type=int, default=0, help="base seed for sampling commands")
+        if name == "region-map":
+            cmd.add_argument("--threads", type=int, default=1, help="worker processes")
+        # validate reads no config, but accepts --config and --set so that one
+        # list of overrides serves every subcommand
         if name == "validate":
             cmd.add_argument("suite", help="one of: %s" % ", ".join(_SUITES))
             cmd.add_argument("--trials", type=int, default=100_000, help="samples per comparison")
+            cmd.add_argument("--seed", type=int, default=0, help="base seed of the samplers")
     return parser
 
 
@@ -170,9 +173,7 @@ def cmd_region_map(cfg, out_path: Optional[str], threads: int) -> int:
     )
     if problems:
         raise ConfigError("; ".join(problems))
-    rows = optimize.region_map(
-        eta_values, eps_values, t0_values, l_tot, space, params, threads=max(1, threads)
-    )
+    rows = optimize.region_map(eta_values, eps_values, t0_values, l_tot, space, params, threads)
     sections = ("hardware", "search.gen1", "search.gen2", "search.gen3", "region")
     _emit(_dataset("region-map", cfg, sections, rows), out_path)
     return 0

@@ -199,15 +199,7 @@ def parse_grid(raw: str, where: str) -> tuple[float, ...]:
 
 def hardware(cfg) -> HardwareParams:
     """Build and validate the hardware point described by [hardware]."""
-    params = HardwareParams(
-        eta_c=_float(cfg, "hardware", "eta_c"),
-        eps_g=_float(cfg, "hardware", "eps_g"),
-        xi=_float(cfg, "hardware", "xi") if cfg["hardware"]["xi"].strip() else None,
-        eps_d=_float(cfg, "hardware", "eps_d"),
-        t0=_float(cfg, "hardware", "t0"),
-        l_att=_float(cfg, "hardware", "l_att"),
-        c_fiber=_float(cfg, "hardware", "c_fiber"),
-    )
+    params = _read(cfg, "hardware", HardwareParams)
     problems = validate_hardware(params)
     if problems:
         raise ConfigError("; ".join(problems))
@@ -229,24 +221,21 @@ def _code(name: str, where: str) -> CssCode:
     return code
 
 
-def _codes(cfg, section: str, key: str) -> tuple[CssCode, ...]:
-    where = f"{section}.{key}"
-    out = tuple(_code(name, where) for name in _names(cfg[section][key]))
-    if not out:
-        raise ConfigError(f"{where}: empty code list")
-    return out
-
-
 # value parsers by dataclass field annotation, called as parse(cfg, section, key)
 _FIELD_PARSERS = {
     "int": _int,
     "float": _float,
+    "Optional[float]": lambda cfg, sec, key: (  # blank means None
+        _float(cfg, sec, key) if cfg[sec][key].strip() else None
+    ),
     "str": lambda cfg, sec, key: cfg[sec][key].strip(),
     "tuple[int, ...]": _int_tuple,
     "tuple[str, ...]": lambda cfg, sec, key: _names(cfg[sec][key]),
     "tuple[float, ...]": lambda cfg, sec, key: parse_grid(cfg[sec][key], f"{sec}.{key}"),
     "CssCode": lambda cfg, sec, key: _code(cfg[sec][key], f"{sec}.{key}"),
-    "tuple[CssCode, ...]": _codes,
+    "tuple[CssCode, ...]": lambda cfg, sec, key: tuple(
+        _code(name, f"{sec}.{key}") for name in _names(cfg[sec][key])
+    ),
 }
 
 
@@ -261,18 +250,9 @@ def _read(cfg, section: str, cls):
 
 def search_space(cfg) -> SearchSpace:
     """Build the architecture-search grids from the [search.*] sections."""
-    space = SearchSpace(
+    return SearchSpace(
         **{f.name: _read(cfg, f"search.{f.name}", f.default_factory) for f in fields(SearchSpace)}
     )
-    gen1 = space.gen1
-    for scheme in gen1.schemes:
-        if scheme not in ("deutsch", "dur"):
-            raise ConfigError(f"search.gen1.schemes: unknown scheme {scheme!r}")
-    if not (0 <= gen1.min_levels <= gen1.max_levels):
-        raise ConfigError("search.gen1: need 0 <= min_levels <= max_levels")
-    if gen1.max_rounds < 0:
-        raise ConfigError("search.gen1.max_rounds must be >= 0")
-    return space
 
 
 def protocol(cfg):

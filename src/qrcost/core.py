@@ -16,6 +16,8 @@ FIBER_SPEED_KM_S = 2.0e5  # signal velocity in fiber
 # the implied fidelity bound loses meaning.
 MAX_GATE_ERROR = 0.04
 
+GEN1_SCHEMES = ("deutsch", "dur")  # purification schemes, see Gen1Config
+
 _RENORM_TOL = 1e-9
 
 
@@ -142,7 +144,7 @@ class Gen1Config:
     rounds: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.scheme not in ("deutsch", "dur"):
+        if self.scheme not in GEN1_SCHEMES:
             raise ValueError(f"unknown purification scheme {self.scheme!r}")
         if self.levels < 0:
             raise ValueError("levels must be >= 0")

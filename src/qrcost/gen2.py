@@ -17,7 +17,7 @@ from .core import (
     CssCode,
     HardwareParams,
 )
-from .keyrate import average_qber, secure_fraction
+from .keyrate import average_qber, parity_flip, secure_fraction
 from .pairs import elementary_pair, heg_success_prob, swap
 
 _CACHE_SIZE = 1 << 16
@@ -95,7 +95,7 @@ def logical_flip_prob(code: CssCode, eps: float) -> float:
 def encoded_qber(code: CssCode, eps: float, segments: int) -> float:
     """QBER of the end-to-end logical pair after `segments` encoded links."""
     p_flip = logical_flip_prob(code, eps)
-    return 0.5 * (1.0 - (1.0 - 2.0 * p_flip) ** segments)
+    return parity_flip(1.0 - 2.0 * p_flip, segments)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

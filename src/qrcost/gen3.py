@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .binom import binomial_pmf
 from .core import CostResult, Gen3Config, HardwareParams
-from .keyrate import average_qber, secure_fraction
+from .keyrate import average_qber, parity_flip, secure_fraction
 
 _CACHE_SIZE = 1 << 18
 
@@ -91,8 +91,7 @@ def _decode_x(n: int, m: int, mu: float, eps_q: float) -> tuple[float, float, fl
     Not cached: station_outcome caches its own results, and a cache here would
     hold one more entry for each of its misses."""
     arrive_all = mu**m
-    flip = 0.5 * (1.0 - (1.0 - 2.0 * eps_q) ** m)
-    return _vote_block(n, arrive_all, flip)
+    return _vote_block(n, arrive_all, parity_flip(1.0 - 2.0 * eps_q, m))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -140,8 +139,7 @@ def _throughput(
     if not ok:
         return 0.0, qps, stations
     p_succ = (1.0 - p_unknown) ** stations
-    q_z = 0.5 * (1.0 - ratio_z**stations)
-    q_x = 0.5 * (1.0 - ratio_x**stations)
+    q_x, q_z = parity_flip(ratio_x, stations), parity_flip(ratio_z, stations)
     return p_succ * secure_fraction(average_qber(q_x, q_z)), qps, stations
 
 

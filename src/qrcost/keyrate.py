@@ -22,6 +22,12 @@ def secure_fraction(qber: float) -> float:
     return max(1.0 - 2.0 * binary_entropy(qber), 0.0)
 
 
+def parity_flip(bias: float, k: int) -> float:
+    """Probability that the parity of k independent bits is flipped, each bit
+    flipping with probability (1 - bias) / 2: (1 - bias**k) / 2."""
+    return 0.5 * (1.0 - bias**k)
+
+
 def average_qber(qber_x: float, qber_z: float) -> float:
     """Basis-averaged error rate fed to secure_fraction."""
     return 0.5 * (qber_x + qber_z)

@@ -20,8 +20,10 @@ for these reasons:
   loses in floating point. The survivors keep their enumeration order and go
   through the same first-strict-minimum rule, so ties resolve as before.
 - The rounding bound fails only where the arithmetic over- or underflows: a
-  weight that is not a normal float, or a winner whose cost is subnormal or
-  near overflow. There the family is scanned in full.
+  weight below the smallest normal float, or a winner whose cost is
+  subnormal or near overflow. There the family is scanned in full. A weight
+  that overflows to inf needs no full scan: it makes every configuration of
+  its group infeasible in either scan.
 
 Grid points are independent; the region map fans (eta_c, eps_g) cells out over
 worker processes, eps_g-outermost so that each worker builds few gen1 tables,
@@ -44,6 +46,7 @@ import numpy as np
 from . import gen1, gen2, gen3
 from .core import (
     CSS_CATALOG,
+    GEN1_SCHEMES,
     CostResult,
     CssCode,
     Gen1Config,
@@ -61,10 +64,19 @@ _GEN3_SPACINGS = tuple(k * 0.5 for k in range(1, 21))  # 0.5 .. 10 km
 
 @dataclass(frozen=True)
 class Gen1Search:
-    schemes: tuple[str, ...] = ("deutsch", "dur")
+    schemes: tuple[str, ...] = GEN1_SCHEMES
     min_levels: int = 1
     max_levels: int = gen1.SEARCH_LEVELS
     max_rounds: int = gen1.SEARCH_ROUNDS
+
+    def __post_init__(self) -> None:
+        for scheme in self.schemes:
+            if scheme not in GEN1_SCHEMES:
+                raise ValueError(f"unknown scheme {scheme!r}")
+        if not 0 <= self.min_levels <= self.max_levels:
+            raise ValueError("need 0 <= min_levels <= max_levels")
+        if self.max_rounds < 0:
+            raise ValueError("max_rounds must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -80,6 +92,15 @@ class Gen2Search:
     min_spacing_km: float = 1.0
     codes: tuple[CssCode, ...] = CSS_CATALOG  # used by the encoded family only
 
+    def __post_init__(self) -> None:
+        for name in ("segment_counts", "memories", "gen_rounds"):
+            if any(value < 1 for value in getattr(self, name)):
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.min_spacing_km >= 0.0:
+            raise ValueError(f"min_spacing_km must be >= 0, got {self.min_spacing_km}")
+        if not self.codes:
+            raise ValueError("empty code list")
+
 
 @dataclass(frozen=True)
 class Gen3Search:
@@ -89,6 +110,12 @@ class Gen3Search:
     min_m: int = 2
     max_m: int = 20
     max_photons: int = 200
+
+    def __post_init__(self) -> None:
+        if not all(0.0 < spacing < math.inf for spacing in self.spacings_km):
+            raise ValueError(f"spacings_km must be finite and > 0, got {self.spacings_km}")
+        if not (1 <= self.min_n <= self.max_n and 1 <= self.min_m <= self.max_m):
+            raise ValueError("need 1 <= min_n <= max_n and 1 <= min_m <= max_m")
 
 
 @dataclass(frozen=True)
@@ -359,10 +386,11 @@ def _argmin(results: Iterable[tuple[Any, CostResult]]) -> Optional[tuple[Any, Co
 
 
 def _weights_hold(weights: Iterable[float]) -> bool:
-    """True when every weight of the point is a normal, finite float: then
-    each evaluator computes a cost within a few ulps of the weighted sum of
-    its terms, unless the rate itself over- or underflows (see _margin_holds)."""
-    return all(sys.float_info.min <= w <= sys.float_info.max for w in weights)
+    """True when no weight of the point is subnormal, zero or NaN: then each
+    evaluator computes a cost within a few ulps of the weighted sum of its
+    terms, unless the rate itself over- or underflows (see _margin_holds). An
+    infinite weight makes its whole group infeasible in either scan."""
+    return all(w >= sys.float_info.min for w in weights)
 
 
 def _margin_holds(best: Optional[tuple[Any, CostResult]]) -> bool:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Gen1Config, HardwareParams
-from .gen1 import ladder_success_probs
-from .pairs import heg_success_prob
+from .gen1 import _link, ladder_success_probs
 
 GENERATOR_NAME = "philox"
 
@@ -236,9 +235,7 @@ def mc_gen1_waiting_time(
         raise ValueError("trials must be >= 1")
     if l_tot_km <= 0:
         raise ValueError("l_tot_km must be > 0")
-    l0 = l_tot_km / 2**levels
-    t_signal = l0 / params.c_fiber
-    p0 = heg_success_prob(params.eta_c, l0, params.l_att)
+    t_signal, p0 = _link(params, levels, l_tot_km)
     probs = ladder_success_probs(params, config)
     sampler = _sample_deutsch if scheme == "deutsch" else _sample_dur
 

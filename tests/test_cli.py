@@ -8,9 +8,16 @@ from pathlib import Path
 import pytest
 
 import qrcost
-from qrcost import config
+from qrcost import config, optimize
 from qrcost.cli import main
-from qrcost.optimize import FAMILIES, SearchSpace, evaluate_config
+from qrcost.optimize import (
+    FAMILIES,
+    Gen1Search,
+    Gen2Search,
+    Gen3Search,
+    SearchSpace,
+    evaluate_config,
+)
 
 _FAST_SPACE = [
     "--set", "search.gen1.max_levels=3",
@@ -110,6 +117,67 @@ def test_evaluate_error_messages_name_the_key(capsys):
         argv = ["evaluate", "--set", f"evaluate.family={family}", "--set", override]
         assert main(argv) == 2
         assert want in capsys.readouterr().err
+
+
+# each override, and the search dataclass built directly from the same value
+_INVALID_SEARCH = [
+    ("search.gen1.schemes=deutsch,x", Gen1Search, {"schemes": ("deutsch", "x")}),
+    ("search.gen1.min_levels=-1", Gen1Search, {"min_levels": -1}),
+    ("search.gen1.min_levels=8", Gen1Search, {"min_levels": 8}),
+    ("search.gen1.max_rounds=-1", Gen1Search, {"max_rounds": -1}),
+    ("search.gen2.segment_counts=0", Gen2Search, {"segment_counts": (0,)}),
+    ("search.gen2.segment_counts=4,-2", Gen2Search, {"segment_counts": (4, -2)}),
+    ("search.gen2.memories=0", Gen2Search, {"memories": (0,)}),
+    ("search.gen2.gen_rounds=1,0", Gen2Search, {"gen_rounds": (1, 0)}),
+    ("search.gen2.min_spacing_km=-1", Gen2Search, {"min_spacing_km": -1.0}),
+    ("search.gen2.min_spacing_km=nan", Gen2Search, {"min_spacing_km": math.nan}),
+    ("search.gen2.codes=", Gen2Search, {"codes": ()}),
+    ("search.gen3.spacings_km=-1", Gen3Search, {"spacings_km": (-1.0,)}),
+    ("search.gen3.spacings_km=1,0", Gen3Search, {"spacings_km": (1.0, 0.0)}),
+    ("search.gen3.spacings_km=inf", Gen3Search, {"spacings_km": (math.inf,)}),
+    ("search.gen3.spacings_km=nan", Gen3Search, {"spacings_km": (math.nan,)}),
+    ("search.gen3.min_n=0", Gen3Search, {"min_n": 0}),
+    ("search.gen3.min_m=0", Gen3Search, {"min_m": 0}),
+    ("search.gen3.min_n=21", Gen3Search, {"min_n": 21}),
+    ("search.gen3.min_m=21", Gen3Search, {"min_m": 21}),
+]
+
+
+@pytest.mark.parametrize("override", [case[0] for case in _INVALID_SEARCH])
+def test_invalid_search_exits_before_searching(override, capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(optimize, "optimize_all", no_search)
+    assert main(["optimize", "--set", override]) == 2
+    err = capsys.readouterr().err
+    section = override.rsplit(".", 1)[0]
+    assert err.startswith(f"error: {section}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs", [case[1:] for case in _INVALID_SEARCH], ids=[case[0] for case in _INVALID_SEARCH]
+)
+def test_invalid_search_dataclass_raises(cls, kwargs):
+    with pytest.raises(ValueError):
+        cls(**kwargs)
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
+    # region-map --threads is run by test_region_map_deterministic_across_runs_and_threads
+    for argv in (
+        ["sweep", "--seed", "1"],
+        ["optimize", "--threads", "2"],
+        ["evaluate", "--threads", "2"],
+        ["validate", "all", "--threads", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+    assert main(["validate", "qpc", "--seed", "1", "--trials", "10"]) == 0
+    assert "# seed: 1" in capsys.readouterr().out
 
 
 def test_search_defaults_match_dataclasses():

@@ -21,6 +21,7 @@ from qrcost.core import (
 )
 from qrcost.optimize import (
     FAMILIES,
+    FAMILY_TABLE,
     Candidate,
     Gen1Search,
     Gen2Search,
@@ -251,6 +252,30 @@ def test_pruned_search_equals_full_scan_default_space():
             _assert_matches_reference(HardwareParams(eta_c=eta, eps_g=eps, t0=t0), l_tot, SearchSpace())
     for t0 in (1e-310, 1e-6):
         _assert_matches_reference(_EXPLICIT.with_(t0=t0), 1000.0, SearchSpace())
+
+
+# (l_att, l_tot) where a gen1 level's T_signal/p0 overflows to inf, at any
+# eta_c and eps_g here: that level is infeasible in either scan, so the pruned
+# scan goes on
+_OVERFLOWED_WEIGHT = [(10.0, 14500.0)] + [
+    (l_att, l_tot) for l_att in (10.0, 20.0) for l_tot in (28500.0, 29000.0, 29500.0)
+]
+# (l_att, l_tot) where, at eps_g = 0.04, every deep schedule has a zero key
+# rate and the level-1 winner costs more than 2^1000: _margin_holds fails and
+# gen1 is scanned in full
+_MARGIN_FAILS = [(10.0, 1000.0 * k) for k in (27.5, 28, 28.5, 29, 29.5, 30)]
+
+
+@pytest.mark.parametrize("eta, eps", [(0.05, 1e-3), (0.05, 0.04), (1.0, 1e-3), (1.0, 0.04)])
+def test_gen1_float_edges_equal_full_scan(eta, eps):
+    space = SearchSpace()
+    points = set(_OVERFLOWED_WEIGHT) | (set(_MARGIN_FAILS) if eps == 0.04 else set())
+    for l_att, l_tot in sorted(points):
+        params = HardwareParams(eta_c=eta, eps_g=eps, l_att=l_att)
+        if (l_att, l_tot) in _OVERFLOWED_WEIGHT:
+            assert math.inf in FAMILY_TABLE["gen1"].weights(params, l_tot, space)
+        got = optimize_family("gen1", params, l_tot, space)
+        assert got == reference_optimum("gen1", params, l_tot, space), (params, l_tot)
 
 
 def test_gen1_survives_link_probability_underflow():
