@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
+
 ATTENUATION_KM = 20.0  # fiber attenuation length
 FIBER_SPEED_KM_S = 2.0e5  # signal velocity in fiber
 
@@ -25,6 +27,18 @@ def _any(flags) -> bool:
     """A comparison's truth for a float, or whether any element holds for an
     array."""
     return flags.any() if hasattr(flags, "any") else flags
+
+
+def libm(fn, *args):
+    """fn(*args) for numbers. Given arrays (broadcast together, numbers
+    included), fn of each element through the C math library, as scalar code
+    computes it: numpy's own exp, log and power loops can differ from libm in
+    the last bit."""
+    if not any(isinstance(a, np.ndarray) for a in args):
+        return fn(*args)
+    columns = np.broadcast_arrays(*args) if len(args) > 1 else args
+    flat = [column.ravel().tolist() for column in columns]
+    return np.fromiter(map(fn, *flat), float, len(flat[0])).reshape(columns[0].shape)
 
 
 def _checked_total(a, b, c, d):

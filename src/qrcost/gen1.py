@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import BellDiagonalState, CostResult, Gen1Config, HardwareParams, _normalized
-from .keyrate import average_qber, secure_fraction
+from .keyrate import average_qber, secure_fraction_rows
 from .pairs import elementary_pair, heg_success_prob, purify, swap
 
 # The default search: nesting levels 0..7, each with 0..2 rounds.
@@ -108,8 +108,7 @@ def _build_table(
             [np.repeat(a, size // len(a)) for a in a_levels],
             [np.repeat(s, size // len(s)) for s in s_levels],
         )
-        qber_x, qber_z = states[-1].qber_x.tolist(), states[-1].qber_z.tolist()
-        r = [secure_fraction(average_qber(x, z)) for x, z in zip(qber_x, qber_z)]
+        r = secure_fraction_rows(average_qber(states[-1].qber_x, states[-1].qber_z)).tolist()
         qps = _qubits_per_station(scheme, tuple(rounds.T))
         summaries.append(tuple(zip(alpha.tolist(), beta.tolist(), gamma.tolist(), r, qps.tolist())))
     return _Table(grid, tuple(states), tuple(probs), tuple(summaries))

@@ -78,8 +78,15 @@ def physical_error_rate(params: HardwareParams) -> float:
     """Effective independent error probability per physical qubit entering the
     CSS correction step: depolarizing storage error, one two-qubit gate, two
     measurements, and the elementary-pair infidelity."""
-    f0 = elementary_pair(params.eps_g).fidelity
-    eps = params.eps_d + params.eps_g + 2.0 * params.xi + (2.0 / 3.0) * (1.0 - f0)
+    return _physical_error_rate(params.eps_d, params.eps_g, params.xi)
+
+
+@lru_cache(maxsize=64)
+def _physical_error_rate(eps_d: float, eps_g: float, xi: float) -> float:
+    """The encoded search asks once per configuration; the value depends only
+    on these three, so it is computed once per cell."""
+    f0 = elementary_pair(eps_g).fidelity
+    eps = eps_d + eps_g + 2.0 * xi + (2.0 / 3.0) * (1.0 - f0)
     if eps > 1.0:
         raise ValueError(f"physical error rate exceeds 1: {eps}")
     return eps
@@ -96,6 +103,12 @@ def encoded_qber(code: CssCode, eps: float, segments: int) -> float:
     """QBER of the end-to-end logical pair after `segments` encoded links."""
     p_flip = logical_flip_prob(code, eps)
     return parity_flip(1.0 - 2.0 * p_flip, segments)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _encoded_secure_fraction(code: CssCode, eps: float, segments: int) -> float:
+    """Secure fraction of the encoded chain; one per (code, segments) of a cell."""
+    return secure_fraction(encoded_qber(code, eps, segments))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -127,7 +140,7 @@ def _throughput(params: HardwareParams, config, l_tot_km: float) -> tuple[float,
     if code is None:
         r = _chain_secure_fraction(params.eps_g, params.xi, segments)
     else:
-        r = secure_fraction(encoded_qber(code, physical_error_rate(params), segments))
+        r = _encoded_secure_fraction(code, physical_error_rate(params), segments)
     if r <= 0.0:
         return 0.0, qps, segments
     p_gen = heg_success_prob(params.eta_c, config.spacing_km, params.l_att)

@@ -60,6 +60,9 @@ _POW2_SEGMENTS = tuple(2**k for k in range(1, 11))  # 2 .. 1024
 _POW2_MEMORIES = tuple(2**k for k in range(8))  # 1 .. 128
 _GEN_ROUNDS = (1, 2, 5, 10)
 _GEN3_SPACINGS = tuple(k * 0.5 for k in range(1, 21))  # 0.5 .. 10 km
+# Most schedules of one nesting level a gen1 table may hold (the default grid's
+# deepest level holds 3^8 = 6,561).
+_GEN1_MAX_ROWS = 2**20
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,8 @@ class Gen1Search:
     max_rounds: int = gen1.SEARCH_ROUNDS
 
     def __post_init__(self) -> None:
+        if not self.schemes:
+            raise ValueError("empty scheme list")
         for scheme in self.schemes:
             if scheme not in GEN1_SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}")
@@ -77,6 +82,14 @@ class Gen1Search:
             raise ValueError("need 0 <= min_levels <= max_levels")
         if self.max_rounds < 0:
             raise ValueError("max_rounds must be >= 0")
+        # the deepest level holds (max_rounds + 1)^(max_levels + 1) schedules;
+        # the capped exponent keeps the power small and still exceeds the limit
+        exponent = min(self.max_levels + 1, _GEN1_MAX_ROWS.bit_length())
+        if (self.max_rounds + 1) ** exponent > _GEN1_MAX_ROWS:
+            raise ValueError(
+                f"(max_rounds + 1)^(max_levels + 1) = {self.max_rounds + 1}^{self.max_levels + 1}"
+                f" schedules per level exceed the table limit {_GEN1_MAX_ROWS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -94,8 +107,9 @@ class Gen2Search:
 
     def __post_init__(self) -> None:
         for name in ("segment_counts", "memories", "gen_rounds"):
-            if any(value < 1 for value in getattr(self, name)):
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            values = getattr(self, name)
+            if not values or any(value < 1 for value in values):
+                raise ValueError(f"{name} must be a non-empty list of values >= 1, got {values}")
         if not self.min_spacing_km >= 0.0:
             raise ValueError(f"min_spacing_km must be >= 0, got {self.min_spacing_km}")
         if not self.codes:
@@ -106,16 +120,22 @@ class Gen2Search:
 class Gen3Search:
     spacings_km: tuple[float, ...] = _GEN3_SPACINGS
     min_n: int = 2
-    max_n: int = 20
+    max_n: int = gen3.SEARCH_N
     min_m: int = 2
-    max_m: int = 20
+    max_m: int = gen3.SEARCH_M
     max_photons: int = 200
 
     def __post_init__(self) -> None:
-        if not all(0.0 < spacing < math.inf for spacing in self.spacings_km):
-            raise ValueError(f"spacings_km must be finite and > 0, got {self.spacings_km}")
+        spacings = self.spacings_km
+        if not spacings or not all(0.0 < s < math.inf for s in spacings):
+            raise ValueError(f"spacings_km must be non-empty, finite and > 0, got {spacings}")
         if not (1 <= self.min_n <= self.max_n and 1 <= self.min_m <= self.max_m):
             raise ValueError("need 1 <= min_n <= max_n and 1 <= min_m <= max_m")
+        if self.max_photons < self.min_n * self.min_m:
+            raise ValueError(
+                f"max_photons {self.max_photons} leaves no code: the smallest has"
+                f" min_n * min_m = {self.min_n * self.min_m}"
+            )
 
 
 @dataclass(frozen=True)
@@ -227,32 +247,52 @@ def _gen2_grid(s: Gen2Search, l_tot_km: float):
         yield memories, spacing, gen_rounds
 
 
+def _gen3_code_grid(search: Gen3Search) -> tuple:
+    """The search's code grid, as gen3.codes takes it."""
+    return search.min_n, search.max_n, search.min_m, search.max_m, search.max_photons
+
+
 def _gen3_grid(search: Gen3Search):
-    """(n, m, spacing) in search order."""
-    n_values = range(search.min_n, search.max_n + 1)
-    m_values = range(search.min_m, search.max_m + 1)
-    for spacing, n, m in itertools.product(search.spacings_km, n_values, m_values):
-        if n * m <= search.max_photons:
+    """(n, m, spacing) in search order: every code at each spacing."""
+    n_values, m_values, _ = gen3.codes(*_gen3_code_grid(search))
+    for spacing in search.spacings_km:
+        for n, m in zip(n_values, m_values):
             yield n, m, spacing
+
+
+def _gen3_terms(space: SearchSpace, cell):
+    """The one term N/x of every configuration with x > 0, in grid order,
+    from one array pass over the cell (gen3.throughput)."""
+    params, l_tot_km = cell
+    grid = _gen3_code_grid(space.gen3)
+    n_values, m_values, _ = gen3.codes(*grid)
+    spacings = space.gen3.spacings_km
+    live, x, qps, stations = gen3.throughput(params, grid, spacings, l_tot_km)
+    for k, j in zip(*np.nonzero(x > 0.0)):
+        i = live[k]
+        term = stations[i] * qps[j] * 1.0 / x[k, j].item()
+        yield (n_values[j], m_values[j], spacings[i]), 0, (term,)
 
 
 def _without_t0(params: HardwareParams, l_tot_km: float):
     return params.with_(t0=1.0), l_tot_km
 
 
-def _throughput_terms(family: str, throughput: Callable, factors: Callable) -> Callable:
-    """Terms of a family whose cost in a cell is stations * qps * sum(weight *
-    factor) / x, with throughput(params, config, l_tot_km) = (x, qps, stations)
-    t0-free; x = 0 is infeasible at every t0."""
+def _gen2_terms(family: str) -> Callable:
+    """Terms N*g*L0/x and N*g/x of a swap-chain family, whose cost in a cell
+    is stations * qps * gen_rounds * (spacing / c + t0) / x with
+    gen2._throughput = (x, qps, stations) t0-free; x = 0 is infeasible at
+    every t0."""
 
     def terms(space: SearchSpace, cell):
         params, l_tot_km = cell
         spec = FAMILY_TABLE[family]
         for key in spec.grid(space, l_tot_km):
             config = spec.config_type(*key)
-            x, qps, stations = throughput(params, config, l_tot_km)
+            x, qps, stations = gen2._throughput(params, config, l_tot_km)
             if x > 0.0:
-                yield key, 0, tuple(stations * qps * f / x for f in factors(config))
+                factors = (config.gen_rounds * config.spacing_km, config.gen_rounds)
+                yield key, 0, tuple(stations * qps * f / x for f in factors)
 
     return terms
 
@@ -288,8 +328,6 @@ class Family(NamedTuple):
     describe: Callable
 
 
-# gen2 cost: stations * qps * gen_rounds * (spacing / c + t0) / x
-_gen2_factors = lambda c: (c.gen_rounds * c.spacing_km, c.gen_rounds)  # noqa: E731
 _gen2_weights = lambda params, l_tot_km, space: (1.0 / params.c_fiber, params.t0)  # noqa: E731
 
 # The one place to add a family: the optimizer, evaluate_config,
@@ -311,7 +349,7 @@ FAMILY_TABLE: dict[str, Family] = {
         lambda params, config, l_tot_km, space: gen2.evaluate_no_encoding(params, config, l_tot_km),
         lambda space, l_tot_km: _gen2_grid(space.gen2, l_tot_km),
         _without_t0,
-        _throughput_terms("gen2_noenc", gen2._throughput, _gen2_factors),
+        _gen2_terms("gen2_noenc"),
         _gen2_weights,
         _describe_gen2,
     ),
@@ -322,7 +360,7 @@ FAMILY_TABLE: dict[str, Family] = {
             (code, *key) for code in space.gen2.codes for key in _gen2_grid(space.gen2, l_tot_km)
         ),
         _without_t0,
-        _throughput_terms("gen2_enc", gen2._throughput, _gen2_factors),
+        _gen2_terms("gen2_enc"),
         _gen2_weights,
         lambda c: f"code=[[{c.code.n_phys},1,{2 * c.code.t + 1}]] " + _describe_gen2(c),
     ),
@@ -331,7 +369,7 @@ FAMILY_TABLE: dict[str, Family] = {
         lambda params, config, l_tot_km, space: gen3.evaluate(params, config, l_tot_km),
         lambda space, l_tot_km: _gen3_grid(space.gen3),
         _without_t0,
-        _throughput_terms("gen3", gen3._throughput, lambda c: (1.0,)),
+        _gen3_terms,
         lambda params, l_tot_km, space: (params.t0,),
         lambda c: f"n={c.n} m={c.m} spacing_km={c.spacing_km!r}",
     ),

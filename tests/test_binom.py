@@ -1,10 +1,16 @@
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+import station_reference
 
-from qrcost.binom import binomial_pmf, tail_at_least
+import qrcost
+from qrcost.binom import binomial_pmf, binomial_pmf_rows, tail_at_least
+from qrcost.core import libm
 
 
 def _pmf_exact(n: int, p: float):
@@ -104,3 +110,45 @@ def test_tail_is_a_left_to_right_fold_on_every_python():
         else:
             want = max(1.0 - _plain_fold(pmf[:k]), 0.0)
         assert tail_at_least(n, p, k) == want, (n, p, k)
+
+
+def test_pmf_rows_equal_the_scalar_loop():
+    # one batch of mixed widths, edge probabilities included: every row bit
+    # for bit as the one-row loop computes it (repr tells -0.0 apart)
+    rng = random.Random(12)
+    trials = [rng.choice([0, 1, 2, 5, 20, 21, 103, 1280]) for _ in range(300)]
+    ps = [rng.choice([0.0, 1.0, rng.random(), rng.random() ** 12, 1.0 - rng.random() ** 12])
+          for _ in trials]
+    rows = binomial_pmf_rows(trials, ps)
+    assert rows.shape == (300, 1281)
+    for row, n, p in zip(rows.tolist(), trials, ps):
+        want = station_reference.binomial_pmf(n, p)
+        assert repr(row[: n + 1]) == repr(want), (n, p)
+        assert not any(row[n + 1:]), (n, p)
+        assert repr(binomial_pmf(n, p)) == repr(want), (n, p)
+
+
+def test_pmf_rows_reject_bad_arguments():
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        binomial_pmf_rows([3, -1], [0.5, 0.5])
+    for bad in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match="p must lie in"):
+            binomial_pmf_rows([3, 3], [0.5, bad])
+
+
+def test_libm_goes_through_the_math_library_per_element():
+    rng = random.Random(13)
+    a = np.array([rng.uniform(1e-9, 50.0) for _ in range(500)])
+    k = np.array([rng.randint(0, 40) for _ in range(500)])
+    assert libm(math.exp, a).tolist() == [math.exp(v) for v in a.tolist()]
+    assert libm(pow, a, k).tolist() == [v**e for v, e in zip(a.tolist(), k.tolist())]
+    assert libm(pow, 0.5, k).tolist() == [0.5**e for e in k.tolist()]
+    assert libm(math.log2, 3.0) == math.log2(3.0)
+
+
+def test_sources_call_no_numpy_transcendental():
+    # numpy's SIMD exp/log/power can differ from libm in the last bit, which
+    # would change dataset bytes; core.libm is the one way to apply them
+    pattern = re.compile(r"np\.(exp|expm1|log|log1p|log2|log10|power|float_power)\b")
+    for path in (Path(qrcost.__file__).parent).glob("*.py"):
+        assert not pattern.search(path.read_text()), path.name

@@ -140,6 +140,16 @@ _INVALID_SEARCH = [
     ("search.gen3.min_m=0", Gen3Search, {"min_m": 0}),
     ("search.gen3.min_n=21", Gen3Search, {"min_n": 21}),
     ("search.gen3.min_m=21", Gen3Search, {"min_m": 21}),
+    # empty declared grids, and gen1 tables past the row limit (never built)
+    ("search.gen1.schemes=", Gen1Search, {"schemes": ()}),
+    ("search.gen1.max_levels=20", Gen1Search, {"max_levels": 20}),
+    ("search.gen1.max_rounds=7", Gen1Search, {"max_rounds": 7}),
+    ("search.gen1.max_levels=1000000000000", Gen1Search, {"max_levels": 10**12}),
+    ("search.gen2.segment_counts=", Gen2Search, {"segment_counts": ()}),
+    ("search.gen2.memories=", Gen2Search, {"memories": ()}),
+    ("search.gen2.gen_rounds=", Gen2Search, {"gen_rounds": ()}),
+    ("search.gen3.max_photons=3", Gen3Search, {"max_photons": 3}),
+    ("search.gen3.max_photons=0", Gen3Search, {"max_photons": 0}),
 ]
 
 
@@ -162,6 +172,22 @@ def test_invalid_search_exits_before_searching(override, capsys, monkeypatch):
 def test_invalid_search_dataclass_raises(cls, kwargs):
     with pytest.raises(ValueError):
         cls(**kwargs)
+
+
+def test_empty_gen3_spacings_rejected(capsys, monkeypatch):
+    monkeypatch.setattr(optimize, "optimize_all", lambda *args: pytest.fail("the search ran"))
+    assert main(["optimize", "--set", "search.gen3.spacings_km="]) == 2
+    assert capsys.readouterr().err == "error: search.gen3.spacings_km: empty grid\n"
+    with pytest.raises(ValueError, match="non-empty"):
+        Gen3Search(spacings_km=())
+
+
+def test_largest_gen1_table_within_the_row_limit_is_accepted():
+    # 2^20 schedules at the deepest level is the limit itself
+    assert Gen1Search(max_levels=19, max_rounds=1).max_levels == 19
+    assert Gen1Search(max_levels=9, max_rounds=3).max_rounds == 3
+    with pytest.raises(ValueError, match="table limit"):
+        Gen1Search(max_levels=20, max_rounds=1)
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads(capsys):

@@ -1,6 +1,10 @@
 import math
+import random
 
 import pytest
+import station_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from qpc_reference import enumerate_decode
 
 from qrcost import gen3
@@ -108,3 +112,54 @@ def test_evaluate_infeasible_below_half_transmission():
     assert res.cost_coeff == math.inf
     with pytest.raises(ValueError):
         gen3.evaluate(params, Gen3Config(5, 5, 1.0), 0.0)
+
+
+def test_station_batch_equals_scalar_reference():
+    # every code at every transmissivity of one batch, bit for bit as the
+    # scalar folds compute them, including codes that never decode
+    rng = random.Random(3)
+    n = tuple(rng.randint(1, 20) for _ in range(60))
+    m = tuple(rng.randint(1, 20) for _ in range(60))
+    mus = (0.0, 0.3, 0.51, 0.8, 0.97, 1.0)
+    for eps in (0.0, 7.5e-4, 0.02, 0.3, 0.5):
+        rows = [a.tolist() for a in gen3.station_outcome(n, m, mus, eps)]
+        for i, mu in enumerate(mus):
+            for j in range(len(n)):
+                got = tuple(a[i][j] for a in rows)
+                want = station_reference.station_outcome(n[j], m[j], mu, eps)
+                assert repr(got) == repr(want), (n[j], m[j], mu, eps)
+
+
+_CODE = st.tuples(st.integers(1, 24), st.integers(1, 24))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _CODE, st.floats(0.0, 1.0), st.floats(0.0, 0.5),
+    st.lists(_CODE, max_size=12), st.lists(st.floats(0.0, 1.0), max_size=3), st.data(),
+)
+def test_batch_row_equals_scalar_station_outcome(code, mu, eps, others, other_mus, data):
+    # a row does not depend on the batch that holds it
+    codes = list(others)
+    codes.insert(data.draw(st.integers(0, len(codes))), code)
+    mus = list(other_mus)
+    i = data.draw(st.integers(0, len(mus)))
+    mus.insert(i, mu)
+    j = codes.index(code)
+    n, m = tuple(c[0] for c in codes), tuple(c[1] for c in codes)
+    batch = gen3.station_outcome(n, m, tuple(mus), eps)
+    row = tuple(a[i, j].item() for a in batch)
+    assert repr(row) == repr(gen3.station_outcome(*code, mu, eps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.floats(0.0, 1.0), st.floats(0.0, 0.5),
+       st.sampled_from("xz"))
+def test_decode_probs_sum_to_one_anywhere(n, m, mu, eps, basis):
+    assert abs(sum(gen3.decode_probs(n, m, mu, eps, basis)) - 1.0) <= 1e-12
+
+
+def test_station_batch_is_read_only():
+    rows = gen3.station_outcome((3, 4), (2, 2), (0.9,), 0.01)
+    with pytest.raises(ValueError):
+        rows[0][0, 0] = 1.0

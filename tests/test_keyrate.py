@@ -1,9 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
+import station_reference
 
-from qrcost.keyrate import average_qber, binary_entropy, secure_fraction
+from qrcost.keyrate import average_qber, binary_entropy, secure_fraction, secure_fraction_rows
 
 
 def test_entropy_endpoints_and_peak():
@@ -51,3 +53,17 @@ def test_secure_fraction_decreasing_below_threshold():
 def test_average_qber():
     assert average_qber(0.0, 0.0) == 0.0
     assert average_qber(0.02, 0.06) == pytest.approx(0.04, rel=1e-15)
+
+
+def test_secure_fraction_rows_equal_the_scalar_formula():
+    rng = random.Random(2)
+    qs = [0.0, 1.0, 0.5, 0.11, 0.1101, 5e-324] + [
+        rng.choice([rng.random(), rng.random() * 0.12, rng.random() ** 20]) for _ in range(2000)
+    ]
+    got = secure_fraction_rows(np.array(qs)).tolist()
+    assert repr(got) == repr([station_reference.secure_fraction(q) for q in qs])
+    assert [secure_fraction(q) for q in qs] == got
+    with pytest.raises(ValueError, match="got 1.5"):
+        secure_fraction_rows(np.array([0.1, 1.5]))
+    with pytest.raises(ValueError):
+        secure_fraction_rows(np.array([math.nan]))

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import station_reference
 from search_reference import reference_optimum
 
-from qrcost import gen1
+from qrcost import gen1, gen3
 from qrcost.core import (
     ATTENUATION_KM,
     FIBER_SPEED_KM_S,
@@ -361,3 +362,66 @@ def test_larger_gen3_grid_never_raises_optimum(params, l_tot, spacings, n, more_
         gen3=Gen3Search(spacings_km=spacings[1], max_n=n + more_n, max_m=m + more_m)
     )
     _check_superset("gen3", params, l_tot, small, large)
+
+
+# cells of the gen3 cell-pass pin: a coupling and gate-error grid, one point
+# with storage error, one with a short attenuation length
+_GEN3_CELL_POINTS = [
+    HardwareParams(eta_c=eta, eps_g=eps)
+    for eta in (0.1, 0.7, 0.9, 1.0)
+    for eps in (1e-4, 3e-3, 3e-2)
+] + [
+    HardwareParams(eta_c=0.8, eps_g=2e-3, xi=1e-4, eps_d=1e-3),
+    HardwareParams(eta_c=0.95, l_att=10.0),
+]
+
+
+def test_gen3_cell_pass_equals_per_configuration_pricing():
+    # the frontier's terms, from one array pass per cell, against each
+    # configuration priced alone through gen3._throughput (the path of
+    # gen3.evaluate): the same rows in the same order, zero-x rows left out
+    space = SearchSpace()
+    spec = FAMILY_TABLE["gen3"]
+    for params, l_tot in itertools.product(_GEN3_CELL_POINTS, (100.0, 1000.0, 10000.0)):
+        cell = spec.cell(params, l_tot)
+        want = []
+        for key in spec.grid(space, l_tot):
+            x, qps, stations = gen3._throughput(cell[0], Gen3Config(*key), l_tot)
+            if x > 0.0:
+                want.append((key, 0, (stations * qps * 1.0 / x,)))
+        assert repr(list(spec.terms(space, cell))) == repr(want), (params, l_tot)
+
+
+def test_gen3_throughput_equals_scalar_reference():
+    space = SearchSpace()
+    for params in _GEN3_CELL_POINTS[1::3]:
+        eps_q = gen3.photon_error_rate(params)
+        for n, m, spacing in FAMILY_TABLE["gen3"].grid(space, 1000.0):
+            want = station_reference.throughput(
+                params.eta_c, params.l_att, eps_q, n, m, spacing, 1000.0
+            )
+            got, _, _ = gen3._throughput(params, Gen3Config(n, m, spacing), 1000.0)
+            assert repr(got) == repr(want), (params, n, m, spacing)
+
+
+_FIXED_CONFIGS = {
+    "gen1": [Gen1Config("deutsch", 2, (1, 0, 1)), Gen1Config("dur", 3, (2, 1, 0, 1))],
+    "gen2_noenc": [Gen2NoEncConfig(16, 10.0, 2), Gen2NoEncConfig(128, 50.0, 10)],
+    "gen2_enc": [Gen2EncConfig(GOLAY, 64, 5.0, 5), Gen2EncConfig(GOLAY, 128, 20.0, 10)],
+    "gen3": [Gen3Config(4, 3, 1.5), Gen3Config(10, 6, 4.0), Gen3Config(2, 2, 0.5)],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(FAMILIES), st.data(), st.floats(0.05, 1.0), st.floats(0.05, 1.0),
+    st.sampled_from((1e-4, 1e-3, 1e-2)), st.sampled_from((100.0, 1000.0, 4000.0)),
+)
+def test_better_coupling_never_raises_a_configurations_cost(family, data, eta_a, eta_b, eps, l_tot):
+    config = data.draw(st.sampled_from(_FIXED_CONFIGS[family]))
+    low, high = sorted((eta_a, eta_b))
+    cost = [
+        evaluate_config(HardwareParams(eta_c=eta, eps_g=eps), config, l_tot).cost_coeff
+        for eta in (low, high)
+    ]
+    assert cost[1] <= cost[0], (config, low, high, cost)
