@@ -7,6 +7,9 @@ import numpy as np
 
 from .core import libm
 
+# floats per pmf block of tail_rows (512 KB)
+_BLOCK = 1 << 16
+
 
 def binomial_pmf_rows(trials, p) -> np.ndarray:
     """Row i is the pmf of Binomial(trials[i], p[i]), zero past trials[i];
@@ -54,21 +57,35 @@ def binomial_pmf(trials: int, p: float) -> list[float]:
 
 
 def tail_at_least(trials: int, p: float, threshold: int) -> float:
-    """P(Binomial(trials, p) >= threshold)."""
+    """P(Binomial(trials, p) >= threshold): one entry of tail_rows."""
     if threshold <= 0:
         return 1.0
     if threshold > trials:
         return 0.0
-    pmf = binomial_pmf(trials, p)
-    if threshold > trials * p:
-        return min(_fold(pmf[threshold:]), 1.0)
-    return max(1.0 - _fold(pmf[:threshold]), 0.0)
+    return tail_rows([trials], [p], [threshold])[0, 0].item()
 
 
-def _fold(values: list[float]) -> float:
-    """Left-to-right float total. Builtin sum() of floats is compensated from
-    Python 3.12 on, which would change the last bits between versions."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+def tail_rows(trials, p, thresholds) -> np.ndarray:
+    """[j, i] = P(Binomial(trials[i], p[i]) >= thresholds[j]).
+
+    The pmf terms on the side of the threshold away from the mean are summed
+    left to right (np.cumsum adds in order; builtin sum() of floats is
+    compensated from Python 3.12 on, which would change the last bits
+    between versions). The zeros past trials[i] add nothing, so an entry does
+    not depend on the rows beside it. Rows go in blocks of about _BLOCK
+    floats, which bounds the memory of wide rows.
+    """
+    trials = np.asarray(trials, dtype=np.int64)
+    p = np.asarray(p, dtype=float)
+    mean = trials * p
+    out = np.empty((len(thresholds), len(p)))
+    step = max(1, _BLOCK // (int(trials.max(initial=0)) + 1))
+    for start in range(0, len(p), step):
+        rows = slice(start, start + step)
+        pmf = binomial_pmf_rows(trials[rows], p[rows])
+        k = np.arange(pmf.shape[1])
+        for j, threshold in enumerate(thresholds):
+            upper = threshold > mean[rows]
+            total = np.cumsum(np.where(upper[:, None] == (k >= threshold), pmf, 0.0), axis=1)[:, -1]
+            out[j, rows] = np.where(upper, np.minimum(total, 1.0), np.maximum(1.0 - total, 0.0))
+    return out

@@ -21,13 +21,13 @@ from swap(prefix, prefix) of its level-(k-1) prefix and then runs its own
 rounds. `_schedule_summary` builds one table per (scheme, eps_g, xi) and
 search bounds (max_levels, max_rounds). It advances every prefix of a level at once, as one batch of states, and each
 row gets exactly the float operations of a one-schedule fold, so a row does
-not depend on the table that holds it. Every reader (the optimizer's
-candidates, evaluate, time_constants, final_state, ladder_success_probs)
-reads one row: of the search's table when the schedule lies in its grid
-(`evaluate` takes the bounds of the search that calls it, every other reader
-the default ones), otherwise of a one-path table that holds the schedule
-alone. One-path tables have a cache of their own, so they never
-evict a grid table.
+not depend on the table that holds it. The optimizer reads each level's
+summary columns whole. Every other reader (evaluate, time_constants,
+final_state, ladder_success_probs) reads one row: of the search's table when
+the schedule lies in its grid (`evaluate` takes the bounds of the search
+that calls it, every other reader the default ones), otherwise of a
+one-path table that holds the schedule alone. One-path tables have a cache
+of their own, so they never evict a grid table.
 """
 from __future__ import annotations
 
@@ -54,7 +54,9 @@ class _Table(NamedTuple):
     grid: tuple[tuple[int, ...], ...]
     states: tuple[BellDiagonalState, ...]  # per level, one batch over its rows
     probs: tuple[np.ndarray, ...]  # per level, [parent row, round] success probabilities
-    summaries: tuple[tuple[tuple[float, float, float, float, int], ...], ...]  # per level, per row
+    # per level, the summary columns (alpha, beta, gamma, r, qps) over its
+    # rows; qps holds Python ints (object dtype) where an int64 could overflow
+    columns: tuple[tuple[np.ndarray, ...], ...]
 
 
 def _row(grid: tuple[tuple[int, ...], ...], rounds: tuple[int, ...]) -> int:
@@ -82,7 +84,7 @@ def _build_table(
 ) -> _Table:
     """The schedule table of a grid; grid[k] lists the round counts allowed at
     level k."""
-    states, probs, summaries, a_levels, s_levels = [], [], [], [], []
+    states, probs, columns, a_levels, s_levels = [], [], [], [], []
     # the rounds prefix of each row, as Python ints so that qps stays exact
     rounds = np.zeros((1, 0), dtype=object)
     for k, options in enumerate(grid):
@@ -108,10 +110,12 @@ def _build_table(
             [np.repeat(a, size // len(a)) for a in a_levels],
             [np.repeat(s, size // len(s)) for s in s_levels],
         )
-        r = secure_fraction_rows(average_qber(states[-1].qber_x, states[-1].qber_z)).tolist()
+        r = secure_fraction_rows(average_qber(states[-1].qber_x, states[-1].qber_z))
         qps = _qubits_per_station(scheme, tuple(rounds.T))
-        summaries.append(tuple(zip(alpha.tolist(), beta.tolist(), gamma.tolist(), r, qps.tolist())))
-    return _Table(grid, tuple(states), tuple(probs), tuple(summaries))
+        for column in (alpha, beta, gamma, r, qps):
+            column.flags.writeable = False
+        columns.append((alpha, beta, gamma, r, qps))
+    return _Table(grid, tuple(states), tuple(probs), tuple(columns))
 
 
 @lru_cache(maxsize=32)
@@ -153,7 +157,7 @@ def _summary(
 ) -> tuple[float, float, float, float, int]:
     """(alpha, beta, gamma, secure_fraction, qubits_per_station) of a schedule."""
     table, i = _table_row(params, config, max_levels, max_rounds)
-    return table.summaries[config.levels][i]
+    return tuple(column.item(i) for column in table.columns[config.levels])
 
 
 def _retry_coefficients(scheme: str, probs: list) -> tuple:

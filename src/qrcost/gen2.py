@@ -4,23 +4,32 @@ Both variants divide the total distance into R = ceil(L_tot / L0) segments
 and swap simultaneously once every segment holds entanglement. Multiplexing
 M memory pairs per segment (with n_EG generation attempts pooled per cycle)
 raises the per-cycle availability; one cycle lasts n_EG * (L0/c + t0).
+
+The search prices a cell in one array pass over its grid (`throughput`),
+with each entry computed by the float operations of the one-configuration
+path (`_throughput`), so the two agree bit for bit.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
-from .binom import tail_at_least
+import numpy as np
+
+from .binom import tail_at_least, tail_rows
 from .core import (
     BellDiagonalState,
     CostResult,
     CssCode,
     HardwareParams,
+    libm,
 )
 from .keyrate import average_qber, parity_flip, secure_fraction
 from .pairs import elementary_pair, heg_success_prob, swap
 
 _CACHE_SIZE = 1 << 16
+# availability tables, up to a few KB each; as many as optimize._frontier keeps
+_TABLE_CACHE_SIZE = 256
 
 
 def segment_count(l_tot_km: float, spacing_km: float) -> int:
@@ -151,3 +160,56 @@ def _throughput(params: HardwareParams, config, l_tot_km: float) -> tuple[float,
     if avail <= 0.0:
         return 0.0, qps, segments
     return avail**segments * r, qps, segments
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _availability(
+    eta_c: float, l_att: float, spacings_km: tuple, memories: tuple, gen_rounds: tuple, codes: tuple
+) -> np.ndarray:
+    """[c, s, m, g]: the per-cycle availability of code codes[c] (None for
+    the bare chain) at spacing spacings_km[s] with memories[m] *
+    gen_rounds[g] attempts, as _throughput computes it. The encoded tails
+    come from one pmf pass over the distinct (attempts, p_gen) rows. Only
+    the coupling and attenuation length are read, so every cell that shares
+    them, at any gate error, reuses the table."""
+    p_gen = [heg_success_prob(eta_c, spacing, l_att) for spacing in spacings_km]
+    attempts, which = np.unique(np.multiply.outer(memories, gen_rounds), return_inverse=True)
+    if codes == (None,):
+        avail = np.array([[link_availability(p, a) for p in p_gen] for a in attempts.tolist()])
+        avail = avail.reshape(1, len(attempts), len(p_gen))
+    else:
+        thresholds = [code.n_phys for code in codes]
+        avail = tail_rows(np.repeat(attempts, len(p_gen)), np.tile(p_gen, len(attempts)), thresholds)
+        avail = avail.reshape(len(codes), len(attempts), len(p_gen))
+    avail = np.moveaxis(avail[:, which.reshape(len(memories), len(gen_rounds))], 3, 1)
+    avail.flags.writeable = False
+    return avail
+
+
+def throughput(
+    params: HardwareParams,
+    codes: tuple,
+    spacings_km: list,
+    memories: tuple,
+    gen_rounds: tuple,
+    l_tot_km: float,
+) -> tuple[np.ndarray, list[int]]:
+    """(x, segments) of every configuration of a grid, from one array pass.
+    x[c, s, m, g] > 0 exactly where _throughput's x of code codes[c] (None
+    for the bare chain) at spacing spacings_km[s] with memories[m] pairs and
+    gen_rounds[g] rounds is, and then equals it; segments[s] counts the
+    segments at spacing s. t0 is not read."""
+    segments = [segment_count(l_tot_km, spacing) for spacing in spacings_km]
+    if codes == (None,):
+        r = [[_chain_secure_fraction(params.eps_g, params.xi, n) for n in segments]]
+    else:
+        r = [
+            [_encoded_secure_fraction(code, physical_error_rate(params), n) for n in segments]
+            for code in codes
+        ]
+    avail = _availability(
+        params.eta_c, params.l_att, tuple(spacings_km), tuple(memories), tuple(gen_rounds), codes
+    )
+    shape = (len(codes), len(segments), 1, 1)
+    powered = libm(pow, avail, np.array(segments, dtype=object).reshape(shape[1:]))
+    return powered * np.array(r, dtype=float).reshape(shape), segments

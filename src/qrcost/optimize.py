@@ -90,6 +90,16 @@ class Gen1Search:
                 f"(max_rounds + 1)^(max_levels + 1) = {self.max_rounds + 1}^{self.max_levels + 1}"
                 f" schedules per level exceed the table limit {_GEN1_MAX_ROWS}"
             )
+        # a chain splits into 2^levels links, and a Deutsch schedule holds
+        # qps = 2 * 2^sum(rounds) qubits per station; both enter the cost as floats
+        if self.max_levels >= sys.float_info.max_exp:
+            raise ValueError(f"max_levels {self.max_levels}: 2^max_levels links overflow a float")
+        deepest = (self.max_levels + 1) * self.max_rounds + 1
+        if "deutsch" in self.schemes and deepest >= sys.float_info.max_exp:
+            raise ValueError(
+                f"the deepest deutsch schedule holds 2^{deepest} qubits per station,"
+                " which overflows a float"
+            )
 
 
 @dataclass(frozen=True)
@@ -205,14 +215,23 @@ def _gen1_grid(search: Gen1Search):
                 yield scheme, levels, rounds
 
 
-def _gen1_candidates(search: Gen1Search, eps_g: float, xi: float):
-    """Schedule summaries in enumeration order, read off one table per scheme
-    whose rows run in the same order."""
+def _gen1_columns(search: Gen1Search, eps_g: float, xi: float):
+    """((scheme, levels), summary columns) of every nesting level of the
+    grid in enumeration order, read off one table per scheme whose rows run
+    in the same order."""
     bounds = (search.max_levels, search.max_rounds)
+    for scheme in search.schemes:
+        table = gen1._schedule_summary(scheme, eps_g, xi, *bounds)
+        for levels in range(search.min_levels, search.max_levels + 1):
+            yield (scheme, levels), table.columns[levels]
+
+
+def _gen1_candidates(search: Gen1Search, eps_g: float, xi: float):
+    """(scheme, levels, rounds, summary) of every schedule, in enumeration
+    order."""
     summaries = itertools.chain.from_iterable(
-        gen1._schedule_summary(scheme, eps_g, xi, *bounds).summaries[levels]
-        for scheme in search.schemes
-        for levels in range(search.min_levels, search.max_levels + 1)
+        zip(*(column.tolist() for column in columns))
+        for _, columns in _gen1_columns(search, eps_g, xi)
     )
     return [(*key, summary) for key, summary in zip(_gen1_grid(search), summaries)]
 
@@ -220,13 +239,27 @@ def _gen1_candidates(search: Gen1Search, eps_g: float, xi: float):
 def _gen1_terms(space: SearchSpace, cell):
     """At nesting level n the cost is (2^n / L) * (K1 * qps*alpha/r + K2 *
     qps*beta/r + K3 * qps*gamma/r) with K1 = T_signal/p0, K2 = T_signal and
-    K3 = t0. The three products are the terms, grouped by level; a schedule
-    with r <= 0 is infeasible everywhere."""
-    for scheme, levels, rounds, summary in _gen1_candidates(space.gen1, *cell):
-        alpha, beta, gamma, r, qps = summary
-        if r > 0.0:
-            terms = (qps * alpha / r, qps * beta / r, qps * gamma / r)
-            yield (scheme, levels, rounds), levels, terms
+    K3 = t0. The three products are the terms, grouped by level, each
+    computed as (qps * alpha) / r with qps cast exactly to float, as Python
+    multiplies an int by a float; a schedule with r <= 0 is infeasible
+    everywhere."""
+    search = space.gen1
+    blocks, terms, rows = [], [], []
+    for b, (block, (alpha, beta, gamma, r, qps)) in enumerate(_gen1_columns(search, *cell)):
+        feasible = np.flatnonzero(r > 0.0)
+        n, r = qps[feasible].astype(float), r[feasible]
+        blocks.append(block)
+        terms.append(np.column_stack([n * c[feasible] / r for c in (alpha, beta, gamma)]))
+        rows.append(np.column_stack((np.full(len(feasible), b), feasible)))
+    rows = np.concatenate(rows)
+
+    def key(i):
+        scheme, levels = blocks[rows[i, 0]]
+        digits = np.unravel_index(rows[i, 1], (search.max_rounds + 1,) * (levels + 1))
+        return scheme, levels, tuple(map(int, digits))
+
+    block_levels = np.array([levels for _, levels in blocks])
+    return np.concatenate(terms), block_levels[rows[:, 0]], key
 
 
 def _gen1_weights(params: HardwareParams, l_tot_km: float, space: SearchSpace) -> list:
@@ -240,10 +273,14 @@ def _gen1_weights(params: HardwareParams, l_tot_km: float, space: SearchSpace) -
     return weights
 
 
+def _gen2_spacings(s: Gen2Search, l_tot_km: float) -> list[float]:
+    return [l_tot_km / k for k in s.segment_counts if l_tot_km / k >= s.min_spacing_km]
+
+
 def _gen2_grid(s: Gen2Search, l_tot_km: float):
     """(memories, spacing, gen_rounds) in search order."""
-    spacings = [l_tot_km / k for k in s.segment_counts if l_tot_km / k >= s.min_spacing_km]
-    for spacing, memories, gen_rounds in itertools.product(spacings, s.memories, s.gen_rounds):
+    product = itertools.product(_gen2_spacings(s, l_tot_km), s.memories, s.gen_rounds)
+    for spacing, memories, gen_rounds in product:
         yield memories, spacing, gen_rounds
 
 
@@ -261,17 +298,22 @@ def _gen3_grid(search: Gen3Search):
 
 
 def _gen3_terms(space: SearchSpace, cell):
-    """The one term N/x of every configuration with x > 0, in grid order,
-    from one array pass over the cell (gen3.throughput)."""
+    """The one term N/x of every configuration with x > 0, from one array
+    pass over the cell (gen3.throughput); N = stations * qps is an exact
+    integer, cast to float once."""
     params, l_tot_km = cell
     grid = _gen3_code_grid(space.gen3)
     n_values, m_values, _ = gen3.codes(*grid)
     spacings = space.gen3.spacings_km
     live, x, qps, stations = gen3.throughput(params, grid, spacings, l_tot_km)
-    for k, j in zip(*np.nonzero(x > 0.0)):
-        i = live[k]
-        term = stations[i] * qps[j] * 1.0 / x[k, j].item()
-        yield (n_values[j], m_values[j], spacings[i]), 0, (term,)
+    k, j = np.nonzero(x > 0.0)
+    i = np.array(live, dtype=int)[k]
+    n = np.array(stations, dtype=object)[i] * np.array(qps, dtype=object)[j]
+
+    def key(row):
+        return n_values[j[row]], m_values[j[row]], spacings[i[row]]
+
+    return (n.astype(float) / x[k, j])[:, None], np.zeros(len(n), dtype=int), key
 
 
 def _without_t0(params: HardwareParams, l_tot_km: float):
@@ -280,19 +322,32 @@ def _without_t0(params: HardwareParams, l_tot_km: float):
 
 def _gen2_terms(family: str) -> Callable:
     """Terms N*g*L0/x and N*g/x of a swap-chain family, whose cost in a cell
-    is stations * qps * gen_rounds * (spacing / c + t0) / x with
-    gen2._throughput = (x, qps, stations) t0-free; x = 0 is infeasible at
-    every t0."""
+    is stations * qps * gen_rounds * (spacing / c + t0) / x with x the
+    t0-free throughput of one array pass (gen2.throughput); x = 0 is
+    infeasible at every t0. N = stations * qps and N*g are exact integers,
+    cast to float once, as Python multiplies an int by a float."""
 
     def terms(space: SearchSpace, cell):
         params, l_tot_km = cell
-        spec = FAMILY_TABLE[family]
-        for key in spec.grid(space, l_tot_km):
-            config = spec.config_type(*key)
-            x, qps, stations = gen2._throughput(params, config, l_tot_km)
-            if x > 0.0:
-                factors = (config.gen_rounds * config.spacing_km, config.gen_rounds)
-                yield key, 0, tuple(stations * qps * f / x for f in factors)
+        s = space.gen2
+        codes = s.codes if family == "gen2_enc" else (None,)
+        spacings = _gen2_spacings(s, l_tot_km)
+        x, segments = gen2.throughput(params, codes, spacings, s.memories, s.gen_rounds, l_tot_km)
+        n = np.array([[k * 2 * m for m in s.memories] for k in segments], dtype=object)
+        n = n.reshape(len(segments), len(s.memories), 1)
+        per_cycle = (n * np.array(s.gen_rounds, dtype=object)).astype(float)
+        per_km = n.astype(float) * np.multiply.outer(spacings, s.gen_rounds)[:, None, :]
+        feasible = x > 0.0
+        rows, x = np.argwhere(feasible), x[feasible]
+        _, i, m, g = rows.T
+
+        def key(row):
+            c, i, m, g = rows[row]
+            head = (codes[c],) if family == "gen2_enc" else ()
+            return (*head, s.memories[m], spacings[i], s.gen_rounds[g])
+
+        terms = np.column_stack((per_km[i, m, g] / x, per_cycle[i, m, g] / x))
+        return terms, np.zeros(len(x), dtype=int), key
 
     return terms
 
@@ -313,10 +368,12 @@ class Family(NamedTuple):
     arguments of the search grid in a fixed order. Within a group, the cost at
     a point is a positive multiple of sum(weight * term): cell(params,
     l_tot_km) is the hashable part of the point the terms depend on,
-    terms(space, cell) yields (arguments, group, terms) of every configuration
-    feasible somewhere in the cell, in grid order, and weights(params,
-    l_tot_km, space) lists the point's weights. Evaluators are looked up on
-    their module at call time, so a replaced module attribute is honored.
+    terms(space, cell) returns (terms, groups, key) over the configurations
+    feasible somewhere in the cell, in grid order: a float matrix with one
+    row of terms per configuration, the group of each row, and key(row), the
+    row's grid arguments. weights(params, l_tot_km, space) lists the point's
+    weights. Evaluators are looked up on their module at call time, so a
+    replaced module attribute is honored.
     """
 
     config_type: type
@@ -401,14 +458,13 @@ def _frontier(family: str, space: SearchSpace, cell) -> tuple:
     """Arguments, in grid order, of the configurations that can win at some
     point of the cell: per group, those no other beats by the margin in
     every term."""
-    rows = list(FAMILY_TABLE[family].terms(space, cell))
-    groups: dict = {}
-    for i, (_, group, _) in enumerate(rows):
-        groups.setdefault(group, []).append(i)
-    keep = [
-        index[j] for index in groups.values() for j in _undominated([rows[i][2] for i in index])
-    ]
-    return tuple(rows[i][0] for i in sorted(keep))
+    with np.errstate(over="ignore"):  # a term overflows to inf, as scalar floats do
+        terms, groups, key = FAMILY_TABLE[family].terms(space, cell)
+    kept = []
+    for group in np.unique(groups):
+        rows = np.flatnonzero(groups == group)
+        kept += rows[_undominated(terms[rows])].tolist()
+    return tuple(key(row) for row in sorted(kept))
 
 
 def _argmin(results: Iterable[tuple[Any, CostResult]]) -> Optional[tuple[Any, CostResult]]:

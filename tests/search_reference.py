@@ -1,14 +1,27 @@
 """Unpruned reference search: every configuration of a family's grid priced
 through its public evaluator, first strict minimum kept. The production
-optimizer prunes; the tests check it against this scan."""
+optimizer prunes; the tests check it against this scan.
+
+`terms` and `frontier` are the pruning's reference: the cost terms built one
+configuration at a time, from the per-configuration paths of the
+evaluators, and the undominated rows picked group by group. The optimizer
+builds the same terms in array passes."""
 from __future__ import annotations
 
 import itertools
 import math
 from typing import Optional
 
+from qrcost import gen2, gen3
 from qrcost.core import Gen1Config, Gen2EncConfig, Gen2NoEncConfig, Gen3Config, HardwareParams
-from qrcost.optimize import Candidate, SearchSpace, evaluate_config
+from qrcost.optimize import (
+    FAMILY_TABLE,
+    Candidate,
+    SearchSpace,
+    _gen1_candidates,
+    _undominated,
+    evaluate_config,
+)
 
 
 def configs(family: str, l_tot_km: float, space: SearchSpace):
@@ -54,3 +67,39 @@ def reference_optimum(
         if best is None or cost < best.result.cost_coeff:
             best = Candidate(family, config, result)
     return best
+
+
+def terms(family: str, space: SearchSpace, cell):
+    """(arguments, group, terms) of every configuration feasible somewhere in
+    the cell, in grid order, one configuration at a time."""
+    if family == "gen1":
+        for scheme, levels, rounds, summary in _gen1_candidates(space.gen1, *cell):
+            alpha, beta, gamma, r, qps = summary
+            if r > 0.0:
+                yield (scheme, levels, rounds), levels, (qps * alpha / r, qps * beta / r, qps * gamma / r)
+        return
+    params, l_tot_km = cell
+    spec = FAMILY_TABLE[family]
+    for key in spec.grid(space, l_tot_km):
+        config = spec.config_type(*key)
+        if family == "gen3":
+            x, qps, stations = gen3._throughput(params, config, l_tot_km)
+            factors = (1.0,)
+        else:
+            x, qps, stations = gen2._throughput(params, config, l_tot_km)
+            factors = (config.gen_rounds * config.spacing_km, config.gen_rounds)
+        if x > 0.0:
+            yield key, 0, tuple(stations * qps * f / x for f in factors)
+
+
+def frontier(family: str, space: SearchSpace, cell) -> tuple:
+    """Arguments, in grid order, of the rows of `terms` that no other row of
+    their group beats by the margin in every term."""
+    rows = list(terms(family, space, cell))
+    groups: dict = {}
+    for i, (_, group, _) in enumerate(rows):
+        groups.setdefault(group, []).append(i)
+    keep = [
+        index[j] for index in groups.values() for j in _undominated([rows[i][2] for i in index])
+    ]
+    return tuple(rows[i][0] for i in sorted(keep))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -9,7 +10,7 @@ import pytest
 import station_reference
 
 import qrcost
-from qrcost.binom import binomial_pmf, binomial_pmf_rows, tail_at_least
+from qrcost.binom import binomial_pmf, binomial_pmf_rows, tail_at_least, tail_rows
 from qrcost.core import libm
 
 
@@ -97,6 +98,17 @@ def _plain_fold(values):
     return total
 
 
+def _scalar_tail(n, p, k):
+    """The tail folded left to right over the pmf list, from the side of k
+    away from the mean."""
+    if k <= 0:
+        return 1.0
+    pmf = binomial_pmf(n, p)
+    if k > n * p:
+        return min(_plain_fold(pmf[k:]), 1.0)
+    return max(1.0 - _plain_fold(pmf[:k]), 0.0)
+
+
 def test_tail_is_a_left_to_right_fold_on_every_python():
     # the same bits whether or not builtin sum() compensates (Python 3.12+)
     rng = random.Random(11)
@@ -104,12 +116,21 @@ def test_tail_is_a_left_to_right_fold_on_every_python():
         n = rng.randint(1, 300)
         p = rng.random()
         k = rng.randint(1, n)
-        pmf = binomial_pmf(n, p)
-        if k > n * p:
-            want = min(_plain_fold(pmf[k:]), 1.0)
-        else:
-            want = max(1.0 - _plain_fold(pmf[:k]), 0.0)
-        assert tail_at_least(n, p, k) == want, (n, p, k)
+        assert tail_at_least(n, p, k) == _scalar_tail(n, p, k), (n, p, k)
+
+
+def test_tail_rows_equal_the_scalar_fold():
+    # a batch wider than one block, p of 0 and 1, thresholds of 0 and past
+    # the trials, both sides of the mean and on it (14 * 0.5 = 7, 46 * 0.5 =
+    # 23): every entry bit for bit
+    rng = random.Random(14)
+    trials = [rng.choice([0, 1, 5, 20, 103, 640, 1280]) for _ in range(120)] + [14, 46]
+    ps = [rng.choice([0.0, 1.0, rng.random(), rng.random() ** 12]) for _ in range(120)] + [0.5, 0.5]
+    thresholds = (0, 1, 7, 23, 103, 1281)
+    got = tail_rows(trials, ps, thresholds)
+    assert got.shape == (len(thresholds), len(trials))
+    for (j, k), (i, (n, p)) in itertools.product(enumerate(thresholds), enumerate(zip(trials, ps))):
+        assert repr(got[j, i].item()) == repr(_scalar_tail(n, p, k)), (n, p, k)
 
 
 def test_pmf_rows_equal_the_scalar_loop():

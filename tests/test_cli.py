@@ -150,6 +150,13 @@ _INVALID_SEARCH = [
     ("search.gen2.gen_rounds=", Gen2Search, {"gen_rounds": ()}),
     ("search.gen3.max_photons=3", Gen3Search, {"max_photons": 3}),
     ("search.gen3.max_photons=0", Gen3Search, {"max_photons": 0}),
+    # grids within the row limit whose floats overflow: 2^max_levels links,
+    # and the 2 * 2^sum(rounds) qubits of a deep Deutsch schedule
+    ("search.gen1.max_rounds=0 search.gen1.max_levels=1100", Gen1Search,
+     {"max_rounds": 0, "max_levels": 1100}),
+    ("search.gen1.min_levels=0 search.gen1.max_levels=0 search.gen1.max_rounds=1100"
+     " search.gen1.schemes=deutsch", Gen1Search,
+     {"min_levels": 0, "max_levels": 0, "max_rounds": 1100, "schemes": ("deutsch",)}),
 ]
 
 
@@ -159,9 +166,10 @@ def test_invalid_search_exits_before_searching(override, capsys, monkeypatch):
         raise AssertionError("the search ran")
 
     monkeypatch.setattr(optimize, "optimize_all", no_search)
-    assert main(["optimize", "--set", override]) == 2
+    sets = override.split()
+    assert main(["optimize", *(arg for value in sets for arg in ("--set", value))]) == 2
     err = capsys.readouterr().err
-    section = override.rsplit(".", 1)[0]
+    section = sets[-1].rsplit(".", 1)[0]
     assert err.startswith(f"error: {section}: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -145,3 +146,24 @@ def test_evaluate_infeasible_paths():
     good = HardwareParams(eta_c=0.9, eps_g=1e-3, t0=1e-6)
     res = gen2.evaluate_encoded(good, Gen2EncConfig(GOLAY, 1, 10.0, 1), 100.0)
     assert not res.feasible
+
+
+def test_availability_table_equals_scalar_tails():
+    # p_gen = 0 at eta_c = 0 and underflowing at 2,000 km spacings, codes
+    # larger than the attempts, and both sides of the mean
+    spacings, memories, gen_rounds = (0.5, 10.0, 60.0, 2000.0), (1, 3, 8, 64), (1, 2, 10)
+    codes = (STEANE, GOLAY, QR_103)
+    branches = set()
+    for eta_c in (0.0, 0.3, 1.0):
+        encoded = gen2._availability(eta_c, 20.0, spacings, memories, gen_rounds, codes)
+        bare = gen2._availability(eta_c, 20.0, spacings, memories, gen_rounds, (None,))
+        for s, i, j in itertools.product(*map(range, encoded.shape[1:])):
+            p_gen = heg_success_prob(eta_c, spacings[s], 20.0)
+            attempts = memories[i] * gen_rounds[j]
+            assert repr(bare[0, s, i, j].item()) == repr(gen2.link_availability(p_gen, attempts))
+            for c, code in enumerate(codes):
+                want = tail_at_least(attempts, p_gen, code.n_phys)
+                assert repr(encoded[c, s, i, j].item()) == repr(want), (eta_c, s, i, j, c)
+                above_mean = code.n_phys > attempts * p_gen
+                branches.add("past trials" if code.n_phys > attempts else above_mean)
+    assert branches == {"past trials", True, False}

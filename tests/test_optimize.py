@@ -4,14 +4,16 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import search_reference
 import station_reference
 from search_reference import reference_optimum
 
-from qrcost import gen1, gen3
+from qrcost import gen1, gen3, optimize
 from qrcost.core import (
     ATTENUATION_KM,
+    CSS_CATALOG,
     FIBER_SPEED_KM_S,
     GOLAY,
     Gen1Config,
@@ -376,6 +378,13 @@ _GEN3_CELL_POINTS = [
 ]
 
 
+def _term_rows(family, space, cell):
+    """The array terms of a family as (arguments, group, terms) rows."""
+    with np.errstate(over="ignore"):
+        terms, groups, key = FAMILY_TABLE[family].terms(space, cell)
+    return [(key(i), groups[i].item(), tuple(terms[i].tolist())) for i in range(len(terms))]
+
+
 def test_gen3_cell_pass_equals_per_configuration_pricing():
     # the frontier's terms, from one array pass per cell, against each
     # configuration priced alone through gen3._throughput (the path of
@@ -384,12 +393,62 @@ def test_gen3_cell_pass_equals_per_configuration_pricing():
     spec = FAMILY_TABLE["gen3"]
     for params, l_tot in itertools.product(_GEN3_CELL_POINTS, (100.0, 1000.0, 10000.0)):
         cell = spec.cell(params, l_tot)
-        want = []
-        for key in spec.grid(space, l_tot):
-            x, qps, stations = gen3._throughput(cell[0], Gen3Config(*key), l_tot)
-            if x > 0.0:
-                want.append((key, 0, (stations * qps * 1.0 / x,)))
-        assert repr(list(spec.terms(space, cell))) == repr(want), (params, l_tot)
+        want = list(search_reference.terms("gen3", space, cell))
+        assert repr(_term_rows("gen3", space, cell)) == repr(want), (params, l_tot)
+
+
+def _grid(pool):
+    return st.lists(st.sampled_from(pool), min_size=1, unique=True).map(tuple)
+
+
+@st.composite
+def _search_spaces(draw):
+    levels = draw(st.integers(0, 3))
+    return SearchSpace(
+        gen1=Gen1Search(
+            schemes=draw(_grid(("deutsch", "dur"))),
+            min_levels=draw(st.integers(0, levels)),
+            max_levels=levels,
+            max_rounds=draw(st.integers(0, 3)),
+        ),
+        # a minimum spacing of 1e5 km leaves no spacing at these distances
+        gen2=Gen2Search(
+            segment_counts=draw(_grid((1, 2, 3, 7, 16, 100, 1024))),
+            memories=draw(_grid((1, 2, 5, 64))),
+            gen_rounds=draw(_grid((1, 2, 10))),
+            min_spacing_km=draw(st.sampled_from((0.0, 1.0, 1e5))),
+            codes=draw(_grid(CSS_CATALOG)),
+        ),
+        gen3=Gen3Search(
+            spacings_km=draw(_grid((0.5, 1.0, 2.5, 10.0))),
+            max_n=draw(st.integers(2, 6)),
+            max_m=draw(st.integers(2, 6)),
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@example("gen1", SearchSpace(), 0.5, 1e-3, 1000.0)
+@example("gen2_noenc", SearchSpace(), 0.9, 1e-4, 1000.0)
+@example("gen2_enc", SearchSpace(), 0.9, 3e-3, 1000.0)
+@example("gen3", SearchSpace(), 0.95, 1e-4, 1000.0)
+@given(
+    st.sampled_from(FAMILIES),
+    _search_spaces(),
+    st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+    st.sampled_from((0.0, 1e-4, 3e-3, 0.04)),
+    st.sampled_from((10.0, 1000.0, 10000.0)),
+)
+def test_frontier_equals_per_configuration_reference(family, space, eta, eps, l_tot):
+    # the array terms equal the terms built one configuration at a time, bit
+    # for bit and in the same order, and keep the same configurations
+    cell = FAMILY_TABLE[family].cell(HardwareParams(eta_c=eta, eps_g=eps), l_tot)
+    rows, want = _term_rows(family, space, cell), list(search_reference.terms(family, space, cell))
+    assert len(rows) == len(want)
+    for row, reference in zip(rows, want):
+        assert repr(row) == repr(reference)
+    want = search_reference.frontier(family, space, cell)
+    assert repr(optimize._frontier(family, space, cell)) == repr(want)
 
 
 def test_gen3_throughput_equals_scalar_reference():
