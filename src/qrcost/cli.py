@@ -162,6 +162,9 @@ def cmd_sweep(cfg, out_path: Optional[str]) -> int:
 
 
 def cmd_region_map(cfg, out_path: Optional[str], threads: int) -> int:
+    if threads < 1:
+        print("error: --threads must be >= 1", file=sys.stderr)
+        return 2
     params = cfgmod.hardware(cfg)
     l_tot = cfgmod.total_distance(cfg)
     space = cfgmod.search_space(cfg)

@@ -19,15 +19,15 @@ classical heralding over a level-k pair costs 2^k signal times.
 Schedule tables. The schedules of a grid form a prefix tree: level k starts
 from swap(prefix, prefix) of its level-(k-1) prefix and then runs its own
 rounds. `_schedule_summary` builds one table per (scheme, eps_g, xi) and
-search bounds (max_levels, max_rounds). It advances every prefix of a level at once, as one batch of states, and each
-row gets exactly the float operations of a one-schedule fold, so a row does
-not depend on the table that holds it. The optimizer reads each level's
-summary columns whole. Every other reader (evaluate, time_constants,
-final_state, ladder_success_probs) reads one row: of the search's table when
-the schedule lies in its grid (`evaluate` takes the bounds of the search
-that calls it, every other reader the default ones), otherwise of a
-one-path table that holds the schedule alone. One-path tables have a cache
-of their own, so they never evict a grid table.
+search bounds (max_levels, max_rounds). It advances every prefix of a level
+at once, as one batch of states, and each row gets exactly the float
+operations of a one-schedule fold, so a row does not depend on the table
+that holds it. The optimizer reads each level's summary columns whole and
+prices a row through `price`. Every other reader (evaluate, time_constants,
+final_state, ladder_success_probs) reads one row: of the default search's
+table when the schedule lies in its grid, otherwise of a one-path table that
+holds the schedule alone. One-path tables have a cache of their own, so they
+never evict a grid table.
 """
 from __future__ import annotations
 
@@ -134,29 +134,21 @@ def _one_path(scheme: str, eps_g: float, xi: float, rounds: tuple[int, ...]) -> 
     return _build_table(scheme, eps_g, xi, tuple((m,) for m in rounds))
 
 
-def _table_row(
-    params: HardwareParams,
-    config: Gen1Config,
-    max_levels: int = SEARCH_LEVELS,
-    max_rounds: int = SEARCH_ROUNDS,
-) -> tuple[_Table, int]:
-    """The search's table when its grid holds the schedule, otherwise the
-    schedule's own one-path table; and the schedule's row in it."""
-    if config.levels <= max_levels and max(config.rounds) <= max_rounds:
-        table = _schedule_summary(config.scheme, params.eps_g, params.xi, max_levels, max_rounds)
+def _table_row(params: HardwareParams, config: Gen1Config) -> tuple[_Table, int]:
+    """The default search's table when its grid holds the schedule, otherwise
+    the schedule's own one-path table; and the schedule's row in it."""
+    if config.levels <= SEARCH_LEVELS and max(config.rounds) <= SEARCH_ROUNDS:
+        table = _schedule_summary(
+            config.scheme, params.eps_g, params.xi, SEARCH_LEVELS, SEARCH_ROUNDS
+        )
     else:
         table = _one_path(config.scheme, params.eps_g, params.xi, config.rounds)
     return table, _row(table.grid, config.rounds)
 
 
-def _summary(
-    params: HardwareParams,
-    config: Gen1Config,
-    max_levels: int = SEARCH_LEVELS,
-    max_rounds: int = SEARCH_ROUNDS,
-) -> tuple[float, float, float, float, int]:
+def _summary(params: HardwareParams, config: Gen1Config) -> tuple[float, float, float, float, int]:
     """(alpha, beta, gamma, secure_fraction, qubits_per_station) of a schedule."""
-    table, i = _table_row(params, config, max_levels, max_rounds)
+    table, i = _table_row(params, config)
     return tuple(column.item(i) for column in table.columns[config.levels])
 
 
@@ -276,33 +268,19 @@ def _waiting_time(
     return t_signal * (alpha / p0 + beta) + t0 * gamma
 
 
-def _finish(
-    summary: tuple[float, float, float, float, int],
-    params: HardwareParams,
-    levels: int,
-    l_tot_km: float,
-    link: tuple[float, float],
-) -> CostResult:
+def price(params: HardwareParams, l_tot_km: float, levels: int, summary: tuple) -> CostResult:
+    """Rate and cost of a `levels`-deep schedule with the given
+    (alpha, beta, gamma, secure_fraction, qubits_per_station)."""
     alpha, beta, gamma, r, qps = summary
     stations = 2**levels
     if r <= 0.0:
         return CostResult.infeasible(qps, stations)
-    w = _waiting_time(alpha, beta, gamma, params.t0, link)
+    w = _waiting_time(alpha, beta, gamma, params.t0, _link(params, levels, l_tot_km))
     return CostResult.from_rate(r / w, qps, stations, l_tot_km)
 
 
-def evaluate(
-    params: HardwareParams,
-    config: Gen1Config,
-    l_tot_km: float,
-    max_levels: int = SEARCH_LEVELS,
-    max_rounds: int = SEARCH_ROUNDS,
-) -> CostResult:
-    """Secret-key rate and qubit cost of one purify-and-swap architecture;
-    max_levels and max_rounds bound the search that asks, whose table is read
-    when it holds the schedule."""
+def evaluate(params: HardwareParams, config: Gen1Config, l_tot_km: float) -> CostResult:
+    """Secret-key rate and qubit cost of one purify-and-swap architecture."""
     if l_tot_km <= 0:
         raise ValueError("l_tot_km must be > 0")
-    link = _link(params, config.levels, l_tot_km)
-    summary = _summary(params, config, max_levels, max_rounds)
-    return _finish(summary, params, config.levels, l_tot_km, link)
+    return price(params, l_tot_km, config.levels, _summary(params, config))

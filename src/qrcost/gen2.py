@@ -5,9 +5,10 @@ and swap simultaneously once every segment holds entanglement. Multiplexing
 M memory pairs per segment (with n_EG generation attempts pooled per cycle)
 raises the per-cycle availability; one cycle lasts n_EG * (L0/c + t0).
 
-The search prices a cell in one array pass over its grid (`throughput`),
-with each entry computed by the float operations of the one-configuration
-path (`_throughput`), so the two agree bit for bit.
+The search computes a cell's throughputs in one array pass over its grid
+(`throughput`), with each entry computed by the float operations of the
+one-configuration path (`_throughput`), so the two agree bit for bit; both
+the search and the evaluators turn a throughput into a cost through `price`.
 """
 from __future__ import annotations
 
@@ -128,12 +129,22 @@ def _encoded_availability(attempts: int, p_gen: float, n_phys: int) -> float:
     return tail_at_least(attempts, p_gen, n_phys)
 
 
+def price(
+    params: HardwareParams, l_tot_km: float, x: float, qps: int, segments: int,
+    spacing_km: float, gen_rounds: int,
+) -> CostResult:
+    """Rate and cost of a swap chain of throughput x (see _throughput) with
+    segments of spacing_km, gen_rounds generation rounds per cycle and qps
+    qubits per station."""
+    cycle = gen_rounds * (spacing_km / params.c_fiber + params.t0)
+    return CostResult.from_rate(x / cycle, qps, segments, l_tot_km)
+
+
 def _evaluate(params: HardwareParams, config, l_tot_km: float) -> CostResult:
     """Rate and cost of the swap chain: CSS-encoded for a Gen2EncConfig, bare
     for a Gen2NoEncConfig."""
-    x, qps, segments = _throughput(params, config, l_tot_km)
-    cycle = config.gen_rounds * (config.spacing_km / params.c_fiber + params.t0)
-    return CostResult.from_rate(x / cycle, qps, segments, l_tot_km)
+    inputs = _throughput(params, config, l_tot_km)
+    return price(params, l_tot_km, *inputs, config.spacing_km, config.gen_rounds)
 
 
 evaluate_no_encoding = evaluate_encoded = _evaluate

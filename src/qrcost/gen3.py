@@ -10,9 +10,9 @@ work at all.
 Station decodes and throughputs are computed in array passes over tables of
 codes at transmissivities, each row with the float operations of a one-code
 fold, so a code's numbers do not depend on the table that holds it. The
-search prices a cell in one pass over its grid; a reader of one code reads
-the table of its code grid (at least the default search's codes) at its
-spacing, which a full scan then shares.
+search computes a cell's throughputs in one pass over its grid; a reader of
+one code reads the table of its code grid (at least the default search's
+codes) at its spacing. Both turn a throughput into a cost through `price`.
 """
 from __future__ import annotations
 
@@ -167,8 +167,8 @@ def codes(
 def _one_code(n: int, m: int) -> tuple[tuple, int]:
     """The code grid whose tables every one-code reader of (n, m) reads, and
     the code's index in it: every code with n <= SEARCH_N and m <= SEARCH_M
-    (the default search's) when it lies there, so a full scan shares a few
-    tables, otherwise the code alone."""
+    (the default search's) when it lies there, so readers of many codes share
+    a few tables, otherwise the code alone."""
     if n <= SEARCH_N and m <= SEARCH_M:
         return (1, SEARCH_N, 1, SEARCH_M, SEARCH_N * SEARCH_M), (n - 1) * SEARCH_M + m - 1
     return (n, n, m, m, n * m), 0
@@ -241,11 +241,15 @@ def _throughput(
     return (x[0, j].item() if live else 0.0), qps[j], stations[0]
 
 
+def price(params: HardwareParams, l_tot_km: float, x: float, qps: int, stations: int) -> CostResult:
+    """Rate and cost of a chain of throughput x (see _throughput)."""
+    if x <= 0.0:
+        return CostResult.infeasible(qps, stations)
+    return CostResult.from_rate(x / params.t0, qps, stations, l_tot_km)
+
+
 def evaluate(params: HardwareParams, config: Gen3Config, l_tot_km: float) -> CostResult:
     """Rate and cost of the one-way parity-code chain."""
     if l_tot_km <= 0:
         raise ValueError("l_tot_km must be > 0")
-    x, qps, stations = _throughput(params, config, l_tot_km)
-    if x <= 0.0:
-        return CostResult.infeasible(qps, stations)
-    return CostResult.from_rate(x / params.t0, qps, stations, l_tot_km)
+    return price(params, l_tot_km, *_throughput(params, config, l_tot_km))

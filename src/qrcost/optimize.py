@@ -21,9 +21,9 @@ for these reasons:
   through the same first-strict-minimum rule, so ties resolve as before.
 - The rounding bound fails only where the arithmetic over- or underflows: a
   weight below the smallest normal float, or a winner whose cost is
-  subnormal or near overflow. There the family is scanned in full. A weight
-  that overflows to inf needs no full scan: it makes every configuration of
-  its group infeasible in either scan.
+  subnormal or near overflow. There every configuration of the cell pass is
+  priced, unpruned. A weight that overflows to inf needs no full scan: it
+  makes every configuration of its group infeasible in either scan.
 
 Grid points are independent; the region map fans (eta_c, eps_g) cells out over
 worker processes, eps_g-outermost so that each worker builds few gen1 tables,
@@ -155,9 +155,6 @@ class SearchSpace:
     gen3: Gen3Search = field(default_factory=Gen3Search)
 
 
-_DEFAULT_SPACE = SearchSpace()
-
-
 @dataclass(frozen=True)
 class Candidate:
     family: str
@@ -242,10 +239,11 @@ def _gen1_terms(space: SearchSpace, cell):
     K3 = t0. The three products are the terms, grouped by level, each
     computed as (qps * alpha) / r with qps cast exactly to float, as Python
     multiplies an int by a float; a schedule with r <= 0 is infeasible
-    everywhere."""
+    everywhere. A row's inputs to gen1.price are its level and summary."""
     search = space.gen1
     blocks, terms, rows = [], [], []
-    for b, (block, (alpha, beta, gamma, r, qps)) in enumerate(_gen1_columns(search, *cell)):
+    for b, block in enumerate(_gen1_columns(search, *cell)):
+        alpha, beta, gamma, r, qps = block[1]
         feasible = np.flatnonzero(r > 0.0)
         n, r = qps[feasible].astype(float), r[feasible]
         blocks.append(block)
@@ -254,11 +252,13 @@ def _gen1_terms(space: SearchSpace, cell):
     rows = np.concatenate(rows)
 
     def key(i):
-        scheme, levels = blocks[rows[i, 0]]
-        digits = np.unravel_index(rows[i, 1], (search.max_rounds + 1,) * (levels + 1))
-        return scheme, levels, tuple(map(int, digits))
+        b, row = rows[i]
+        (scheme, levels), columns = blocks[b]
+        digits = np.unravel_index(row, (search.max_rounds + 1,) * (levels + 1))
+        summary = tuple(column.item(row) for column in columns)
+        return (scheme, levels, tuple(map(int, digits))), (levels, summary)
 
-    block_levels = np.array([levels for _, levels in blocks])
+    block_levels = np.array([levels for (_, levels), _ in blocks])
     return np.concatenate(terms), block_levels[rows[:, 0]], key
 
 
@@ -277,41 +277,23 @@ def _gen2_spacings(s: Gen2Search, l_tot_km: float) -> list[float]:
     return [l_tot_km / k for k in s.segment_counts if l_tot_km / k >= s.min_spacing_km]
 
 
-def _gen2_grid(s: Gen2Search, l_tot_km: float):
-    """(memories, spacing, gen_rounds) in search order."""
-    product = itertools.product(_gen2_spacings(s, l_tot_km), s.memories, s.gen_rounds)
-    for spacing, memories, gen_rounds in product:
-        yield memories, spacing, gen_rounds
-
-
-def _gen3_code_grid(search: Gen3Search) -> tuple:
-    """The search's code grid, as gen3.codes takes it."""
-    return search.min_n, search.max_n, search.min_m, search.max_m, search.max_photons
-
-
-def _gen3_grid(search: Gen3Search):
-    """(n, m, spacing) in search order: every code at each spacing."""
-    n_values, m_values, _ = gen3.codes(*_gen3_code_grid(search))
-    for spacing in search.spacings_km:
-        for n, m in zip(n_values, m_values):
-            yield n, m, spacing
-
-
 def _gen3_terms(space: SearchSpace, cell):
     """The one term N/x of every configuration with x > 0, from one array
     pass over the cell (gen3.throughput); N = stations * qps is an exact
-    integer, cast to float once."""
+    integer, cast to float once. A row's inputs are those of gen3.price."""
     params, l_tot_km = cell
-    grid = _gen3_code_grid(space.gen3)
+    s = space.gen3
+    grid = s.min_n, s.max_n, s.min_m, s.max_m, s.max_photons  # as gen3.codes takes it
     n_values, m_values, _ = gen3.codes(*grid)
-    spacings = space.gen3.spacings_km
+    spacings = s.spacings_km
     live, x, qps, stations = gen3.throughput(params, grid, spacings, l_tot_km)
     k, j = np.nonzero(x > 0.0)
     i = np.array(live, dtype=int)[k]
     n = np.array(stations, dtype=object)[i] * np.array(qps, dtype=object)[j]
 
     def key(row):
-        return n_values[j[row]], m_values[j[row]], spacings[i[row]]
+        a, b = i[row], j[row]
+        return (n_values[b], m_values[b], spacings[a]), (x[k[row], b].item(), qps[b], stations[a])
 
     return (n.astype(float) / x[k, j])[:, None], np.zeros(len(n), dtype=int), key
 
@@ -325,7 +307,8 @@ def _gen2_terms(family: str) -> Callable:
     is stations * qps * gen_rounds * (spacing / c + t0) / x with x the
     t0-free throughput of one array pass (gen2.throughput); x = 0 is
     infeasible at every t0. N = stations * qps and N*g are exact integers,
-    cast to float once, as Python multiplies an int by a float."""
+    cast to float once, as Python multiplies an int by a float. A row's
+    inputs are those of gen2.price."""
 
     def terms(space: SearchSpace, cell):
         params, l_tot_km = cell
@@ -344,7 +327,9 @@ def _gen2_terms(family: str) -> Callable:
         def key(row):
             c, i, m, g = rows[row]
             head = (codes[c],) if family == "gen2_enc" else ()
-            return (*head, s.memories[m], spacings[i], s.gen_rounds[g])
+            memories, spacing, gen_rounds = s.memories[m], spacings[i], s.gen_rounds[g]
+            inputs = (x[row].item(), 2 * memories, segments[i], spacing, gen_rounds)
+            return (*head, memories, spacing, gen_rounds), inputs
 
         terms = np.column_stack((per_km[i, m, g] / x, per_cycle[i, m, g] / x))
         return terms, np.zeros(len(x), dtype=int), key
@@ -363,22 +348,22 @@ class Family(NamedTuple):
     """One repeater family.
 
     config_type(*arguments) builds a configuration, evaluate(params, config,
-    l_tot_km, space) prices it (reading the tables of that search space) and
-    describe(config) is its one-line text; grid(space, l_tot_km) yields the
-    arguments of the search grid in a fixed order. Within a group, the cost at
-    a point is a positive multiple of sum(weight * term): cell(params,
-    l_tot_km) is the hashable part of the point the terms depend on,
-    terms(space, cell) returns (terms, groups, key) over the configurations
-    feasible somewhere in the cell, in grid order: a float matrix with one
-    row of terms per configuration, the group of each row, and key(row), the
-    row's grid arguments. weights(params, l_tot_km, space) lists the point's
-    weights. Evaluators are looked up on their module at call time, so a
-    replaced module attribute is honored.
+    l_tot_km) prices it and describe(config) is its one-line text. Within a
+    group, the cost at a point is a positive multiple of sum(weight * term):
+    cell(params, l_tot_km) is the hashable part of the point the terms depend
+    on, terms(space, cell) returns (terms, groups, key) over the
+    configurations feasible somewhere in the cell, in grid order: a float
+    matrix with one row of terms per configuration, the group of each row,
+    and key(row), the row's (grid arguments, inputs). The inputs are the
+    t0-free numbers the cost needs, and price(params, l_tot_km, *inputs)
+    prices them, as evaluate does after computing them for its one
+    configuration. weights(params, l_tot_km, space) lists the point's
+    weights.
     """
 
     config_type: type
     evaluate: Callable
-    grid: Callable
+    price: Callable
     cell: Callable
     terms: Callable
     weights: Callable
@@ -392,10 +377,8 @@ _gen2_weights = lambda params, l_tot_km, space: (1.0 / params.c_fiber, params.t0
 FAMILY_TABLE: dict[str, Family] = {
     "gen1": Family(
         Gen1Config,
-        lambda params, config, l_tot_km, space: gen1.evaluate(
-            params, config, l_tot_km, space.gen1.max_levels, space.gen1.max_rounds
-        ),
-        lambda space, l_tot_km: _gen1_grid(space.gen1),
+        gen1.evaluate,
+        gen1.price,
         lambda params, l_tot_km: (params.eps_g, params.xi),
         _gen1_terms,
         _gen1_weights,
@@ -403,8 +386,8 @@ FAMILY_TABLE: dict[str, Family] = {
     ),
     "gen2_noenc": Family(
         Gen2NoEncConfig,
-        lambda params, config, l_tot_km, space: gen2.evaluate_no_encoding(params, config, l_tot_km),
-        lambda space, l_tot_km: _gen2_grid(space.gen2, l_tot_km),
+        gen2.evaluate_no_encoding,
+        gen2.price,
         _without_t0,
         _gen2_terms("gen2_noenc"),
         _gen2_weights,
@@ -412,10 +395,8 @@ FAMILY_TABLE: dict[str, Family] = {
     ),
     "gen2_enc": Family(
         Gen2EncConfig,
-        lambda params, config, l_tot_km, space: gen2.evaluate_encoded(params, config, l_tot_km),
-        lambda space, l_tot_km: (
-            (code, *key) for code in space.gen2.codes for key in _gen2_grid(space.gen2, l_tot_km)
-        ),
+        gen2.evaluate_encoded,
+        gen2.price,
         _without_t0,
         _gen2_terms("gen2_enc"),
         _gen2_weights,
@@ -423,8 +404,8 @@ FAMILY_TABLE: dict[str, Family] = {
     ),
     "gen3": Family(
         Gen3Config,
-        lambda params, config, l_tot_km, space: gen3.evaluate(params, config, l_tot_km),
-        lambda space, l_tot_km: _gen3_grid(space.gen3),
+        gen3.evaluate,
+        gen3.price,
         _without_t0,
         _gen3_terms,
         lambda params, l_tot_km, space: (params.t0,),
@@ -448,23 +429,28 @@ def describe_config(config) -> str:
 
 
 def evaluate_config(params: HardwareParams, config, l_tot_km: float) -> CostResult:
-    """Dispatch a configuration to its family's evaluator, reading the
-    default search's tables."""
-    return _family_of(config).evaluate(params, config, l_tot_km, _DEFAULT_SPACE)
+    """Dispatch a configuration to its family's evaluator."""
+    return _family_of(config).evaluate(params, config, l_tot_km)
 
 
-@lru_cache(maxsize=256)
-def _frontier(family: str, space: SearchSpace, cell) -> tuple:
-    """Arguments, in grid order, of the configurations that can win at some
-    point of the cell: per group, those no other beats by the margin in
-    every term."""
+def _cell_pass(family: str, space: SearchSpace, cell, prune: bool = True) -> tuple:
+    """(arguments, inputs), in grid order, of the configurations feasible
+    somewhere in the cell; pruned, of those that can win at some point of
+    the cell: per group, those no other beats by the margin in every term."""
     with np.errstate(over="ignore"):  # a term overflows to inf, as scalar floats do
         terms, groups, key = FAMILY_TABLE[family].terms(space, cell)
-    kept = []
-    for group in np.unique(groups):
-        rows = np.flatnonzero(groups == group)
-        kept += rows[_undominated(terms[rows])].tolist()
-    return tuple(key(row) for row in sorted(kept))
+    kept = range(len(terms))
+    if prune:
+        kept = []
+        for group in np.unique(groups):
+            rows = np.flatnonzero(groups == group)
+            kept += rows[_undominated(terms[rows])].tolist()
+        kept.sort()
+    return tuple(key(row) for row in kept)
+
+
+# the pruned pass, once per family, space and cell; the unpruned one is rare
+_frontier = lru_cache(maxsize=256)(_cell_pass)
 
 
 def _argmin(results: Iterable[tuple[Any, CostResult]]) -> Optional[tuple[Any, CostResult]]:
@@ -505,18 +491,19 @@ def optimize_family(
     spec = FAMILY_TABLE.get(family)
     if spec is None:
         raise ValueError(f"unknown family {family!r}")
+    if not l_tot_km > 0.0:
+        raise ValueError(f"l_tot_km must be > 0, got {l_tot_km}")
 
-    def priced(keys):
-        return (
-            (key, spec.evaluate(params, spec.config_type(*key), l_tot_km, space)) for key in keys
-        )
+    def priced(rows):
+        return ((key, spec.price(params, l_tot_km, *inputs)) for key, inputs in rows)
 
-    keys = None
+    cell = spec.cell(params, l_tot_km)
+    rows = None
     if _weights_hold(spec.weights(params, l_tot_km, space)):
-        keys = _frontier(family, space, spec.cell(params, l_tot_km))
-        best = _argmin(priced(keys))
-    if keys is None or (keys and not _margin_holds(best)):
-        best = _argmin(priced(spec.grid(space, l_tot_km)))
+        rows = _frontier(family, space, cell)
+        best = _argmin(priced(rows))
+    if rows is None or (rows and not _margin_holds(best)):
+        best = _argmin(priced(_cell_pass(family, space, cell, prune=False)))
     if best is None:
         return None
     key, result = best

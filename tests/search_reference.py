@@ -2,10 +2,11 @@
 through its public evaluator, first strict minimum kept. The production
 optimizer prunes; the tests check it against this scan.
 
-`terms` and `frontier` are the pruning's reference: the cost terms built one
-configuration at a time, from the per-configuration paths of the
-evaluators, and the undominated rows picked group by group. The optimizer
-builds the same terms in array passes."""
+`terms` and `frontier` are the pruning's reference: the cost terms and the
+inputs of each family's `price` built one configuration at a time, from
+the per-configuration paths of the evaluators, and the undominated rows
+picked group by group. The optimizer builds the same terms and inputs in
+array passes."""
 from __future__ import annotations
 
 import itertools
@@ -15,7 +16,6 @@ from typing import Optional
 from qrcost import gen2, gen3
 from qrcost.core import Gen1Config, Gen2EncConfig, Gen2NoEncConfig, Gen3Config, HardwareParams
 from qrcost.optimize import (
-    FAMILY_TABLE,
     Candidate,
     SearchSpace,
     _gen1_candidates,
@@ -70,31 +70,36 @@ def reference_optimum(
 
 
 def terms(family: str, space: SearchSpace, cell):
-    """(arguments, group, terms) of every configuration feasible somewhere in
-    the cell, in grid order, one configuration at a time."""
+    """((arguments, inputs), group, terms) of every configuration feasible
+    somewhere in the cell, in grid order, one configuration at a time; the
+    inputs are what the family's price takes after the distance."""
     if family == "gen1":
         for scheme, levels, rounds, summary in _gen1_candidates(space.gen1, *cell):
             alpha, beta, gamma, r, qps = summary
             if r > 0.0:
-                yield (scheme, levels, rounds), levels, (qps * alpha / r, qps * beta / r, qps * gamma / r)
+                key = (scheme, levels, rounds), (levels, summary)
+                yield key, levels, (qps * alpha / r, qps * beta / r, qps * gamma / r)
         return
     params, l_tot_km = cell
-    spec = FAMILY_TABLE[family]
-    for key in spec.grid(space, l_tot_km):
-        config = spec.config_type(*key)
+    for config in configs(family, l_tot_km, space):
         if family == "gen3":
             x, qps, stations = gen3._throughput(params, config, l_tot_km)
+            arguments, inputs = (config.n, config.m, config.spacing_km), (x, qps, stations)
             factors = (1.0,)
         else:
             x, qps, stations = gen2._throughput(params, config, l_tot_km)
+            arguments = (config.memories, config.spacing_km, config.gen_rounds)
+            if family == "gen2_enc":
+                arguments = (config.code, *arguments)
+            inputs = (x, qps, stations, config.spacing_km, config.gen_rounds)
             factors = (config.gen_rounds * config.spacing_km, config.gen_rounds)
         if x > 0.0:
-            yield key, 0, tuple(stations * qps * f / x for f in factors)
+            yield (arguments, inputs), 0, tuple(stations * qps * f / x for f in factors)
 
 
 def frontier(family: str, space: SearchSpace, cell) -> tuple:
-    """Arguments, in grid order, of the rows of `terms` that no other row of
-    their group beats by the margin in every term."""
+    """(arguments, inputs), in grid order, of the rows of `terms` that no
+    other row of their group beats by the margin in every term."""
     rows = list(terms(family, space, cell))
     groups: dict = {}
     for i, (_, group, _) in enumerate(rows):

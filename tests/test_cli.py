@@ -190,6 +190,13 @@ def test_empty_gen3_spacings_rejected(capsys, monkeypatch):
         Gen3Search(spacings_km=())
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_region_map_rejects_fewer_than_one_worker(threads, capsys, monkeypatch):
+    monkeypatch.setattr(optimize, "region_map", lambda *args: pytest.fail("the map ran"))
+    assert main(["region-map", "--threads", threads]) == 2
+    assert capsys.readouterr().err == "error: --threads must be >= 1\n"
+
+
 def test_largest_gen1_table_within_the_row_limit_is_accepted():
     # 2^20 schedules at the deepest level is the limit itself
     assert Gen1Search(max_levels=19, max_rounds=1).max_levels == 19

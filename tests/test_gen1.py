@@ -179,20 +179,11 @@ def test_qps_stays_exact_past_int64():
 
 def test_readers_use_the_searched_grid_table():
     params = HardwareParams(eps_g=1.5e-3)
-    config = Gen1Config("dur", 2, (4, 0, 3))  # outside the default grid, inside a wider one
-    gen1._schedule_summary.cache_clear()
-    gen1._one_path.cache_clear()
-    got = gen1.evaluate(params, config, 300.0, max_levels=2, max_rounds=4)
-    assert gen1._schedule_summary.cache_info().currsize == 1
-    assert gen1._one_path.cache_info().currsize == 0
-    # the same row as the schedule's own one-path table, which lives in its own cache
-    assert got == gen1.evaluate(params, config, 300.0)
-    assert gen1._one_path.cache_info().currsize == 1
-    assert gen1._schedule_summary.cache_info().currsize == 1
     # a narrow search never builds the default grid's table
     narrow = optimize.SearchSpace(gen1=optimize.Gen1Search(max_levels=2, max_rounds=1))
     gen1._schedule_summary.cache_clear()
     assert optimize.optimize_family("gen1", params, 300.0, narrow) is not None
     assert gen1._schedule_summary.cache_info().currsize == 2  # one table per scheme
-    table, _ = gen1._table_row(params, Gen1Config("dur", 1, (1, 0)), 2, 1)
+    table = gen1._schedule_summary("dur", params.eps_g, params.xi, 2, 1)
+    assert gen1._schedule_summary.cache_info().currsize == 2  # the search's table
     assert table.grid == ((0, 1),) * 3

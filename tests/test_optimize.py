@@ -281,6 +281,35 @@ def test_gen1_float_edges_equal_full_scan(eta, eps):
         assert got == reference_optimum("gen1", params, l_tot, space), (params, l_tot)
 
 
+# every grid a single configuration, so the last row of a cell pass can win
+_ONE = SearchSpace(
+    gen1=Gen1Search(schemes=("deutsch",), min_levels=2, max_levels=2, max_rounds=0),
+    gen2=Gen2Search(segment_counts=(32,), memories=(32,), gen_rounds=(2,), codes=CSS_CATALOG[:1]),
+    gen3=Gen3Search(spacings_km=(1.5,), min_n=20, max_n=20, min_m=6, max_m=6),
+)
+
+
+@pytest.mark.parametrize("params, l_tot", [
+    (HardwareParams(eta_c=0.9, eps_g=1e-3, t0=1e-6), 1000.0),  # pruned
+    (HardwareParams(eta_c=0.9, eps_g=1e-3, t0=1e-310), 1000.0),  # _weights_hold fails
+    (HardwareParams(eta_c=1.0, eps_g=0.04, l_att=10.0), 28000.0),  # _margin_holds fails
+])
+def test_search_prices_only_from_the_cell_pass(monkeypatch, params, l_tot):
+    def refuse(*args):
+        raise AssertionError("the search called a per-configuration evaluator")
+
+    for space in (SearchSpace(), _ONE):
+        want = repr(optimize_all(params, l_tot, space))
+        reference = {f: reference_optimum(f, params, l_tot, space) for f in FAMILIES}
+        with monkeypatch.context() as patch:
+            for family, spec in FAMILY_TABLE.items():
+                patch.setitem(FAMILY_TABLE, family, spec._replace(evaluate=refuse))
+            optimize._frontier.cache_clear()
+            report = optimize_all(params, l_tot, space)
+        assert repr(report) == want
+        assert report.per_family == reference
+
+
 def test_gen1_survives_link_probability_underflow():
     # one 30,000 km link has p0 = exp(-1500) = 0.0: that depth is infeasible
     params = HardwareParams(eta_c=0.9, eps_g=1e-3, t0=1e-6)
@@ -455,11 +484,12 @@ def test_gen3_throughput_equals_scalar_reference():
     space = SearchSpace()
     for params in _GEN3_CELL_POINTS[1::3]:
         eps_q = gen3.photon_error_rate(params)
-        for n, m, spacing in FAMILY_TABLE["gen3"].grid(space, 1000.0):
+        for config in search_reference.configs("gen3", 1000.0, space):
+            n, m, spacing = config.n, config.m, config.spacing_km
             want = station_reference.throughput(
                 params.eta_c, params.l_att, eps_q, n, m, spacing, 1000.0
             )
-            got, _, _ = gen3._throughput(params, Gen3Config(n, m, spacing), 1000.0)
+            got, _, _ = gen3._throughput(params, config, 1000.0)
             assert repr(got) == repr(want), (params, n, m, spacing)
 
 
