@@ -170,11 +170,15 @@ class Gen1Config:
             raise ValueError("purification rounds must be >= 0")
 
 
+def _check_spacing(spacing_km: float) -> None:
+    if not 0.0 < spacing_km < math.inf:
+        raise ValueError(f"spacing_km must be finite and > 0, got {spacing_km}")
+
+
 def _check_swap_chain(config) -> None:
     if config.memories < 1:
         raise ValueError("memories must be >= 1")
-    if config.spacing_km <= 0:
-        raise ValueError("spacing_km must be > 0")
+    _check_spacing(config.spacing_km)
     if config.gen_rounds < 1:
         raise ValueError("gen_rounds must be >= 1")
 
@@ -233,8 +237,7 @@ class Gen3Config:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError("code shape must be positive")
-        if self.spacing_km <= 0:
-            raise ValueError("spacing_km must be > 0")
+        _check_spacing(self.spacing_km)
 
 
 @dataclass(frozen=True)
@@ -261,8 +264,9 @@ class CostResult:
 
     @classmethod
     def from_rate(cls, rate: float, qps: int, stations: int, l_tot_km: float) -> "CostResult":
-        """C = stations * qps / rate and C' = C / L_tot; infeasible unless rate > 0."""
-        if rate <= 0.0:
+        """C = stations * qps / rate and C' = C / L_tot; infeasible unless rate > 0
+        (so a NaN rate is infeasible)."""
+        if not rate > 0.0:
             return cls.infeasible(qps, stations)
         cost = stations * qps / rate
         return cls(rate, qps, stations, cost, cost / l_tot_km, True)

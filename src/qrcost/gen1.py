@@ -24,10 +24,10 @@ at once, as one batch of states, and each row gets exactly the float
 operations of a one-schedule fold, so a row does not depend on the table
 that holds it. The optimizer reads each level's summary columns whole and
 prices a row through `price`. Every other reader (evaluate, time_constants,
-final_state, ladder_success_probs) reads one row: of the default search's
-table when the schedule lies in its grid, otherwise of a one-path table that
-holds the schedule alone. One-path tables have a cache of their own, so they
-never evict a grid table.
+ladder_success_probs) reads one row: of the default search's table when the
+schedule lies in its grid, otherwise of a one-path table that holds the
+schedule alone. One-path tables have a cache of their own, so they never
+evict a grid table.
 """
 from __future__ import annotations
 
@@ -213,12 +213,6 @@ def _qubits_per_station(scheme: str, rounds: tuple[int, ...]) -> int:
     else:
         z = len(rounds) + 1 - sum(mi == 0 for mi in rounds)
     return 2 * z
-
-
-def final_state(params: HardwareParams, config: Gen1Config) -> BellDiagonalState:
-    """End-to-end Bell-diagonal state after all swaps and purification."""
-    table, i = _table_row(params, config)
-    return _normalized(*(w[i].item() for w in table.states[config.levels].as_tuple()))
 
 
 def ladder_success_probs(

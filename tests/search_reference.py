@@ -1,20 +1,30 @@
 """Unpruned reference search: every configuration of a family's grid priced
-through its public evaluator, first strict minimum kept. The production
-optimizer prunes; the tests check it against this scan.
+one at a time, first strict minimum kept. The production optimizer prunes;
+the tests check it against this scan.
+
+gen1 and gen3 configurations are priced through their public evaluators.
+gen2 ones are priced by `gen2.price` from `gen2_throughput`, a scalar fold
+of one swap-chain configuration with the float operations of gen2's array
+pass. gen2's evaluators read one row of that pass, so the scan compares the
+program with a fold it does not run.
 
 `terms` and `frontier` are the pruning's reference: the cost terms and the
-inputs of each family's `price` built one configuration at a time, from
-the per-configuration paths of the evaluators, and the undominated rows
-picked group by group. The optimizer builds the same terms and inputs in
-array passes."""
+inputs of each family's `price` built one configuration at a time, and the
+undominated rows picked group by group. The optimizer builds the same terms
+and inputs in array passes."""
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import Optional
 
+from chain_reference import swap_chain
+
 from qrcost import gen2, gen3
+from qrcost.binom import tail_at_least
 from qrcost.core import Gen1Config, Gen2EncConfig, Gen2NoEncConfig, Gen3Config, HardwareParams
+from qrcost.keyrate import average_qber, secure_fraction
 from qrcost.optimize import (
     Candidate,
     SearchSpace,
@@ -22,6 +32,57 @@ from qrcost.optimize import (
     _undominated,
     evaluate_config,
 )
+from qrcost.pairs import elementary_pair, heg_success_prob
+
+
+@lru_cache(maxsize=None)
+def _chain_secure_fraction(eps_g: float, xi: float, segments: int) -> float:
+    state = swap_chain(elementary_pair(eps_g), segments, eps_g, xi)
+    return secure_fraction(average_qber(state.qber_x, state.qber_z))
+
+
+@lru_cache(maxsize=None)
+def _encoded_secure_fraction(code, eps: float, segments: int) -> float:
+    return secure_fraction(gen2.encoded_qber(code, eps, segments))
+
+
+@lru_cache(maxsize=None)
+def _availability(attempts: int, p_gen: float, n_phys: Optional[int]) -> float:
+    """Chance that `attempts` generation attempts on a segment yield one pair
+    (n_phys None, the bare chain) or the n_phys physical pairs of one
+    logical pair."""
+    if n_phys is None:
+        return gen2.link_availability(p_gen, attempts)
+    return tail_at_least(attempts, p_gen, n_phys)
+
+
+def gen2_throughput(params: HardwareParams, config, l_tot_km: float) -> tuple[float, int, int]:
+    """(x, qubits_per_station, segments) of one swap-chain configuration,
+    with x = avail**segments * r the secret bits per cycle, and x = 0 when
+    the chain cannot work. All segments must be ready in the same cycle."""
+    segments = gen2.segment_count(l_tot_km, config.spacing_km)
+    qps = 2 * config.memories
+    code = getattr(config, "code", None)  # only the encoded chain has one
+    if code is None:
+        r = _chain_secure_fraction(params.eps_g, params.xi, segments)
+    else:
+        r = _encoded_secure_fraction(code, gen2.physical_error_rate(params), segments)
+    if r <= 0.0:
+        return 0.0, qps, segments
+    p_gen = heg_success_prob(params.eta_c, config.spacing_km, params.l_att)
+    attempts = config.memories * config.gen_rounds
+    avail = _availability(attempts, p_gen, None if code is None else code.n_phys)
+    if avail <= 0.0:
+        return 0.0, qps, segments
+    return avail**segments * r, qps, segments
+
+
+def price(params: HardwareParams, config, l_tot_km: float):
+    """The CostResult of one configuration, as the reference scan prices it."""
+    if isinstance(config, (Gen2NoEncConfig, Gen2EncConfig)):
+        x, qps, segments = gen2_throughput(params, config, l_tot_km)
+        return gen2.price(params, l_tot_km, x, qps, segments, config.spacing_km, config.gen_rounds)
+    return evaluate_config(params, config, l_tot_km)
 
 
 def configs(family: str, l_tot_km: float, space: SearchSpace):
@@ -60,7 +121,7 @@ def reference_optimum(
     cost_coeff, or None."""
     best = None
     for config in configs(family, l_tot_km, space):
-        result = evaluate_config(params, config, l_tot_km)
+        result = price(params, config, l_tot_km)
         cost = result.cost_coeff
         if not result.feasible or math.isnan(cost):
             continue
@@ -87,7 +148,7 @@ def terms(family: str, space: SearchSpace, cell):
             arguments, inputs = (config.n, config.m, config.spacing_km), (x, qps, stations)
             factors = (1.0,)
         else:
-            x, qps, stations = gen2._throughput(params, config, l_tot_km)
+            x, qps, stations = gen2_throughput(params, config, l_tot_km)
             arguments = (config.memories, config.spacing_km, config.gen_rounds)
             if family == "gen2_enc":
                 arguments = (config.code, *arguments)

@@ -5,6 +5,7 @@ import math
 import time
 
 import numpy as np
+from chain_reference import ladder, swap_chain
 from qpc_reference import enumerate_decode
 
 from qrcost import cli, gen1, gen2, gen3, oracles
@@ -20,7 +21,7 @@ from qrcost.core import (
 from qrcost.keyrate import average_qber, secure_fraction
 from qrcost.oracles import mc_gen1_waiting_time, mc_qpc_decode
 from qrcost.optimize import optimize_all, optimize_family
-from qrcost.pairs import deutsch_fixed_point, purify, swap
+from qrcost.pairs import deutsch_fixed_point, elementary_pair, purify, swap
 
 ETA_GRID = tuple(float(x) for x in np.linspace(0.1, 1.0, 10))
 EPS_GRID = tuple(float(x) for x in np.geomspace(1e-4, 3e-2, 10))
@@ -181,11 +182,11 @@ def test_criterion_6_keyrate_threshold():
     ok = ok and secure_fraction(root + 2e-5) == 0.0 and secure_fraction(root - 2e-5) > 0.0
     # witnesses past the threshold: every family reports infeasible
     noisy1 = HardwareParams(eta_c=0.9, eps_g=0.04, t0=1e-6)
-    state = gen1.final_state(noisy1, Gen1Config("deutsch", 5, (0,) * 6))
+    state, _ = ladder("deutsch", (0,) * 6, noisy1.eps_g, noisy1.xi)
     ok = ok and average_qber(state.qber_x, state.qber_z) > root
     ok = ok and not gen1.evaluate(noisy1, Gen1Config("deutsch", 5, (0,) * 6), 1000.0).feasible
     noisy2 = HardwareParams(eta_c=0.9, eps_g=1e-2, t0=1e-6)
-    chain = gen2.chain_state(noisy2, 100)
+    chain = swap_chain(elementary_pair(noisy2.eps_g), 100, noisy2.eps_g, noisy2.xi)
     ok = ok and average_qber(chain.qber_x, chain.qber_z) > root
     ok = ok and not gen2.evaluate_no_encoding(noisy2, Gen2NoEncConfig(16, 10.0), 1000.0).feasible
     eps_phys = gen2.physical_error_rate(noisy2)

@@ -108,6 +108,18 @@ def test_evaluate_every_family_through_config(capsys, monkeypatch):
     assert "gen5" in err and all(family in err for family in FAMILIES)
 
 
+def test_non_finite_spacing_exits_naming_the_key(capsys):
+    for family in ("gen2_noenc", "gen2_enc", "gen3"):
+        for value in ("nan", "inf"):
+            argv = ["evaluate", "--set", f"evaluate.family={family}",
+                    "--set", f"evaluate.spacing_km={value}"]
+            assert main(argv) == 2, (family, value)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            want = f"error: evaluate: spacing_km must be finite and > 0, got {value}\n"
+            assert captured.err == want, (family, value)
+
+
 def test_evaluate_error_messages_name_the_key(capsys):
     for override, want in [
         ("evaluate.n=five", "evaluate.n: not an integer: 'five'"),

@@ -4,13 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+import search_reference
+from chain_reference import swap_chain
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qrcost import gen2
 from qrcost.binom import tail_at_least
 from qrcost.core import (
+    CSS_CATALOG,
     GOLAY,
     QR_103,
     STEANE,
+    CssCode,
     Gen2EncConfig,
     Gen2NoEncConfig,
     HardwareParams,
@@ -55,15 +61,17 @@ def test_link_availability_validation():
 
 
 def test_chain_state_matches_explicit_fold():
+    # the bare chain's cached states, extended to each segment count by the
+    # uncached secure fraction, and that fraction of each state
     params = HardwareParams(eta_c=0.9, eps_g=1e-3, t0=1e-6)
     base = elementary_pair(params.eps_g)
     state = base
     for segments in range(1, 9):
-        got = gen2.chain_state(params, segments)
+        r = gen2._chain_secure_fraction.__wrapped__(params.eps_g, params.xi, segments)
+        got = gen2._chain_states(params.eps_g, params.xi)[segments - 1]
         assert got.as_tuple() == pytest.approx(state.as_tuple(), rel=1e-12)
+        assert r == secure_fraction(average_qber(got.qber_x, got.qber_z))
         state = swap(state, base, params.eps_g, params.xi)
-    with pytest.raises(ValueError):
-        gen2.chain_state(params, 0)
 
 
 def test_physical_error_rate_composition():
@@ -104,7 +112,7 @@ def test_evaluate_no_encoding_rate_identity():
     config = Gen2NoEncConfig(memories=16, spacing_km=15.0, gen_rounds=2)
     res = gen2.evaluate_no_encoding(params, config, 160.0)
     segments = 11  # ceil(160 / 15)
-    state = gen2.chain_state(params, segments)
+    state = swap_chain(elementary_pair(params.eps_g), segments, params.eps_g, params.xi)
     r = secure_fraction(average_qber(state.qber_x, state.qber_z))
     avail = gen2.link_availability(heg_success_prob(0.9, 15.0, 20.0), 16 * 2)
     cycle = 2 * (15.0 / 2e5 + 1e-6)
@@ -167,3 +175,42 @@ def test_availability_table_equals_scalar_tails():
                 above_mean = code.n_phys > attempts * p_gen
                 branches.add("past trials" if code.n_phys > attempts else above_mean)
     assert branches == {"past trials", True, False}
+
+
+# catalog codes, and codes of up to 40 qubits correcting up to half of them
+_CODES = st.one_of(
+    st.sampled_from(CSS_CATALOG),
+    st.integers(1, 40).flatmap(lambda n: st.builds(CssCode, st.just(n), st.integers(0, n // 2))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+# memories, rounds, spacing and code off the default grids
+@example(0.9, 1e-3, None, 0.0, 1e-6, 1000.0, 37, 3, 7.3, CssCode(9, 1))
+# eta_c = 0: no generation attempt ever succeeds
+@example(0.0, 1e-3, None, 0.0, 1e-6, 1000.0, 16, 2, 10.0, GOLAY)
+# a noisy gate leaves no key on either chain (r <= 0)
+@example(0.9, 0.03, None, 1e-3, 1e-6, 1000.0, 64, 1, 3.0, CssCode(9, 1))
+@given(
+    st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+    st.one_of(st.sampled_from((0.0, 1e-4, 1e-3, 0.03, 0.04)), st.floats(0.0, 0.04)),
+    st.one_of(st.none(), st.floats(0.0, 0.01)),
+    st.sampled_from((0.0, 1e-3)),
+    st.floats(1e-9, 1e-3),
+    st.sampled_from((100.0, 1000.0, 2000.0)),
+    st.integers(1, 300),
+    st.integers(1, 12),
+    st.floats(1.0, 200.0),
+    _CODES,
+)
+def test_evaluators_equal_the_scalar_fold(
+    eta, eps, xi, eps_d, t0, l_tot, memories, gen_rounds, spacing, code
+):
+    # the evaluators read one row of the array pass; the reference folds the
+    # same configuration alone, in scalar floats, and prices it through price
+    params = HardwareParams(eta_c=eta, eps_g=eps, xi=xi, eps_d=eps_d, t0=t0)
+    bare = Gen2NoEncConfig(memories, spacing, gen_rounds)
+    encoded = Gen2EncConfig(code, memories, spacing, gen_rounds)
+    for evaluate, config in ((gen2.evaluate_no_encoding, bare), (gen2.evaluate_encoded, encoded)):
+        want = search_reference.price(params, config, l_tot)
+        assert repr(evaluate(params, config, l_tot)) == repr(want), config

@@ -152,6 +152,22 @@ def test_nan_cost_never_wins():
         optimize_family("gen5", params, 1000.0, _SMALL)
 
 
+def test_nan_gate_time_or_fiber_speed_is_infeasible():
+    # a NaN rate fails rate > 0 and must read as infeasible, not as a
+    # feasible NaN cost; gen3's cost never reads the fiber speed
+    base = HardwareParams(eta_c=0.95, eps_g=1e-4)
+    for family in FAMILIES:
+        config = optimize_family(family, base, 1000.0).config
+        assert evaluate_config(base, config, 1000.0).feasible, family
+        for params in (base.with_(t0=math.nan), base.with_(c_fiber=math.nan)):
+            result = evaluate_config(params, config, 1000.0)
+            if family == "gen3" and math.isnan(params.c_fiber):
+                assert result == evaluate_config(base, config, 1000.0)
+                continue
+            assert result.feasible is False and result.cost == math.inf, (family, params)
+            assert result.cost_coeff == math.inf and result.rate_sbits_per_s == 0.0
+
+
 def test_sweep_axes():
     params = HardwareParams(eta_c=0.9, eps_g=1e-3, t0=1e-6)
     rows = sweep("eps_g", (1e-4, 1e-3, 1e-2), params, 200.0, _SMALL)

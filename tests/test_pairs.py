@@ -155,12 +155,14 @@ def test_swap_chain_folds_left():
         manual = swap(manual, base, 0.001, 0.00025)
     assert chained.as_tuple() == manual.as_tuple()
     assert swap_chain(base, 1, 0.001, 0.00025) is base
-    # the cached swap-chain table of the bare gen2 chain folds the same way
-    params = HardwareParams(eps_g=0.001, xi=0.00025)
-    pair = elementary_pair(params.eps_g)
+    # the cached chain states of the bare gen2 chain fold the same way; the
+    # uncached secure fraction extends them to the segment count
+    eps_g, xi = 0.001, 0.00025
+    pair = elementary_pair(eps_g)
     for segments in (1, 2, 5, 17):
-        want = swap_chain(pair, segments, params.eps_g, params.xi)
-        assert gen2.chain_state(params, segments).as_tuple() == want.as_tuple()
+        want = swap_chain(pair, segments, eps_g, xi)
+        gen2._chain_secure_fraction.__wrapped__(eps_g, xi, segments)
+        assert gen2._chain_states(eps_g, xi)[segments - 1].as_tuple() == want.as_tuple()
 
 
 def test_elementary_pair_model():
@@ -192,13 +194,14 @@ def test_pump_schedule_schemes_differ():
     assert deutsch_probs == (p1, p2) and deutsch_state.as_tuple() == s2.as_tuple()
     q2, t2 = purify(s1, base, 0.001, 0.00025)
     assert dur_probs == (p1, q2) and dur_state.as_tuple() == t2.as_tuple()
-    # gen1's cached ladder pumps its elementary level the same way
+    # gen1's schedule table pumps its elementary level the same way
     params = HardwareParams(eps_g=0.001, xi=0.00025)
     pair = elementary_pair(params.eps_g)
     for scheme in ("deutsch", "dur"):
         state, probs = pump_schedule(pair, 2, params.eps_g, params.xi, scheme)
         config = Gen1Config(scheme, 0, (2,))
-        assert gen1.final_state(params, config).as_tuple() == state.as_tuple()
+        table, i = gen1._table_row(params, config)
+        assert tuple(w[i].item() for w in table.states[0].as_tuple()) == state.as_tuple()
         assert gen1.ladder_success_probs(params, config) == (probs,)
 
 
