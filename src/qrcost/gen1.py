@@ -27,7 +27,9 @@ prices a row through `price`. Every other reader (evaluate, time_constants,
 ladder_success_probs) reads one row: of the default search's table when the
 schedule lies in its grid, otherwise of a one-path table that holds the
 schedule alone. One-path tables have a cache of their own, so they never
-evict a grid table.
+evict a grid table. The qubits per station of every row depend on the
+scheme and the grid only, so every table of a search grid, at any
+(eps_g, xi), shares one set of qps columns (`_grid_qps_columns`).
 """
 from __future__ import annotations
 
@@ -76,19 +78,41 @@ def _parent_major(columns, parents: int) -> np.ndarray:
     return out
 
 
+def _qps_columns(scheme: str, grid: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, ...]:
+    """Per level of the grid, the qubits per station of each row; they depend
+    on the scheme and the grid only. The rounds prefixes are Python ints so
+    that Deutsch counts, past int64, stay exact (see _qubits_per_station)."""
+    columns = []
+    rounds = np.zeros((1, 0), dtype=object)  # the rounds prefix of each row
+    for options in grid:
+        rounds = np.column_stack(
+            (np.repeat(rounds, len(options), axis=0), np.tile(options, len(rounds)))
+        )
+        qps = _qubits_per_station(scheme, tuple(rounds.T))
+        qps.flags.writeable = False
+        columns.append(qps)
+    return tuple(columns)
+
+
+# Every table of a search grid shares its qps columns, whatever its gate
+# error. An entry of the default grid (9,840 rows) takes up to about 0.2 MB
+# (Deutsch, whose counts are Python ints); keep both schemes of a few grids.
+_grid_qps_columns = lru_cache(maxsize=8)(_qps_columns)
+
+
 def _build_table(
     scheme: str,
     eps_g: float,
     xi: float,
     grid: tuple[tuple[int, ...], ...],
+    qps_columns: tuple[np.ndarray, ...],
 ) -> _Table:
     """The schedule table of a grid; grid[k] lists the round counts allowed at
-    level k."""
+    level k, qps_columns are the grid's (see _qps_columns)."""
     states, probs, columns, a_levels, s_levels = [], [], [], [], []
-    # the rounds prefix of each row, as Python ints so that qps stays exact
-    rounds = np.zeros((1, 0), dtype=object)
+    size = 1
     for k, options in enumerate(grid):
-        parents = len(rounds)
+        parents, size = size, size * len(options)
         entry = elementary_pair(eps_g) if k == 0 else swap(states[-1], states[-1], eps_g, xi)
         state, pumped, level_probs = entry, [entry], []
         for _ in range(max(options)):
@@ -101,20 +125,14 @@ def _build_table(
         coefficients = [_retry_coefficients(scheme, level_probs[:m]) for m in options]
         a_levels.append(_parent_major([a for a, _ in coefficients], parents).ravel())
         s_levels.append(_parent_major([s for _, s in coefficients], parents).ravel())
-        rounds = np.column_stack(
-            (np.repeat(rounds, len(options), axis=0), np.tile(options, parents))
-        )
-
-        size = len(rounds)
         alpha, beta, gamma = _time_coefficients(
             [np.repeat(a, size // len(a)) for a in a_levels],
             [np.repeat(s, size // len(s)) for s in s_levels],
         )
         r = secure_fraction_rows(average_qber(states[-1].qber_x, states[-1].qber_z))
-        qps = _qubits_per_station(scheme, tuple(rounds.T))
-        for column in (alpha, beta, gamma, r, qps):
+        for column in (alpha, beta, gamma, r):
             column.flags.writeable = False
-        columns.append((alpha, beta, gamma, r, qps))
+        columns.append((alpha, beta, gamma, r, qps_columns[k]))
     return _Table(grid, tuple(states), tuple(probs), tuple(columns))
 
 
@@ -125,13 +143,15 @@ def _schedule_summary(
     """The table of every schedule at most max_levels deep with at most
     max_rounds rounds per level."""
     grid = (tuple(range(max_rounds + 1)),) * (max_levels + 1)
-    return _build_table(scheme, eps_g, xi, grid)
+    return _build_table(scheme, eps_g, xi, grid, _grid_qps_columns(scheme, grid))
 
 
 @lru_cache(maxsize=256)
 def _one_path(scheme: str, eps_g: float, xi: float, rounds: tuple[int, ...]) -> _Table:
-    """The table of one schedule alone: one row per level."""
-    return _build_table(scheme, eps_g, xi, tuple((m,) for m in rounds))
+    """The table of one schedule alone: one row per level. Its qps columns
+    are computed afresh, so they never evict a search grid's."""
+    grid = tuple((m,) for m in rounds)
+    return _build_table(scheme, eps_g, xi, grid, _qps_columns(scheme, grid))
 
 
 def _table_row(params: HardwareParams, config: Gen1Config) -> tuple[_Table, int]:

@@ -29,13 +29,14 @@ from .keyrate import average_qber, parity_flip, secure_fraction
 from .pairs import elementary_pair, heg_success_prob, swap
 
 _CACHE_SIZE = 1 << 16
-# availability tables, up to a few KB each; as many as optimize._frontier keeps
+# availability tables of a search's grids, up to a few KB each; as many as
+# optimize._frontier keeps. One-configuration tables take under 1 KB.
 _TABLE_CACHE_SIZE = 256
 
 
 def segment_count(l_tot_km: float, spacing_km: float) -> int:
-    if l_tot_km <= 0 or spacing_km <= 0:
-        raise ValueError("distances must be > 0")
+    if not (0.0 < l_tot_km < math.inf and 0.0 < spacing_km < math.inf):
+        raise ValueError(f"distances must be finite and > 0, got {l_tot_km} and {spacing_km}")
     return math.ceil(l_tot_km / spacing_km)
 
 
@@ -120,8 +121,7 @@ def _evaluate(params: HardwareParams, config, l_tot_km: float) -> CostResult:
 evaluate_no_encoding = evaluate_encoded = _evaluate
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _availability(
+def _availability_table(
     eta_c: float, l_att: float, spacings_km: tuple, memories: tuple, gen_rounds: tuple, codes: tuple
 ) -> np.ndarray:
     """[c, s, m, g]: the per-cycle availability of code codes[c] (None for
@@ -145,6 +145,12 @@ def _availability(
     return avail
 
 
+_availability = lru_cache(maxsize=_TABLE_CACHE_SIZE)(_availability_table)
+# the grid of one configuration (an evaluator's) has a cache of its own, so a
+# caller pricing many configurations one at a time never evicts a search's table
+_one_availability = lru_cache(maxsize=_TABLE_CACHE_SIZE)(_availability_table)
+
+
 def throughput(
     params: HardwareParams,
     codes: tuple,
@@ -165,9 +171,9 @@ def throughput(
     else:
         eps = physical_error_rate(params)
         r = [[_encoded_secure_fraction(code, eps, n) for n in segments] for code in codes]
-    avail = _availability(
-        params.eta_c, params.l_att, tuple(spacings_km), tuple(memories), tuple(gen_rounds), codes
-    )
+    grid = tuple(spacings_km), tuple(memories), tuple(gen_rounds), codes
+    table = _one_availability if all(len(axis) == 1 for axis in grid) else _availability
+    avail = table(params.eta_c, params.l_att, *grid)
     shape = (len(codes), len(segments), 1, 1)
     powered = libm(pow, avail, np.array(segments, dtype=object).reshape(shape[1:]))
     return powered * np.array(r, dtype=float).reshape(shape), segments

@@ -13,11 +13,18 @@ fold, so a code's numbers do not depend on the table that holds it. The
 search computes a cell's throughputs in one pass over its grid; a reader of
 one code reads the table of its code grid (at least the default search's
 codes) at its spacing. Both turn a throughput into a cost through `price`.
+
+A pass splits into a layout and a vote. The layout (`_layout`) holds the
+vote rows and the pmf of each row's arrived count; it reads the codes and
+the transmissivities only, so every cell at one coupling, attenuation
+length and spacing grid shares it, whatever its gate error. The vote splits
+the arrivals by the flip probabilities, which read the gate error only.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,32 +73,47 @@ def _split(flips: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.stack([np.cumsum(np.where(o, flipped, 0.0), axis=2)[..., -1] for o in outcomes])
 
 
-def _votes(trials, p_arrive, p_flip) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _arrivals(trials, p_arrive) -> tuple[np.ndarray, ...]:
+    """Row i is the pmf of the arrived count, Binomial(trials[i],
+    p_arrive[i]), in blocks of rows that keep each block near _BLOCK floats."""
+    step = max(1, _BLOCK // (int(np.max(trials, initial=0)) + 1))
+    return tuple(
+        binomial_pmf_rows(trials[i:i + step], p_arrive[i:i + step])
+        for i in range(0, len(trials), step)
+    )
+
+
+def _votes(trials, arrivals, p_flip) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(correct, incorrect, unknown) of one majority vote per row, over the
-    subset of trials[i] voters that arrive (each independently with
-    p_arrive[i]), each arrived vote flipped with probability p_flip[i]. No
-    arrivals or a tie leave the outcome unknown. Sums run left to right over
-    the arrived count. Rows and arrived counts go in blocks that keep each
-    temporary array near _BLOCK floats; a row's sums do not depend on its
-    block."""
+    subset of trials[i] voters that arrive (arrivals, see _arrivals), each
+    arrived vote flipped with probability p_flip[i]. No arrivals or a tie
+    leave the outcome unknown. Sums run left to right over the arrived count.
+    Flip splits go in blocks of arrived counts that keep each temporary array
+    near _BLOCK floats; a row's sums do not depend on its block."""
     flips, which = np.unique(p_flip, return_inverse=True)
     which, width = which.ravel(), int(np.max(trials, initial=0)) + 1
     step = max(1, _BLOCK // (len(flips) * width))
     blocks = (np.arange(k, min(k + step, width)) for k in range(0, width, step))
     split = np.concatenate([_split(flips, k) for k in blocks], axis=2)
-    step, votes = max(1, _BLOCK // width), []
-    for i in range(0, len(trials), step):
-        arrive = binomial_pmf_rows(trials[i:i + step], p_arrive[i:i + step])  # [row, arrived]
-        weights = split[:, which[i:i + step], : arrive.shape[1]]
+    votes, start = [], 0
+    for arrive in arrivals:  # [row, arrived]
+        weights = split[:, which[start:start + len(arrive)], : arrive.shape[1]]
         votes.append(np.cumsum(arrive * weights, axis=2)[..., -1])
+        start += len(arrive)
     return tuple(np.concatenate(votes, axis=1)) if votes else (np.zeros(0),) * 3
 
 
-def _parity_vote(mu, m, eps_q):
-    """(p_arrive, p_flip) of the X vote of a block of m photons at
+def _parity_arrival(mu, m):
+    """Arrival probability of the X vote of a block of m photons at
     transmissivity mu: the block votes with its parity when all m photons
-    arrive, and the parity flips when an odd number of them flip."""
-    return libm(pow, mu, m), parity_flip(1.0 - 2.0 * eps_q, m)
+    arrive."""
+    return libm(pow, mu, m)
+
+
+def _parity_flip(m, eps_q):
+    """Flip probability of the X vote of a block of m photons: the parity
+    flips when an odd number of them flip."""
+    return parity_flip(1.0 - 2.0 * eps_q, m)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -100,35 +122,70 @@ def decode_probs(n: int, m: int, mu: float, eps_q: float, basis: str) -> tuple[f
     station, for basis 'z' (per-block majority, parity across blocks) or 'x'
     (per-block parity of complete blocks, majority across blocks)."""
     if basis == "z":
-        votes = _votes(np.array([m]), np.array([mu], dtype=float), np.array([eps_q], dtype=float))
+        trials = np.array([m])
+        arrivals = _arrivals(trials, np.array([mu], dtype=float))
+        votes = _votes(trials, arrivals, np.array([eps_q], dtype=float))
         pc, pi, _ = (v.item() for v in votes)
         s, d = pc + pi, pc - pi
         known = s**n
         # parity over n known blocks: wrong iff an odd number of blocks vote wrong
         return 0.5 * (known + d**n), 0.5 * (known - d**n), 1.0 - known
     if basis == "x":
-        arrive, flip = _parity_vote(np.array([mu], dtype=float), np.array([m]), eps_q)
-        votes = _votes(np.array([n]), arrive, flip)
+        trials, blocks = np.array([n]), np.array([m])
+        arrivals = _arrivals(trials, _parity_arrival(np.array([mu], dtype=float), blocks))
+        votes = _votes(trials, arrivals, _parity_flip(blocks, eps_q))
         return tuple(v.item() for v in votes)
     raise ValueError(f"basis must be 'x' or 'z', got {basis!r}")
 
 
-def _station_rows(n, m, mu, eps_q: float) -> tuple[np.ndarray, ...]:
-    """station_outcome of every code (n[j], m[j]) at every transmissivity
-    mu[i], as four arrays [i, j]. One _votes call runs the Z vote once per
-    transmissivity and distinct m, and the X vote once per entry."""
+class _Layout(NamedTuple):
+    """The eps_q-free part of a station batch (see _station_rows): its vote
+    rows, Z votes first, and their arrivals."""
+
+    block: np.ndarray  # per entry, its Z vote row: one per transmissivity and distinct m
+    block_m: np.ndarray  # per Z vote row, its m
+    trials: np.ndarray  # per vote row; an X vote row's is the n of its entry [i, j], flattened
+    arrivals: tuple[np.ndarray, ...]  # per vote row, see _arrivals
+
+
+def _layout(n: tuple, m: tuple, mu: tuple) -> _Layout:
+    """The vote rows of every code (n[j], m[j]) at every transmissivity mu[i]:
+    the Z vote once per transmissivity and distinct m, of m photons that
+    arrive with mu; the X vote once per entry, of n blocks that arrive with
+    mu**m."""
     blocks, block_of = np.unique(m, return_inverse=True)
-    z = len(mu) * len(blocks)
     block_mu, block_m = np.repeat(mu, len(blocks)), np.tile(blocks, len(mu))
     block = (np.arange(len(mu))[:, None] * len(blocks) + block_of.ravel()).ravel()  # entry -> block
-    x_arrive, x_flip = _parity_vote(block_mu, block_m, eps_q)
-    n = np.tile(n, len(mu))
+    trials = np.concatenate((block_m, np.tile(n, len(mu))))
+    p_arrive = np.concatenate((block_mu, _parity_arrival(block_mu, block_m)[block]))
+    layout = _Layout(block, block_m, trials, _arrivals(trials, p_arrive))
+    for a in (*layout[:3], *layout.arrivals):
+        a.flags.writeable = False
+    return layout
+
+
+# Every cell of a search at one coupling and attenuation length shares its
+# batch's layout, whatever its gate error. An entry of the default search
+# (6,200 vote rows of up to 21 arrived counts) takes about 1.1 MB; keep the
+# live couplings of a default region map (5 of 10) and more.
+_grid_layout = lru_cache(maxsize=16)(_layout)
+# a batch at one transmissivity (a one-code reader's) has a cache of its own,
+# so it never evicts a search's layout; 400 codes take about 70 KB
+_one_mu_layout = lru_cache(maxsize=64)(_layout)
+
+
+def _station_rows(n, m, mu, eps_q: float) -> tuple[np.ndarray, ...]:
+    """station_outcome of every code (n[j], m[j]) at every transmissivity
+    mu[i], as four arrays [i, j], from one _votes call over the rows of the
+    batch's layout."""
+    layout = (_grid_layout if len(mu) > 1 else _one_mu_layout)(n, m, mu)
+    block, z = layout.block, len(layout.block_m)
     pc, pi, pu = _votes(
-        np.concatenate((block_m, n)),
-        np.concatenate((block_mu, x_arrive[block])),
-        np.concatenate((np.full(z, eps_q), x_flip[block])),
+        layout.trials,
+        layout.arrivals,
+        np.concatenate((np.full(z, eps_q), _parity_flip(layout.block_m, eps_q)[block])),
     )
-    s, d = (pc[:z] + pi[:z])[block], (pc[:z] - pi[:z])[block]
+    n, s, d = layout.trials[z:], (pc[:z] + pi[:z])[block], (pc[:z] - pi[:z])[block]
     # Z logical value is the parity of the n block outcomes: every block must
     # be known, errors cancel pairwise. The bias is taken as (d/s)**n: the
     # ratio of decode_probs(..., "z") agrees only to about 1e-12.
@@ -187,7 +244,7 @@ def station_outcome(n, m, mu, eps_q: float):
     code, read off the batch of its grid (see _one_code).
     """
     if isinstance(n, tuple):
-        rows = _station_rows(np.array(n), np.array(m), np.array(mu), eps_q)
+        rows = _station_rows(n, m, mu, eps_q)
         for a in rows:
             a.flags.writeable = False
         return rows

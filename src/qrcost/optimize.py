@@ -36,7 +36,6 @@ import itertools
 import math
 import sys
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, NamedTuple, Optional
@@ -597,9 +596,11 @@ def region_map(
     """Winner label and cost for every (eta_c, eps_g, t0) lattice point.
 
     Cells run eps_g-outermost in one contiguous chunk per worker, so each
-    worker builds the gen1 tables of its own eps_g values only. Rows come back
-    in lattice order (eta outermost, t0 innermost) regardless of the worker
-    count.
+    worker builds the gen1 tables of its own eps_g values only; the gen2 and
+    gen3 tables shared per eta_c are then built in every worker, which costs
+    less than eta_c-outermost chunks that double each worker's gen1 tables and
+    put every live eta_c's gen3 work in one worker. Rows come back in lattice
+    order (eta outermost, t0 innermost) regardless of the worker count.
     """
     cells = [(i, j) for j in range(len(eps_values)) for i in range(len(eta_values))]
     size = max(1, math.ceil(len(cells) / max(threads, 1)))
@@ -612,6 +613,9 @@ def region_map(
     if len(tasks) <= 1:
         done = list(map(_map_task, tasks))
     else:
+        # imported here: it loads multiprocessing, which a one-process run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             done = list(pool.map(_map_task, tasks))
     by_cell = dict(zip(cells, itertools.chain.from_iterable(done)))

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -373,3 +375,15 @@ def test_underpowered_lines_name_only_underpowered_counts(capsys):
     for line in flagged:
         count = int(re.search(r"trials=(\d+) <", line).group(1))
         assert count < 1000, line
+
+
+def test_start_up_leaves_multiprocessing_unloaded():
+    # only a region map over several workers needs the process pool
+    code = (
+        "import sys, qrcost.cli; from qrcost import config; config.load_config(None, ());"
+        " print('multiprocessing' in sys.modules)"
+    )
+    src = str(Path(qrcost.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 import math
 import random
 
+import caches
 import pytest
 from chain_reference import ladder, pump_schedule, schedule_summary
 
@@ -193,3 +194,39 @@ def test_readers_use_the_searched_grid_table():
     table = gen1._schedule_summary("dur", params.eps_g, params.xi, 2, 1)
     assert gen1._schedule_summary.cache_info().currsize == 2  # the search's table
     assert table.grid == ((0, 1),) * 3
+
+
+def _table_text(table):
+    """Every number of a schedule table as exact text (repr tells -0.0 and
+    int/float apart)."""
+    states = [[w.tolist() for w in state.as_tuple()] for state in table.states]
+    columns = [[c.tolist() for c in level] for level in table.columns]
+    return repr((table.grid, states, [p.tolist() for p in table.probs], columns))
+
+
+def test_shared_qps_columns_do_not_depend_on_the_table_order():
+    # both schemes on two grids and off-grid one-path tables, at several gate
+    # errors in interleaved order, each equal to itself computed cold
+    tables = [
+        (kind, scheme, eps_g, shape)
+        for eps_g in (1e-3, 3e-3, 2e-4)
+        for scheme in ("deutsch", "dur")
+        for kind, shape in (("grid", (3, 2)), ("grid", (4, 1)), ("path", (3, 0, 1)), ("path", (0, 4)))
+    ]
+
+    def build(kind, scheme, eps_g, shape):
+        if kind == "grid":
+            return _table_text(gen1._schedule_summary(scheme, eps_g, 2.5e-4, *shape))
+        return _table_text(gen1._one_path(scheme, eps_g, 2.5e-4, shape))
+
+    cold = {}
+    for table in tables:
+        caches.clear_all()
+        cold[table] = build(*table)
+    caches.clear_all()
+    for table in tables + tables[::-1] + random.Random(2).sample(tables, len(tables)):
+        assert build(*table) == cold[table], table
+        gen1._schedule_summary.cache_clear()
+        gen1._one_path.cache_clear()
+    # one qps computation per scheme and grid; one-path tables never enter the cache
+    assert gen1._grid_qps_columns.cache_info().misses == 4

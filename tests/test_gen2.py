@@ -3,13 +3,14 @@ import math
 import random
 from fractions import Fraction
 
+import caches
 import pytest
 import search_reference
 from chain_reference import swap_chain
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qrcost import gen2
+from qrcost import gen2, optimize
 from qrcost.binom import tail_at_least
 from qrcost.core import (
     CSS_CATALOG,
@@ -33,6 +34,11 @@ def test_segment_count():
         gen2.segment_count(0.0, 10.0)
     with pytest.raises(ValueError):
         gen2.segment_count(100.0, -1.0)
+    # a non-finite distance is rejected, not read as 0 segments or an overflow
+    for l_tot, spacing in [(1000.0, math.inf), (1000.0, math.nan), (math.inf, 10.0),
+                           (math.nan, 10.0)]:
+        with pytest.raises(ValueError):
+            gen2.segment_count(l_tot, spacing)
 
 
 def test_link_availability_matches_direct_form():
@@ -214,3 +220,17 @@ def test_evaluators_equal_the_scalar_fold(
     for evaluate, config in ((gen2.evaluate_no_encoding, bare), (gen2.evaluate_encoded, encoded)):
         want = search_reference.price(params, config, l_tot)
         assert repr(evaluate(params, config, l_tot)) == repr(want), config
+
+
+def test_one_configuration_readers_keep_the_search_tables():
+    # more one-configuration evaluations than the table cache holds must leave
+    # the search's availability tables in it for the next gate error
+    caches.clear_all()
+    params = HardwareParams()
+    optimize.optimize_all(params, 1000.0)
+    for memories in range(1, gen2._availability.cache_info().maxsize + 44):
+        gen2.evaluate_no_encoding(params, Gen2NoEncConfig(memories, 10.0), 1000.0)
+    before = gen2._availability.cache_info()
+    optimize.optimize_all(params.with_(eps_g=1.2345e-3), 1000.0)
+    after = gen2._availability.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)  # bare and encoded

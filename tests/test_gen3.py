@@ -1,13 +1,14 @@
 import math
 import random
 
+import caches
 import pytest
 import station_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from qpc_reference import enumerate_decode
 
-from qrcost import gen3
+from qrcost import gen3, optimize
 from qrcost.core import Gen3Config, HardwareParams
 from qrcost.keyrate import average_qber, secure_fraction
 
@@ -163,3 +164,56 @@ def test_station_batch_is_read_only():
     rows = gen3.station_outcome((3, 4), (2, 2), (0.9,), 0.01)
     with pytest.raises(ValueError):
         rows[0][0, 0] = 1.0
+
+
+# (eta_c, l_att, spacings, code grid as gen3.codes takes it); each shape after
+# the first differs from it in one input only
+_SPACINGS = (0.5, 1.0, 2.0, 4.0)
+_GRID = (2, 6, 2, 6, 30)
+_SHAPES = (
+    (0.9, 20.0, _SPACINGS, _GRID),
+    (0.9, 25.0, _SPACINGS, _GRID),  # attenuation length
+    (0.9, 20.0, (0.5, 1.5, 2.0, 4.0), _GRID),  # spacings
+    (0.9, 20.0, _SPACINGS, (2, 5, 2, 7, 30)),  # code grid
+    (0.8, 20.0, _SPACINGS, _GRID),  # coupling
+    (0.9, 20.0, (3.0,), _GRID),  # one spacing
+)
+
+
+def _cell(shape, eps_g):
+    """The station batch and the throughputs of one cell, as exact text."""
+    eta_c, l_att, spacings, grid = shape
+    params = HardwareParams(eta_c=eta_c, eps_g=eps_g, l_att=l_att)
+    live, x, qps, stations = gen3.throughput(params, grid, spacings, 300.0)
+    mus = tuple(gen3.transmissivity(eta_c, spacings[i], l_att) for i in live)
+    n, m, _ = gen3.codes(*grid)
+    rows = gen3.station_outcome(n, m, mus, gen3.photon_error_rate(params))
+    return repr((live, x.tolist(), qps, stations, [a.tolist() for a in rows]))
+
+
+def test_shared_layouts_do_not_depend_on_the_cell_order():
+    # cells that share a layout (same inputs but eps_g) and cells that differ
+    # from them in one input, interleaved, each equal to itself computed cold
+    cells = [(shape, eps_g) for eps_g in (1e-3, 4e-3, 2e-3) for shape in _SHAPES]
+    cold = {}
+    for cell in cells:
+        caches.clear_all()
+        cold[cell] = _cell(*cell)
+    hits = gen3._grid_layout.cache_info().hits
+    for cell in cells + cells[::-1] + random.Random(5).sample(cells, len(cells)):
+        assert _cell(*cell) == cold[cell], cell
+    assert gen3._grid_layout.cache_info().hits > hits
+
+
+def test_one_code_readers_keep_the_search_layouts():
+    # one-code readers at more transmissivities than the layout cache holds
+    # must leave the search's layout in it for the next gate error
+    caches.clear_all()
+    params = HardwareParams()
+    optimize.optimize_family("gen3", params, 1000.0)
+    for k in range(gen3._grid_layout.cache_info().maxsize + 1):
+        gen3.evaluate(params, Gen3Config(4, 3, 0.5 + 0.01 * k), 1000.0)
+    before = gen3._grid_layout.cache_info()
+    optimize.optimize_family("gen3", params.with_(eps_g=1.2345e-3), 1000.0)
+    after = gen3._grid_layout.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
