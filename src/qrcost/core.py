@@ -170,15 +170,16 @@ class Gen1Config:
             raise ValueError("purification rounds must be >= 0")
 
 
-def _check_spacing(spacing_km: float) -> None:
-    if not 0.0 < spacing_km < math.inf:
-        raise ValueError(f"spacing_km must be finite and > 0, got {spacing_km}")
+def _check_distance(name: str, value: float) -> None:
+    """Every distance in km must be finite and > 0."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def _check_swap_chain(config) -> None:
     if config.memories < 1:
         raise ValueError("memories must be >= 1")
-    _check_spacing(config.spacing_km)
+    _check_distance("spacing_km", config.spacing_km)
     if config.gen_rounds < 1:
         raise ValueError("gen_rounds must be >= 1")
 
@@ -237,7 +238,7 @@ class Gen3Config:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError("code shape must be positive")
-        _check_spacing(self.spacing_km)
+        _check_distance("spacing_km", self.spacing_km)
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,12 @@ search bounds (max_levels, max_rounds). It advances every prefix of a level
 at once, as one batch of states, and each row gets exactly the float
 operations of a one-schedule fold, so a row does not depend on the table
 that holds it. The optimizer reads each level's summary columns whole and
-prices a row through `price`. Every other reader (evaluate, time_constants,
-ladder_success_probs) reads one row: of the default search's table when the
-schedule lies in its grid, otherwise of a one-path table that holds the
-schedule alone. One-path tables have a cache of their own, so they never
-evict a grid table. The qubits per station of every row depend on the
-scheme and the grid only, so every table of a search grid, at any
-(eps_g, xi), shares one set of qps columns (`_grid_qps_columns`).
+prices a row through `price`. Every reader of one schedule (evaluate,
+waiting_time, time_constants, ladder_success_probs) reads row 0 of each
+level of the schedule's own one-path table, which has a cache of its own,
+so it never evicts a grid table. The qubits per station of every row
+depend on the scheme and the grid only, so every table of a search grid,
+at any (eps_g, xi), shares one set of qps columns (`_grid_qps_columns`).
 """
 from __future__ import annotations
 
@@ -39,13 +38,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BellDiagonalState, CostResult, Gen1Config, HardwareParams, _normalized
+from .core import (
+    BellDiagonalState,
+    CostResult,
+    Gen1Config,
+    HardwareParams,
+    _check_distance,
+    _normalized,
+)
 from .keyrate import average_qber, secure_fraction_rows
 from .pairs import elementary_pair, heg_success_prob, purify, swap
-
-# The default search: nesting levels 0..7, each with 0..2 rounds.
-SEARCH_LEVELS = 7
-SEARCH_ROUNDS = 2
 
 
 class _Table(NamedTuple):
@@ -59,14 +61,6 @@ class _Table(NamedTuple):
     # per level, the summary columns (alpha, beta, gamma, r, qps) over its
     # rows; qps holds Python ints (object dtype) where an int64 could overflow
     columns: tuple[tuple[np.ndarray, ...], ...]
-
-
-def _row(grid: tuple[tuple[int, ...], ...], rounds: tuple[int, ...]) -> int:
-    """The row of a schedule prefix at its level."""
-    index = 0
-    for options, m in zip(grid, rounds):
-        index = index * len(options) + options.index(m)
-    return index
 
 
 def _parent_major(columns, parents: int) -> np.ndarray:
@@ -154,22 +148,14 @@ def _one_path(scheme: str, eps_g: float, xi: float, rounds: tuple[int, ...]) -> 
     return _build_table(scheme, eps_g, xi, grid, _qps_columns(scheme, grid))
 
 
-def _table_row(params: HardwareParams, config: Gen1Config) -> tuple[_Table, int]:
-    """The default search's table when its grid holds the schedule, otherwise
-    the schedule's own one-path table; and the schedule's row in it."""
-    if config.levels <= SEARCH_LEVELS and max(config.rounds) <= SEARCH_ROUNDS:
-        table = _schedule_summary(
-            config.scheme, params.eps_g, params.xi, SEARCH_LEVELS, SEARCH_ROUNDS
-        )
-    else:
-        table = _one_path(config.scheme, params.eps_g, params.xi, config.rounds)
-    return table, _row(table.grid, config.rounds)
+def _path(params: HardwareParams, config: Gen1Config) -> _Table:
+    """The schedule's own one-path table; the schedule is row 0 of each level."""
+    return _one_path(config.scheme, params.eps_g, params.xi, config.rounds)
 
 
 def _summary(params: HardwareParams, config: Gen1Config) -> tuple[float, float, float, float, int]:
     """(alpha, beta, gamma, secure_fraction, qubits_per_station) of a schedule."""
-    table, i = _table_row(params, config)
-    return tuple(column.item(i) for column in table.columns[config.levels])
+    return tuple(column.item(0) for column in _path(params, config).columns[config.levels])
 
 
 def _retry_coefficients(scheme: str, probs: list) -> tuple:
@@ -239,11 +225,7 @@ def ladder_success_probs(
     params: HardwareParams, config: Gen1Config
 ) -> tuple[tuple[float, ...], ...]:
     """Per-level purification success probabilities, outermost level last."""
-    table, _ = _table_row(params, config)
-    return tuple(
-        tuple(table.probs[k][_row(table.grid, config.rounds[:k]), :m].tolist())
-        for k, m in enumerate(config.rounds)
-    )
+    return tuple(tuple(level[0].tolist()) for level in _path(params, config).probs)
 
 
 def time_constants(params: HardwareParams, config: Gen1Config) -> tuple[float, float, float]:
@@ -260,8 +242,7 @@ def qubits_per_station(config: Gen1Config) -> int:
 def waiting_time(params: HardwareParams, config: Gen1Config, l_tot_km: float) -> float:
     """Mean seconds to deliver one purified end-to-end pair; infinite when the
     elementary heralding never succeeds."""
-    if l_tot_km <= 0:
-        raise ValueError("l_tot_km must be > 0")
+    _check_distance("l_tot_km", l_tot_km)
     alpha, beta, gamma = time_constants(params, config)
     return _waiting_time(alpha, beta, gamma, params.t0, _link(params, config.levels, l_tot_km))
 
@@ -295,6 +276,5 @@ def price(params: HardwareParams, l_tot_km: float, levels: int, summary: tuple) 
 
 def evaluate(params: HardwareParams, config: Gen1Config, l_tot_km: float) -> CostResult:
     """Secret-key rate and qubit cost of one purify-and-swap architecture."""
-    if l_tot_km <= 0:
-        raise ValueError("l_tot_km must be > 0")
+    _check_distance("l_tot_km", l_tot_km)
     return price(params, l_tot_km, config.levels, _summary(params, config))

@@ -23,6 +23,7 @@ from .core import (
     CostResult,
     CssCode,
     HardwareParams,
+    _check_distance,
     libm,
 )
 from .keyrate import average_qber, parity_flip, secure_fraction
@@ -35,8 +36,8 @@ _TABLE_CACHE_SIZE = 256
 
 
 def segment_count(l_tot_km: float, spacing_km: float) -> int:
-    if not (0.0 < l_tot_km < math.inf and 0.0 < spacing_km < math.inf):
-        raise ValueError(f"distances must be finite and > 0, got {l_tot_km} and {spacing_km}")
+    _check_distance("l_tot_km", l_tot_km)
+    _check_distance("spacing_km", spacing_km)
     return math.ceil(l_tot_km / spacing_km)
 
 

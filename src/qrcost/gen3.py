@@ -10,9 +10,9 @@ work at all.
 Station decodes and throughputs are computed in array passes over tables of
 codes at transmissivities, each row with the float operations of a one-code
 fold, so a code's numbers do not depend on the table that holds it. The
-search computes a cell's throughputs in one pass over its grid; a reader of
-one code reads the table of its code grid (at least the default search's
-codes) at its spacing. Both turn a throughput into a cost through `price`.
+search computes a cell's throughputs in one pass over its grid; `evaluate`
+runs the same pass over its code alone at its spacing. Both turn a
+throughput into a cost through `price`.
 
 A pass splits into a layout and a vote. The layout (`_layout`) holds the
 vote rows and the pmf of each row's arrived count; it reads the codes and
@@ -30,19 +30,14 @@ import numpy as np
 
 # binomial_pmf is not called here; the benchmark's tracer hooks this name
 from .binom import binomial_pmf, binomial_pmf_rows  # noqa: F401
-from .core import CostResult, Gen3Config, HardwareParams, libm
+from .core import CostResult, Gen3Config, HardwareParams, _check_distance, libm
 from .keyrate import average_qber, parity_flip, secure_fraction_rows
 
-_CACHE_SIZE = 1 << 18
 # a cell's tables take up to about 0.2 MB, so keep as many as optimize._frontier
 _TABLE_CACHE_SIZE = 256
 # floats per temporary array of a vote pass (128 KB): bounds the peak memory
 # of a cell pass and keeps wide codes (n or m in the thousands) within reach
 _BLOCK = 1 << 14
-
-# The default search's largest code; every table holds at least these codes.
-SEARCH_N = 20
-SEARCH_M = 20
 
 
 def transmissivity(eta_c: float, l0_km: float, l_att_km: float) -> float:
@@ -116,7 +111,6 @@ def _parity_flip(m, eps_q):
     return parity_flip(1.0 - 2.0 * eps_q, m)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def decode_probs(n: int, m: int, mu: float, eps_q: float, basis: str) -> tuple[float, float, float]:
     """(p_correct, p_incorrect, p_unknown) of one logical readout at a single
     station, for basis 'z' (per-block majority, parity across blocks) or 'x'
@@ -139,7 +133,7 @@ def decode_probs(n: int, m: int, mu: float, eps_q: float, basis: str) -> tuple[f
 
 
 class _Layout(NamedTuple):
-    """The eps_q-free part of a station batch (see _station_rows): its vote
+    """The eps_q-free part of a station batch (see station_outcome): its vote
     rows, Z votes first, and their arrivals."""
 
     block: np.ndarray  # per entry, its Z vote row: one per transmissivity and distinct m
@@ -169,15 +163,23 @@ def _layout(n: tuple, m: tuple, mu: tuple) -> _Layout:
 # (6,200 vote rows of up to 21 arrived counts) takes about 1.1 MB; keep the
 # live couplings of a default region map (5 of 10) and more.
 _grid_layout = lru_cache(maxsize=16)(_layout)
-# a batch at one transmissivity (a one-code reader's) has a cache of its own,
-# so it never evicts a search's layout; 400 codes take about 70 KB
+# a batch at one transmissivity (an evaluate's, of its code alone) has a
+# cache of its own, so it never evicts a search's layout
 _one_mu_layout = lru_cache(maxsize=64)(_layout)
 
 
-def _station_rows(n, m, mu, eps_q: float) -> tuple[np.ndarray, ...]:
-    """station_outcome of every code (n[j], m[j]) at every transmissivity
-    mu[i], as four arrays [i, j], from one _votes call over the rows of the
-    batch's layout."""
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def station_outcome(n: tuple, m: tuple, mu: tuple, eps_q: float) -> tuple[np.ndarray, ...]:
+    """Per-station decode summary (ratio_z, ratio_x, p_unknown, ok) of every
+    code (n[j], m[j]) at every transmissivity mu[i], as four read-only arrays
+    [i, j], from one _votes call over the rows of the batch's layout.
+
+    ratio_z/ratio_x are the conditional correctness biases
+    (p_correct - p_incorrect) / (p_correct + p_incorrect) of the Z and X
+    logical readouts; p_unknown is the probability that either readout is
+    undecidable. ok is False where the code never decodes (ratios 0,
+    p_unknown 1).
+    """
     layout = (_grid_layout if len(mu) > 1 else _one_mu_layout)(n, m, mu)
     block, z = layout.block, len(layout.block_m)
     pc, pi, pu = _votes(
@@ -199,7 +201,10 @@ def _station_rows(n, m, mu, eps_q: float) -> tuple[np.ndarray, ...]:
     ratio_z[ok] = libm(pow, d[ok] / s[ok], n[ok])
     ratio_x[ok] = (pc_x[ok] - pi_x[ok]) / s_x[ok]
     rows = ratio_z, ratio_x, np.where(ok, p_unknown, 1.0), ok
-    return tuple(a.reshape(len(mu), -1) for a in rows)
+    rows = tuple(a.reshape(len(mu), -1) for a in rows)
+    for a in rows:
+        a.flags.writeable = False
+    return rows
 
 
 @lru_cache(maxsize=64)
@@ -219,37 +224,6 @@ def codes(
         tuple(m for _, m in shapes),
         tuple(2 * n * m for n, m in shapes),
     )
-
-
-def _one_code(n: int, m: int) -> tuple[tuple, int]:
-    """The code grid whose tables every one-code reader of (n, m) reads, and
-    the code's index in it: every code with n <= SEARCH_N and m <= SEARCH_M
-    (the default search's) when it lies there, so readers of many codes share
-    a few tables, otherwise the code alone."""
-    if n <= SEARCH_N and m <= SEARCH_M:
-        return (1, SEARCH_N, 1, SEARCH_M, SEARCH_N * SEARCH_M), (n - 1) * SEARCH_M + m - 1
-    return (n, n, m, m, n * m), 0
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def station_outcome(n, m, mu, eps_q: float):
-    """Per-station decode summary (ratio_z, ratio_x, p_unknown, ok).
-
-    ratio_z/ratio_x are the conditional correctness biases
-    (p_correct - p_incorrect) / (p_correct + p_incorrect) of the Z and X
-    logical readouts; p_unknown is the probability that either readout is
-    undecidable. ok is False when the code never decodes (ratios 0,
-    p_unknown 1). Given tuples, a batch: every code (n[j], m[j]) at every
-    transmissivity mu[i], four read-only arrays [i, j]. Given numbers, one
-    code, read off the batch of its grid (see _one_code).
-    """
-    if isinstance(n, tuple):
-        rows = _station_rows(n, m, mu, eps_q)
-        for a in rows:
-            a.flags.writeable = False
-        return rows
-    grid, j = _one_code(n, m)
-    return tuple(a[0, j].item() for a in station_outcome(*codes(*grid)[:2], (mu,), eps_q))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -288,25 +262,17 @@ def throughput(
     return live, _throughput_table(grid, *key), qps, stations
 
 
-def _throughput(
-    params: HardwareParams, config: Gen3Config, l_tot_km: float
-) -> tuple[float, int, int]:
-    """(x, qubits_per_station, stations) of one configuration, read off the
-    table of its code grid at its spacing."""
-    grid, j = _one_code(config.n, config.m)
-    live, x, qps, stations = throughput(params, grid, (config.spacing_km,), l_tot_km)
-    return (x[0, j].item() if live else 0.0), qps[j], stations[0]
-
-
 def price(params: HardwareParams, l_tot_km: float, x: float, qps: int, stations: int) -> CostResult:
-    """Rate and cost of a chain of throughput x (see _throughput)."""
+    """Rate and cost of a chain of throughput x (see throughput)."""
     if x <= 0.0:
         return CostResult.infeasible(qps, stations)
     return CostResult.from_rate(x / params.t0, qps, stations, l_tot_km)
 
 
 def evaluate(params: HardwareParams, config: Gen3Config, l_tot_km: float) -> CostResult:
-    """Rate and cost of the one-way parity-code chain."""
-    if l_tot_km <= 0:
-        raise ValueError("l_tot_km must be > 0")
-    return price(params, l_tot_km, *_throughput(params, config, l_tot_km))
+    """Rate and cost of the one-way parity-code chain, from the table of its
+    code alone at its spacing."""
+    _check_distance("l_tot_km", l_tot_km)
+    grid = config.n, config.n, config.m, config.m, config.n * config.m  # as codes takes it
+    live, x, qps, stations = throughput(params, grid, (config.spacing_km,), l_tot_km)
+    return price(params, l_tot_km, x.item(0) if live else 0.0, qps[0], stations[0])

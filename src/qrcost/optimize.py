@@ -53,6 +53,7 @@ from .core import (
     Gen2NoEncConfig,
     Gen3Config,
     HardwareParams,
+    _check_distance,
 )
 
 _POW2_SEGMENTS = tuple(2**k for k in range(1, 11))  # 2 .. 1024
@@ -68,8 +69,8 @@ _GEN1_MAX_ROWS = 2**20
 class Gen1Search:
     schemes: tuple[str, ...] = GEN1_SCHEMES
     min_levels: int = 1
-    max_levels: int = gen1.SEARCH_LEVELS
-    max_rounds: int = gen1.SEARCH_ROUNDS
+    max_levels: int = 7
+    max_rounds: int = 2
 
     def __post_init__(self) -> None:
         if not self.schemes:
@@ -129,9 +130,9 @@ class Gen2Search:
 class Gen3Search:
     spacings_km: tuple[float, ...] = _GEN3_SPACINGS
     min_n: int = 2
-    max_n: int = gen3.SEARCH_N
+    max_n: int = 20
     min_m: int = 2
-    max_m: int = gen3.SEARCH_M
+    max_m: int = 20
     max_photons: int = 200
 
     def __post_init__(self) -> None:
@@ -490,8 +491,7 @@ def optimize_family(
     spec = FAMILY_TABLE.get(family)
     if spec is None:
         raise ValueError(f"unknown family {family!r}")
-    if not l_tot_km > 0.0:
-        raise ValueError(f"l_tot_km must be > 0, got {l_tot_km}")
+    _check_distance("l_tot_km", l_tot_km)
 
     def priced(rows):
         return ((key, spec.price(params, l_tot_km, *inputs)) for key, inputs in rows)

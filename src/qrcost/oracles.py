@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Gen1Config, HardwareParams
+from .core import Gen1Config, HardwareParams, _check_distance
 from .gen1 import _link, ladder_success_probs
 
 GENERATOR_NAME = "philox"
@@ -233,8 +233,7 @@ def mc_gen1_waiting_time(
         raise ValueError("oracle scale bound: levels <= 3 and total rounds <= 3")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if l_tot_km <= 0:
-        raise ValueError("l_tot_km must be > 0")
+    _check_distance("l_tot_km", l_tot_km)
     t_signal, p0 = _link(params, levels, l_tot_km)
     probs = ladder_success_probs(params, config)
     sampler = _sample_deutsch if scheme == "deutsch" else _sample_dur

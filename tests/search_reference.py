@@ -2,11 +2,12 @@
 one at a time, first strict minimum kept. The production optimizer prunes;
 the tests check it against this scan.
 
-gen1 and gen3 configurations are priced through their public evaluators.
-gen2 ones are priced by `gen2.price` from `gen2_throughput`, a scalar fold
-of one swap-chain configuration with the float operations of gen2's array
-pass. gen2's evaluators read one row of that pass, so the scan compares the
-program with a fold it does not run.
+Every family is priced by its module's `price` from a scalar fold of one
+configuration with the float operations of the family's array pass, which
+the program does not run: gen1 from `chain_reference.schedule_summary`,
+gen2 from `gen2_throughput` below, gen3 from `station_reference.throughput`.
+The evaluators read their configuration's own table of those passes, so the
+scan compares the program with folds apart from it.
 
 `terms` and `frontier` are the pruning's reference: the cost terms and the
 inputs of each family's `price` built one configuration at a time, and the
@@ -19,9 +20,10 @@ import math
 from functools import lru_cache
 from typing import Optional
 
-from chain_reference import swap_chain
+import station_reference
+from chain_reference import schedule_summary, swap_chain
 
-from qrcost import gen2, gen3
+from qrcost import gen1, gen2, gen3
 from qrcost.binom import tail_at_least
 from qrcost.core import Gen1Config, Gen2EncConfig, Gen2NoEncConfig, Gen3Config, HardwareParams
 from qrcost.keyrate import average_qber, secure_fraction
@@ -30,7 +32,6 @@ from qrcost.optimize import (
     SearchSpace,
     _gen1_candidates,
     _undominated,
-    evaluate_config,
 )
 from qrcost.pairs import elementary_pair, heg_success_prob
 
@@ -77,12 +78,24 @@ def gen2_throughput(params: HardwareParams, config, l_tot_km: float) -> tuple[fl
     return avail**segments * r, qps, segments
 
 
+def gen3_throughput(params: HardwareParams, config, l_tot_km: float) -> tuple[float, int, int]:
+    """(x, qubits_per_station, stations) of one gen3 configuration."""
+    x = station_reference.throughput(
+        params.eta_c, params.l_att, gen3.photon_error_rate(params),
+        config.n, config.m, config.spacing_km, l_tot_km,
+    )
+    return x, 2 * config.n * config.m, math.ceil(l_tot_km / config.spacing_km)
+
+
 def price(params: HardwareParams, config, l_tot_km: float):
     """The CostResult of one configuration, as the reference scan prices it."""
-    if isinstance(config, (Gen2NoEncConfig, Gen2EncConfig)):
-        x, qps, segments = gen2_throughput(params, config, l_tot_km)
-        return gen2.price(params, l_tot_km, x, qps, segments, config.spacing_km, config.gen_rounds)
-    return evaluate_config(params, config, l_tot_km)
+    if isinstance(config, Gen1Config):
+        summary = schedule_summary(config.scheme, config.rounds, params.eps_g, params.xi)
+        return gen1.price(params, l_tot_km, config.levels, summary)
+    if isinstance(config, Gen3Config):
+        return gen3.price(params, l_tot_km, *gen3_throughput(params, config, l_tot_km))
+    x, qps, segments = gen2_throughput(params, config, l_tot_km)
+    return gen2.price(params, l_tot_km, x, qps, segments, config.spacing_km, config.gen_rounds)
 
 
 def configs(family: str, l_tot_km: float, space: SearchSpace):
@@ -144,7 +157,7 @@ def terms(family: str, space: SearchSpace, cell):
     params, l_tot_km = cell
     for config in configs(family, l_tot_km, space):
         if family == "gen3":
-            x, qps, stations = gen3._throughput(params, config, l_tot_km)
+            x, qps, stations = gen3_throughput(params, config, l_tot_km)
             arguments, inputs = (config.n, config.m, config.spacing_km), (x, qps, stations)
             factors = (1.0,)
         else:

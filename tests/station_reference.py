@@ -75,6 +75,7 @@ def vote_block(trials: int, p_arrive: float, p_flip: float) -> tuple[float, floa
     return pc, pi, pu
 
 
+@lru_cache(maxsize=None)  # the reference scans read each code at a few transmissivities
 def station_outcome(n: int, m: int, mu: float, eps_q: float) -> tuple[float, float, float, bool]:
     """(ratio_z, ratio_x, p_unknown, ok) of one station."""
     pc_blk, pi_blk, _ = vote_block(m, mu, eps_q)

@@ -193,7 +193,8 @@ def test_criterion_6_keyrate_threshold():
     ok = ok and gen2.encoded_qber(STEANE, eps_phys, 100) > root
     ok = ok and not gen2.evaluate_encoded(noisy2, Gen2EncConfig(STEANE, 64, 10.0), 1000.0).feasible
     noisy3 = HardwareParams(eta_c=1.0, eps_g=0.04, t0=1e-6)
-    ratio_z, ratio_x, _, _ = gen3.station_outcome(2, 2, math.exp(-1.0 / 20.0), 0.03)
+    batch = gen3.station_outcome((2,), (2,), (math.exp(-1.0 / 20.0),), 0.03)
+    ratio_z, ratio_x = batch[0].item(), batch[1].item()
     q = average_qber(0.5 * (1 - ratio_x**1000), 0.5 * (1 - ratio_z**1000))
     ok = ok and q > root
     ok = ok and not gen3.evaluate(noisy3, Gen3Config(2, 2, 1.0), 1000.0).feasible

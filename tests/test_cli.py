@@ -12,6 +12,7 @@ import pytest
 import qrcost
 from qrcost import config, optimize
 from qrcost.cli import main
+from qrcost.core import HardwareParams
 from qrcost.optimize import (
     FAMILIES,
     Gen1Search,
@@ -237,7 +238,9 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
 
 def test_search_defaults_match_dataclasses():
     # DEFAULTS keeps the grids as raw strings because grid_hash hashes them
-    assert config.search_space(config.load_config(None, (), env={})) == SearchSpace()
+    defaults = config.load_config(None, (), env={})
+    assert config.search_space(defaults) == SearchSpace()
+    assert config.hardware(defaults) == HardwareParams()
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")

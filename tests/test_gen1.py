@@ -3,6 +3,7 @@ import random
 
 import caches
 import pytest
+import search_reference
 from chain_reference import ladder, pump_schedule, schedule_summary
 
 from qrcost import gen1, optimize
@@ -11,10 +12,19 @@ from qrcost.pairs import elementary_pair, heg_success_prob, swap
 
 
 def _table_state(params, config):
-    """The end-state weights of a schedule, read off the table row that its
-    readers (evaluate, time_constants, ladder_success_probs) read."""
-    table, i = gen1._table_row(params, config)
-    return tuple(w[i].item() for w in table.states[config.levels].as_tuple())
+    """The end-state weights of a schedule, read off the one-path table that
+    its readers (evaluate, time_constants, ladder_success_probs) read."""
+    table = gen1._path(params, config)
+    return tuple(w.item(0) for w in table.states[config.levels].as_tuple())
+
+
+def _grid_row(rounds, max_rounds):
+    """The row of a schedule prefix at its level of a grid table with rounds
+    0..max_rounds at every level: the rows run in lexicographic order."""
+    row = 0
+    for m in rounds:
+        row = row * (max_rounds + 1) + m
+    return row
 
 
 def _level_time(scheme, entry, comm, probs):
@@ -146,13 +156,26 @@ def test_schedule_table_equals_scalar_fold(eps_g, xi):
     for scheme, levels, rounds, summary in candidates:
         assert len(rounds) == levels + 1
         assert repr(summary) == repr(schedule_summary(scheme, rounds, eps_g, xi)), (scheme, rounds)
+    # the grid tables' states and success probabilities, and the readers'
+    # one-path tables, at seeded schedules of the grid
     params = HardwareParams(eps_g=eps_g, xi=xi)
     for config in _seeded_configs(40, max_levels=7):
         state, probs = ladder(config.scheme, config.rounds, eps_g, xi)
+        table = gen1._schedule_summary(config.scheme, eps_g, xi, 7, 2)
+        row = _grid_row(config.rounds, 2)
+        grid_state = tuple(w.item(row) for w in table.states[config.levels].as_tuple())
+        assert repr(grid_state) == repr(state.as_tuple())
+        grid_probs = tuple(
+            tuple(table.probs[k][_grid_row(config.rounds[:k], 2), :m].tolist())
+            for k, m in enumerate(config.rounds)
+        )
+        assert grid_probs == probs
         assert repr(_table_state(params, config)) == repr(state.as_tuple())
         assert gen1.ladder_success_probs(params, config) == probs
         want = schedule_summary(config.scheme, config.rounds, eps_g, xi)
         assert gen1.time_constants(params, config) == want[:3]
+        want = search_reference.price(params, config, 1000.0)
+        assert repr(gen1.evaluate(params, config, 1000.0)) == repr(want)
     ladder.cache_clear()
 
 
@@ -167,8 +190,9 @@ def test_off_grid_schedules_read_a_one_path_table(scheme):
         assert gen1.ladder_success_probs(params, config) == probs
         want = schedule_summary(scheme, rounds, params.eps_g, params.xi)
         assert gen1.time_constants(params, config) == want[:3]
-        table, _ = gen1._table_row(params, config)
-        assert table.grid == tuple((m,) for m in rounds)
+        want = search_reference.price(params, config, 1000.0)
+        assert repr(gen1.evaluate(params, config, 1000.0)) == repr(want)
+        assert gen1._path(params, config).grid == tuple((m,) for m in rounds)
     ladder.cache_clear()
 
 
@@ -230,3 +254,20 @@ def test_shared_qps_columns_do_not_depend_on_the_table_order():
         gen1._one_path.cache_clear()
     # one qps computation per scheme and grid; one-path tables never enter the cache
     assert gen1._grid_qps_columns.cache_info().misses == 4
+
+
+def test_one_schedule_readers_keep_the_search_tables():
+    # every reader of one schedule, in the default grid and off it, reads the
+    # schedule's own one-path table: no grid cache gets an entry
+    caches.clear_all()
+    params = HardwareParams(eps_g=2e-3)
+    schedules = [(0, 1), (2, 0, 1), (1,) * 8, (3, 1), (5, 0, 1, 2, 3, 4, 5, 0, 1, 2)]
+    for scheme in ("deutsch", "dur"):
+        for rounds in schedules:
+            config = Gen1Config(scheme, len(rounds) - 1, rounds)
+            gen1.evaluate(params, config, 1000.0)
+            gen1.waiting_time(params, config, 1000.0)
+            gen1.time_constants(params, config)
+            gen1.ladder_success_probs(params, config)
+    assert caches.sizes(caches.GRID) == dict.fromkeys(caches.GRID, 0)
+    assert gen1._one_path.cache_info().currsize == 2 * len(schedules)

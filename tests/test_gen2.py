@@ -223,10 +223,15 @@ def test_evaluators_equal_the_scalar_fold(
 
 
 def test_one_configuration_readers_keep_the_search_tables():
-    # more one-configuration evaluations than the table cache holds must leave
-    # the search's availability tables in it for the next gate error
+    # the evaluators alone fill no grid cache; more one-configuration
+    # evaluations than the table cache holds must leave the search's
+    # availability tables in it for the next gate error
     caches.clear_all()
     params = HardwareParams()
+    gen2.evaluate_no_encoding(params, Gen2NoEncConfig(4, 10.0), 1000.0)
+    gen2.evaluate_encoded(params, Gen2EncConfig(STEANE, 64, 10.0), 1000.0)
+    assert caches.sizes(caches.GRID) == dict.fromkeys(caches.GRID, 0)
+    assert gen2._one_availability.cache_info().currsize == 2
     optimize.optimize_all(params, 1000.0)
     for memories in range(1, gen2._availability.cache_info().maxsize + 44):
         gen2.evaluate_no_encoding(params, Gen2NoEncConfig(memories, 10.0), 1000.0)

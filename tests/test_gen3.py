@@ -13,6 +13,12 @@ from qrcost.core import Gen3Config, HardwareParams
 from qrcost.keyrate import average_qber, secure_fraction
 
 
+def _one_code_batch(n, m, mu, eps_q):
+    """(ratio_z, ratio_x, p_unknown, ok) of one code at one transmissivity:
+    the one row of its one-code batch, as gen3.evaluate computes it."""
+    return tuple(a.item() for a in gen3.station_outcome((n,), (m,), (mu,), eps_q))
+
+
 def test_transmissivity():
     assert math.isclose(gen3.transmissivity(0.95, 1.0, 20.0), 0.9036679532756783, rel_tol=1e-15)
     assert gen3.transmissivity(1.0, 0.0, 20.0) == 1.0
@@ -59,7 +65,7 @@ def test_unknown_probability_falls_with_transmission():
     for n, m in [(3, 3), (4, 4), (5, 2)]:
         last = None
         for mu in [0.55, 0.65, 0.75, 0.85, 0.95, 0.99]:
-            _, _, pu, ok = gen3.station_outcome(n, m, mu, 0.01)
+            _, _, pu, ok = _one_code_batch(n, m, mu, 0.01)
             assert ok
             if last is not None:
                 assert pu < last
@@ -70,7 +76,7 @@ def test_station_outcome_consistent_with_decode_probs():
     for n, m, mu, eps in [(5, 5, 0.9, 0.01), (3, 4, 0.8, 0.02), (8, 2, 0.95, 0.005)]:
         pcz, piz, puz = gen3.decode_probs(n, m, mu, eps, "z")
         pcx, pix, pux = gen3.decode_probs(n, m, mu, eps, "x")
-        ratio_z, ratio_x, pu, ok = gen3.station_outcome(n, m, mu, eps)
+        ratio_z, ratio_x, pu, ok = _one_code_batch(n, m, mu, eps)
         assert ok
         assert math.isclose(ratio_z, (pcz - piz) / (pcz + piz), rel_tol=1e-12)
         assert math.isclose(ratio_x, (pcx - pix) / (pcx + pix), rel_tol=1e-12)
@@ -83,7 +89,7 @@ def test_evaluate_matches_station_composition():
     res = gen3.evaluate(params, config, 600.0)
     stations = 300
     mu = 0.95 * math.exp(-2.0 / 20.0)
-    ratio_z, ratio_x, pu, ok = gen3.station_outcome(7, 4, mu, 7.5e-4)
+    ratio_z, ratio_x, pu, ok = _one_code_batch(7, 4, mu, 7.5e-4)
     assert ok and res.feasible
     q_z = 0.5 * (1.0 - ratio_z**stations)
     q_x = 0.5 * (1.0 - ratio_x**stations)
@@ -140,7 +146,8 @@ _CODE = st.tuples(st.integers(1, 24), st.integers(1, 24))
     st.lists(_CODE, max_size=12), st.lists(st.floats(0.0, 1.0), max_size=3), st.data(),
 )
 def test_batch_row_equals_scalar_station_outcome(code, mu, eps, others, other_mus, data):
-    # a row does not depend on the batch that holds it
+    # a row does not depend on the batch that holds it: it equals the
+    # one-code batch that gen3.evaluate computes
     codes = list(others)
     codes.insert(data.draw(st.integers(0, len(codes))), code)
     mus = list(other_mus)
@@ -150,7 +157,7 @@ def test_batch_row_equals_scalar_station_outcome(code, mu, eps, others, other_mu
     n, m = tuple(c[0] for c in codes), tuple(c[1] for c in codes)
     batch = gen3.station_outcome(n, m, tuple(mus), eps)
     row = tuple(a[i, j].item() for a in batch)
-    assert repr(row) == repr(gen3.station_outcome(*code, mu, eps))
+    assert repr(row) == repr(_one_code_batch(*code, mu, eps))
 
 
 @settings(max_examples=60, deadline=None)
@@ -206,10 +213,15 @@ def test_shared_layouts_do_not_depend_on_the_cell_order():
 
 
 def test_one_code_readers_keep_the_search_layouts():
-    # one-code readers at more transmissivities than the layout cache holds
-    # must leave the search's layout in it for the next gate error
+    # one-code readers alone fill no grid cache; at more transmissivities
+    # than the layout cache holds they must leave the search's layout in it
+    # for the next gate error
     caches.clear_all()
     params = HardwareParams()
+    for config in (Gen3Config(4, 3, 0.5), Gen3Config(30, 30, 1.0), Gen3Config(5, 5, 20.0)):
+        gen3.evaluate(params, config, 1000.0)
+    assert caches.sizes(caches.GRID) == dict.fromkeys(caches.GRID, 0)
+    assert gen3._one_mu_layout.cache_info().currsize == 2  # 20 km leaves mu below 1/2
     optimize.optimize_family("gen3", params, 1000.0)
     for k in range(gen3._grid_layout.cache_info().maxsize + 1):
         gen3.evaluate(params, Gen3Config(4, 3, 0.5 + 0.01 * k), 1000.0)

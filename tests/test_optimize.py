@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -10,7 +12,7 @@ import search_reference
 import station_reference
 from search_reference import reference_optimum
 
-from qrcost import gen1, gen3, optimize
+from qrcost import gen1, gen2, gen3, optimize
 from qrcost.core import (
     ATTENUATION_KM,
     CSS_CATALOG,
@@ -39,6 +41,7 @@ from qrcost.optimize import (
     report_row,
     sweep,
 )
+from qrcost.oracles import mc_gen1_waiting_time
 
 # small space keeping grid-shaped tests fast
 _SMALL = SearchSpace(
@@ -432,8 +435,8 @@ def _term_rows(family, space, cell):
 
 def test_gen3_cell_pass_equals_per_configuration_pricing():
     # the frontier's terms, from one array pass per cell, against each
-    # configuration priced alone through gen3._throughput (the path of
-    # gen3.evaluate): the same rows in the same order, zero-x rows left out
+    # configuration's scalar fold (station_reference.throughput): the same
+    # rows in the same order, zero-x rows left out
     space = SearchSpace()
     spec = FAMILY_TABLE["gen3"]
     for params, l_tot in itertools.product(_GEN3_CELL_POINTS, (100.0, 1000.0, 10000.0)):
@@ -497,16 +500,28 @@ def test_frontier_equals_per_configuration_reference(family, space, eta, eps, l_
 
 
 def test_gen3_throughput_equals_scalar_reference():
-    space = SearchSpace()
+    # every default-grid configuration at five points, read off the batch the
+    # search runs; x is 0 at the spacings that no code survives
+    s = SearchSpace().gen3
+    grid = s.min_n, s.max_n, s.min_m, s.max_m, s.max_photons
+    n_values, m_values, _ = gen3.codes(*grid)
     for params in _GEN3_CELL_POINTS[1::3]:
         eps_q = gen3.photon_error_rate(params)
-        for config in search_reference.configs("gen3", 1000.0, space):
-            n, m, spacing = config.n, config.m, config.spacing_km
-            want = station_reference.throughput(
-                params.eta_c, params.l_att, eps_q, n, m, spacing, 1000.0
-            )
-            got, _, _ = gen3._throughput(params, config, 1000.0)
-            assert repr(got) == repr(want), (params, n, m, spacing)
+        live, x, _, _ = gen3.throughput(params, grid, s.spacings_km, 1000.0)
+        rows = dict(zip(live, x.tolist()))
+        for i, spacing in enumerate(s.spacings_km):
+            for j, (n, m) in enumerate(zip(n_values, m_values)):
+                want = station_reference.throughput(
+                    params.eta_c, params.l_att, eps_q, n, m, spacing, 1000.0
+                )
+                got = rows[i][j] if i in rows else 0.0
+                assert repr(got) == repr(want), (params, n, m, spacing)
+    # gen3.evaluate, which computes each code alone, at every configuration
+    # of the point where every spacing is live
+    params = HardwareParams(eta_c=1.0, eps_g=3e-3)
+    for config in search_reference.configs("gen3", 1000.0, SearchSpace()):
+        want = search_reference.price(params, config, 1000.0)
+        assert repr(gen3.evaluate(params, config, 1000.0)) == repr(want), config
 
 
 _FIXED_CONFIGS = {
@@ -515,6 +530,26 @@ _FIXED_CONFIGS = {
     "gen2_enc": [Gen2EncConfig(GOLAY, 64, 5.0, 5), Gen2EncConfig(GOLAY, 128, 20.0, 10)],
     "gen3": [Gen3Config(4, 3, 1.5), Gen3Config(10, 6, 4.0), Gen3Config(2, 2, 0.5)],
 }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_every_entry_point_rejects_a_bad_distance(bad):
+    # one check with one message (core._check_distance), whatever the family
+    params = HardwareParams()
+    configs = [group[0] for group in _FIXED_CONFIGS.values()]
+    schedule = Gen1Config("deutsch", 1, (0, 0))
+    calls = [
+        *(functools.partial(optimize_family, family, params, bad) for family in FAMILIES),
+        *(functools.partial(evaluate_config, params, config, bad) for config in configs),
+        functools.partial(gen1.waiting_time, params, schedule, bad),
+        functools.partial(mc_gen1_waiting_time, "deutsch", 1, (0, 0), params, bad, trials=10),
+        functools.partial(gen2.segment_count, bad, 10.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"l_tot_km must be finite and > 0, got {bad}")):
+            call()
+    with pytest.raises(ValueError, match=re.escape(f"spacing_km must be finite and > 0, got {bad}")):
+        gen2.segment_count(1000.0, bad)
 
 
 @settings(max_examples=60, deadline=None)

@@ -200,8 +200,8 @@ def test_pump_schedule_schemes_differ():
     for scheme in ("deutsch", "dur"):
         state, probs = pump_schedule(pair, 2, params.eps_g, params.xi, scheme)
         config = Gen1Config(scheme, 0, (2,))
-        table, i = gen1._table_row(params, config)
-        assert tuple(w[i].item() for w in table.states[0].as_tuple()) == state.as_tuple()
+        table = gen1._path(params, config)
+        assert tuple(w.item(0) for w in table.states[0].as_tuple()) == state.as_tuple()
         assert gen1.ladder_success_probs(params, config) == (probs,)
 
 
