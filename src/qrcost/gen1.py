@@ -23,12 +23,14 @@ search bounds (max_levels, max_rounds). It advances every prefix of a level
 at once, as one batch of states, and each row gets exactly the float
 operations of a one-schedule fold, so a row does not depend on the table
 that holds it. The optimizer reads each level's summary columns whole and
-prices a row through `price`. Every reader of one schedule (evaluate,
-waiting_time, time_constants, ladder_success_probs) reads row 0 of each
-level of the schedule's own one-path table, which has a cache of its own,
-so it never evicts a grid table. The qubits per station of every row
-depend on the scheme and the grid only, so every table of a search grid,
-at any (eps_g, xi), shares one set of qps columns (`_grid_qps_columns`).
+prices a row through `price`; a search's table keeps only those columns, and
+only while its cell is searched (optimize._frontier keeps the cell's
+result). Every reader of one schedule (evaluate, waiting_time,
+time_constants, ladder_success_probs) reads row 0 of each level of the
+schedule's own one-path table, which has a cache of its own, so it never
+evicts a grid table. The qubits per station of every row depend on the
+scheme and the grid only, so every table of a search grid, at any
+(eps_g, xi), shares one set of qps columns (`_grid_qps_columns`).
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    GEN1_SCHEMES,
     BellDiagonalState,
     CostResult,
     Gen1Config,
@@ -56,8 +59,10 @@ class _Table(NamedTuple):
     lexicographic order."""
 
     grid: tuple[tuple[int, ...], ...]
-    states: tuple[BellDiagonalState, ...]  # per level, one batch over its rows
-    probs: tuple[np.ndarray, ...]  # per level, [parent row, round] success probabilities
+    # per level, one batch over its rows, and the [parent row, round] success
+    # probabilities; both empty in a search's table (see _schedule_summary)
+    states: tuple[BellDiagonalState, ...]
+    probs: tuple[np.ndarray, ...]
     # per level, the summary columns (alpha, beta, gamma, r, qps) over its
     # rows; qps holds Python ints (object dtype) where an int64 could overflow
     columns: tuple[tuple[np.ndarray, ...], ...]
@@ -130,14 +135,19 @@ def _build_table(
     return _Table(grid, tuple(states), tuple(probs), tuple(columns))
 
 
-@lru_cache(maxsize=32)
+# The search reads a cell's tables once, and its rare unpruned fallback at
+# the same point reads them again; optimize._frontier keeps what a later
+# point needs. So keep the tables of one cell: one per scheme.
+@lru_cache(maxsize=len(GEN1_SCHEMES))
 def _schedule_summary(
     scheme: str, eps_g: float, xi: float, max_levels: int, max_rounds: int
 ) -> _Table:
-    """The table of every schedule at most max_levels deep with at most
-    max_rounds rounds per level."""
+    """The summary columns of every schedule at most max_levels deep with at
+    most max_rounds rounds per level; the search reads nothing else, so the
+    states and success probabilities are dropped."""
     grid = (tuple(range(max_rounds + 1)),) * (max_levels + 1)
-    return _build_table(scheme, eps_g, xi, grid, _grid_qps_columns(scheme, grid))
+    table = _build_table(scheme, eps_g, xi, grid, _grid_qps_columns(scheme, grid))
+    return table._replace(states=(), probs=())
 
 
 @lru_cache(maxsize=256)

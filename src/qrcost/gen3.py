@@ -12,7 +12,9 @@ codes at transmissivities, each row with the float operations of a one-code
 fold, so a code's numbers do not depend on the table that holds it. The
 search computes a cell's throughputs in one pass over its grid; `evaluate`
 runs the same pass over its code alone at its spacing. Both turn a
-throughput into a cost through `price`.
+throughput into a cost through `price`. Only a search's station batch is
+cached (`station_outcome`), since it holds no distance; evaluate's batch of
+one code at one transmissivity is computed afresh.
 
 A pass splits into a layout and a vote. The layout (`_layout`) holds the
 vote rows and the pmf of each row's arrived count; it reads the codes and
@@ -33,8 +35,6 @@ from .binom import binomial_pmf, binomial_pmf_rows  # noqa: F401
 from .core import CostResult, Gen3Config, HardwareParams, _check_distance, libm
 from .keyrate import average_qber, parity_flip, secure_fraction_rows
 
-# a cell's tables take up to about 0.2 MB, so keep as many as optimize._frontier
-_TABLE_CACHE_SIZE = 256
 # floats per temporary array of a vote pass (128 KB): bounds the peak memory
 # of a cell pass and keeps wide codes (n or m in the thousands) within reach
 _BLOCK = 1 << 14
@@ -163,13 +163,12 @@ def _layout(n: tuple, m: tuple, mu: tuple) -> _Layout:
 # (6,200 vote rows of up to 21 arrived counts) takes about 1.1 MB; keep the
 # live couplings of a default region map (5 of 10) and more.
 _grid_layout = lru_cache(maxsize=16)(_layout)
-# a batch at one transmissivity (an evaluate's, of its code alone) has a
-# cache of its own, so it never evicts a search's layout
-_one_mu_layout = lru_cache(maxsize=64)(_layout)
+# a batch of one code at one transmissivity (an evaluate's) has a cache of
+# its own, so it never evicts a search's layout
+_one_code_layout = lru_cache(maxsize=64)(_layout)
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def station_outcome(n: tuple, m: tuple, mu: tuple, eps_q: float) -> tuple[np.ndarray, ...]:
+def _station_outcome(n: tuple, m: tuple, mu: tuple, eps_q: float) -> tuple[np.ndarray, ...]:
     """Per-station decode summary (ratio_z, ratio_x, p_unknown, ok) of every
     code (n[j], m[j]) at every transmissivity mu[i], as four read-only arrays
     [i, j], from one _votes call over the rows of the batch's layout.
@@ -180,7 +179,7 @@ def station_outcome(n: tuple, m: tuple, mu: tuple, eps_q: float) -> tuple[np.nda
     undecidable. ok is False where the code never decodes (ratios 0,
     p_unknown 1).
     """
-    layout = (_grid_layout if len(mu) > 1 else _one_mu_layout)(n, m, mu)
+    layout = (_grid_layout if len(n) * len(mu) > 1 else _one_code_layout)(n, m, mu)
     block, z = layout.block, len(layout.block_m)
     pc, pi, pu = _votes(
         layout.trials,
@@ -207,6 +206,14 @@ def station_outcome(n: tuple, m: tuple, mu: tuple, eps_q: float) -> tuple[np.nda
     return rows
 
 
+# A search's batch serves its cell at every distance: an l_tot sweep reads
+# its one cell's batch at each value (7 of 8 hits in an 8-value sweep), and
+# no other command reads a batch twice. An entry of the default search takes
+# about 0.2 MB, so keep a few. A batch of one code at one transmissivity (an
+# evaluate's) is not cached, so it never evicts a search's batch.
+station_outcome = lru_cache(maxsize=4)(_station_outcome)
+
+
 @lru_cache(maxsize=64)
 def codes(
     min_n: int, max_n: int, min_m: int, max_m: int, max_photons: int
@@ -226,22 +233,6 @@ def codes(
     )
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _throughput_table(grid: tuple, mu: tuple, eps_q: float, stations: tuple) -> np.ndarray:
-    """x = p_succ * r of every code of the grid (see codes) at every
-    transmissivity mu[i] over stations[i] stations, [i, j]; 0 where the code
-    never decodes."""
-    n, m, _ = codes(*grid)
-    ratio_z, ratio_x, p_unknown, ok = station_outcome(n, m, mu, eps_q)
-    stations = np.array(stations, dtype=object)[:, None]  # Python ints, as math.ceil gives
-    p_succ = libm(pow, 1.0 - p_unknown, stations)
-    q_x, q_z = parity_flip(ratio_x, stations), parity_flip(ratio_z, stations)
-    r = secure_fraction_rows(average_qber(q_x, q_z).ravel()).reshape(ok.shape)
-    x = np.where(ok, p_succ * r, 0.0)
-    x.flags.writeable = False
-    return x
-
-
 def throughput(
     params: HardwareParams, grid: tuple, spacings_km: tuple, l_tot_km: float
 ) -> tuple[list[int], np.ndarray, tuple[int, ...], list[int]]:
@@ -250,16 +241,22 @@ def throughput(
     exceeds 1/2: no code works at the others, which are ruled out before any
     decode. x[k, j] = p_succ * r is the secret bits per gate time of code j
     at spacing live[k], 0 where the code cannot work, all from one array
-    pass; t0 is not read: the rate is x / t0. stations[i] counts the
-    stations at spacings_km[i]."""
-    _, _, qps = codes(*grid)
+    pass over the station batch of the live spacings; t0 is not read: the
+    rate is x / t0. stations[i] counts the stations at spacings_km[i]."""
+    n, m, qps = codes(*grid)
     stations = [math.ceil(l_tot_km / spacing) for spacing in spacings_km]
     mus = [transmissivity(params.eta_c, spacing, params.l_att) for spacing in spacings_km]
     live = [i for i, mu in enumerate(mus) if mu > 0.5]
     if not live:
         return live, np.zeros((0, len(qps))), qps, stations
-    key = tuple(mus[i] for i in live), photon_error_rate(params), tuple(stations[i] for i in live)
-    return live, _throughput_table(grid, *key), qps, stations
+    mu = tuple(mus[i] for i in live)
+    outcome = station_outcome if len(n) * len(mu) > 1 else _station_outcome
+    ratio_z, ratio_x, p_unknown, ok = outcome(n, m, mu, photon_error_rate(params))
+    live_stations = np.array([stations[i] for i in live], dtype=object)[:, None]  # Python ints
+    p_succ = libm(pow, 1.0 - p_unknown, live_stations)
+    q_x, q_z = parity_flip(ratio_x, live_stations), parity_flip(ratio_z, live_stations)
+    r = secure_fraction_rows(average_qber(q_x, q_z).ravel()).reshape(ok.shape)
+    return live, np.where(ok, p_succ * r, 0.0), qps, stations
 
 
 def price(params: HardwareParams, l_tot_km: float, x: float, qps: int, stations: int) -> CostResult:

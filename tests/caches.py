@@ -16,22 +16,31 @@ import pkgutil
 
 import qrcost
 
+# Each cache's comment names a command whose hits keep it, measured as
+# hits/lookups with the command run in-process after clear_all().
 GRID = (
+    # no command hits it (0/20 in the default region map): it holds one
+    # cell's tables for the unpruned fallback of the same point
     "gen1._schedule_summary",
-    "gen1._grid_qps_columns",
-    "gen2._availability",
-    "gen3._grid_layout",
-    "optimize._frontier",
+    "gen1._grid_qps_columns",  # default region map and eps_g sweep: 18/20
+    "gen2._availability",  # default region map: 180/200
+    "gen3._grid_layout",  # default region map: 45/50
+    "gen3.station_outcome",  # l_tot sweep of 8 values: 7/8
+    "optimize._frontier",  # default region map: 3,690/4,000
 )
-READER = ("gen1._one_path", "gen2._one_availability", "gen3._one_mu_layout")
+READER = (
+    "gen1._one_path",  # validate all: 5/8
+    # no command evaluates one configuration twice; these serve library
+    # callers that do
+    "gen2._one_availability",
+    "gen3._one_code_layout",
+)
 SHARED = (
-    "gen2._chain_states",
-    "gen2._chain_secure_fraction",
-    "gen2.logical_flip_prob",
-    "gen2._encoded_secure_fraction",
-    "gen3.codes",
-    "gen3.station_outcome",
-    "gen3._throughput_table",
+    "gen2._chain_states",  # default region map: 80/90, eps_g sweep: 80/90
+    "gen2._chain_secure_fraction",  # default region map: 810/900
+    "gen2.logical_flip_prob",  # default region map: 240/270, eps_g sweep: 240/270
+    "gen2._encoded_secure_fraction",  # default region map: 2,430/2,700
+    "gen3.codes",  # default region map: 199/200
 )
 
 

@@ -27,6 +27,14 @@ def _grid_row(rounds, max_rounds):
     return row
 
 
+def _grid_table(scheme, eps_g, xi, max_levels, max_rounds):
+    """The full table of a search grid, states and success probabilities
+    included, built as gen1._schedule_summary builds it before it keeps
+    only the summary columns."""
+    grid = (tuple(range(max_rounds + 1)),) * (max_levels + 1)
+    return gen1._build_table(scheme, eps_g, xi, grid, gen1._grid_qps_columns(scheme, grid))
+
+
 def _level_time(scheme, entry, comm, probs):
     """Expected completion time of one level's pumping, written as the plain
     per-round retry recursion: a failed round retries geometrically, Deutsch
@@ -159,9 +167,10 @@ def test_schedule_table_equals_scalar_fold(eps_g, xi):
     # the grid tables' states and success probabilities, and the readers'
     # one-path tables, at seeded schedules of the grid
     params = HardwareParams(eps_g=eps_g, xi=xi)
+    tables = {scheme: _grid_table(scheme, eps_g, xi, 7, 2) for scheme in ("deutsch", "dur")}
     for config in _seeded_configs(40, max_levels=7):
         state, probs = ladder(config.scheme, config.rounds, eps_g, xi)
-        table = gen1._schedule_summary(config.scheme, eps_g, xi, 7, 2)
+        table = tables[config.scheme]
         row = _grid_row(config.rounds, 2)
         grid_state = tuple(w.item(row) for w in table.states[config.levels].as_tuple())
         assert repr(grid_state) == repr(state.as_tuple())
@@ -218,6 +227,10 @@ def test_readers_use_the_searched_grid_table():
     table = gen1._schedule_summary("dur", params.eps_g, params.xi, 2, 1)
     assert gen1._schedule_summary.cache_info().currsize == 2  # the search's table
     assert table.grid == ((0, 1),) * 3
+    # the search reads the summary columns only; its table keeps nothing else
+    assert table.states == table.probs == ()
+    full = _grid_table("dur", params.eps_g, params.xi, 2, 1)
+    assert _table_text(table) == _table_text(full._replace(states=(), probs=()))
 
 
 def _table_text(table):
@@ -240,7 +253,7 @@ def test_shared_qps_columns_do_not_depend_on_the_table_order():
 
     def build(kind, scheme, eps_g, shape):
         if kind == "grid":
-            return _table_text(gen1._schedule_summary(scheme, eps_g, 2.5e-4, *shape))
+            return _table_text(_grid_table(scheme, eps_g, 2.5e-4, *shape))
         return _table_text(gen1._one_path(scheme, eps_g, 2.5e-4, shape))
 
     cold = {}
@@ -250,7 +263,6 @@ def test_shared_qps_columns_do_not_depend_on_the_table_order():
     caches.clear_all()
     for table in tables + tables[::-1] + random.Random(2).sample(tables, len(tables)):
         assert build(*table) == cold[table], table
-        gen1._schedule_summary.cache_clear()
         gen1._one_path.cache_clear()
     # one qps computation per scheme and grid; one-path tables never enter the cache
     assert gen1._grid_qps_columns.cache_info().misses == 4
