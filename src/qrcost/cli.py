@@ -21,7 +21,7 @@ from . import __version__ as _VERSION
 from . import config as cfgmod
 from . import gen1, gen3, optimize, oracles
 from .config import ConfigError
-from .core import Gen1Config, HardwareParams, validate_hardware
+from .core import Gen1Config, HardwareParams, _check_distance, validate_hardware
 
 SCHEMA_VERSION = 1
 _UNITS = "distances km, times s, rates sbit/s, cost qubit*s/sbit, cost_coeff qubit*s/(sbit*km)"
@@ -108,11 +108,13 @@ def _dataset(command: str, cfg, sections: tuple[str, ...], rows: list[dict]) -> 
 def _axis_problems(params: HardwareParams, axis: str, values) -> list[str]:
     problems = []
     for value in values:
-        if axis == "l_tot":
-            if not 0.0 < value < math.inf:
-                problems.append(f"l_tot grid value must be finite and > 0, got {value}")
+        if axis != "l_tot":
+            problems.extend(validate_hardware(params.with_(**{axis: value})))
             continue
-        problems.extend(validate_hardware(params.with_(**{axis: value})))
+        try:
+            _check_distance("l_tot grid value", value)
+        except ValueError as exc:
+            problems.append(str(exc))
     return problems
 
 

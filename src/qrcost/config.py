@@ -10,14 +10,13 @@ probabilities throughout.
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import fields
 from typing import Optional
 
 import numpy as np
 
-from .core import CSS_CATALOG, CssCode, HardwareParams, validate_hardware
+from .core import CSS_CATALOG, CssCode, HardwareParams, _check_distance, validate_hardware
 from .optimize import FAMILIES, FAMILY_TABLE, SWEEP_AXES, SearchSpace
 
 ENV_CONFIG_PATH = "QRCOST_CONFIG"
@@ -208,8 +207,7 @@ def hardware(cfg) -> HardwareParams:
 
 def total_distance(cfg) -> float:
     l_tot = _float(cfg, "hardware", "l_tot")
-    if not 0.0 < l_tot < math.inf:
-        raise ConfigError(f"hardware.l_tot must be finite and > 0, got {l_tot}")
+    _check_distance("hardware.l_tot", l_tot, ConfigError)
     return l_tot
 
 

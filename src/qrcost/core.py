@@ -170,10 +170,21 @@ class Gen1Config:
             raise ValueError("purification rounds must be >= 0")
 
 
-def _check_distance(name: str, value: float) -> None:
-    """Every distance in km must be finite and > 0."""
+def _check_distance(name: str, value: float, error: type = ValueError) -> None:
+    """Every distance in km must be finite and > 0; raises `error` if not."""
     if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
+        raise error(f"{name} must be finite and > 0, got {value}")
+
+
+def segment_count(l_tot_km: float, spacing_km: float) -> int:
+    """Fewest segments n whose computed length l_tot_km / n is at most
+    spacing_km, counted down from one above the ceiling of the quotient."""
+    _check_distance("l_tot_km", l_tot_km)
+    _check_distance("spacing_km", spacing_km)
+    count = math.ceil(l_tot_km / spacing_km) + 1
+    while count > 1 and l_tot_km / (count - 1) <= spacing_km:
+        count -= 1
+    return count
 
 
 def _check_swap_chain(config) -> None:

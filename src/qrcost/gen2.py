@@ -1,14 +1,16 @@
 """Multiplexed swap chains, bare or with CSS-encoded logical pairs.
 
-Both variants divide the total distance into R = ceil(L_tot / L0) segments
-and swap simultaneously once every segment holds entanglement. Multiplexing
-M memory pairs per segment (with n_EG generation attempts pooled per cycle)
-raises the per-cycle availability; one cycle lasts n_EG * (L0/c + t0).
+Both variants split the total distance into R = segment_count(L_tot, L0)
+segments and swap simultaneously once every segment holds entanglement.
+Multiplexing M memory pairs per segment (with n_EG generation attempts
+pooled per cycle) raises the per-cycle availability; one cycle lasts
+n_EG * (L0/c + t0).
 
-The search computes a cell's throughputs in one array pass over its grid
-(`throughput`), and the evaluators run the same pass over a grid of their
-one configuration, so a configuration's numbers do not depend on the grid
-that holds it; both turn a throughput into a cost through `price`.
+The search computes a cell's throughputs, secure fractions included, in one
+array pass over its grid (`throughput`); the evaluators run the same pass,
+uncached, over a grid of their one configuration, so a configuration's
+numbers do not depend on the grid that holds it. Both turn a throughput
+into a cost through `price`.
 """
 from __future__ import annotations
 
@@ -23,42 +25,31 @@ from .core import (
     CostResult,
     CssCode,
     HardwareParams,
-    _check_distance,
     libm,
+    segment_count,
 )
-from .keyrate import average_qber, parity_flip, secure_fraction
+from .keyrate import average_qber, parity_flip, secure_fraction_rows
 from .pairs import elementary_pair, heg_success_prob, swap
 
-_CACHE_SIZE = 1 << 16
-# availability tables of a search's grids, up to a few KB each; as many as
-# optimize._frontier keeps. One-configuration tables take under 1 KB.
-_TABLE_CACHE_SIZE = 256
 
-
-def segment_count(l_tot_km: float, spacing_km: float) -> int:
-    _check_distance("l_tot_km", l_tot_km)
-    _check_distance("spacing_km", spacing_km)
-    return math.ceil(l_tot_km / spacing_km)
-
-
-# _chain_secure_fraction keeps each fraction, so a chain is read only while
-# the first searches of its (eps_g, xi) ask for new segment counts, one after
-# another: 80 of 90 lookups hit in the default region map and eps_g sweep,
-# and no command comes back to an earlier chain of up to 1,024 states
+# Every cell pass of the bare chain at one (eps_g, xi) reads its chain: 90 of
+# 100 lookups hit in the default region map (eps_g outermost), and no command
+# comes back to an earlier chain of up to 1,024 states
 @lru_cache(maxsize=4)
 def _chain_states(eps_g: float, xi: float) -> list[BellDiagonalState]:
     """End-to-end states of 1, 2, ... swapped elementary pairs, extended on
-    demand by _chain_secure_fraction."""
+    demand by _chain_fractions."""
     return [elementary_pair(eps_g)]
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _chain_secure_fraction(eps_g: float, xi: float, segments: int) -> float:
+def _chain_fractions(eps_g: float, xi: float, segments: list[int]) -> np.ndarray:
+    """Secure fraction of the bare chain at each segment count, from one
+    secure_fraction_rows call over its states, swapped out to the longest."""
     states = _chain_states(eps_g, xi)
-    while len(states) < segments:
+    while len(states) < max(segments, default=0):
         states.append(swap(states[-1], states[0], eps_g, xi))
-    state = states[segments - 1]
-    return secure_fraction(average_qber(state.qber_x, state.qber_z))
+    qber = [average_qber(states[n - 1].qber_x, states[n - 1].qber_z) for n in segments]
+    return secure_fraction_rows(np.array(qber, dtype=float))
 
 
 def link_availability(p_gen: float, attempts: int) -> float:
@@ -84,23 +75,20 @@ def physical_error_rate(params: HardwareParams) -> float:
     return eps
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+# a cell pass of the encoded chain looks up each code once; the cells of one
+# eps_g share the flips: 270 of 300 hits in the default region map
+@lru_cache(maxsize=8)
 def logical_flip_prob(code: CssCode, eps: float) -> float:
     """Probability that more than t physical errors land on one code block,
     flipping the decoded logical value."""
     return tail_at_least(code.n_phys, eps, code.t + 1)
 
 
-def encoded_qber(code: CssCode, eps: float, segments: int) -> float:
-    """QBER of the end-to-end logical pair after `segments` encoded links."""
+def encoded_qber(code: CssCode, eps: float, segments):
+    """QBER of the end-to-end logical pair after `segments` encoded links; a
+    number, or an array elementwise."""
     p_flip = logical_flip_prob(code, eps)
     return parity_flip(1.0 - 2.0 * p_flip, segments)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _encoded_secure_fraction(code: CssCode, eps: float, segments: int) -> float:
-    """Secure fraction of the encoded chain; one per (code, segments) of a cell."""
-    return secure_fraction(encoded_qber(code, eps, segments))
 
 
 def price(
@@ -150,10 +138,9 @@ def _availability_table(
     return avail
 
 
-_availability = lru_cache(maxsize=_TABLE_CACHE_SIZE)(_availability_table)
-# the grid of one configuration (an evaluator's) has a cache of its own, so a
-# caller pricing many configurations one at a time never evicts a search's table
-_one_availability = lru_cache(maxsize=_TABLE_CACHE_SIZE)(_availability_table)
+# availability tables of a search's grids, up to a few KB each: the default
+# region map cycles through 20 at one worker (10 eta_c x 2 families), 180/200 hits
+_availability = lru_cache(maxsize=64)(_availability_table)
 
 
 def throughput(
@@ -172,13 +159,14 @@ def throughput(
     the segments at spacing s. t0 is not read: the rate is x / cycle."""
     segments = [segment_count(l_tot_km, spacing) for spacing in spacings_km]
     if codes == (None,):
-        r = [[_chain_secure_fraction(params.eps_g, params.xi, n) for n in segments]]
+        r = _chain_fractions(params.eps_g, params.xi, segments)
     else:
-        eps = physical_error_rate(params)
-        r = [[_encoded_secure_fraction(code, eps, n) for n in segments] for code in codes]
+        eps, counts = physical_error_rate(params), np.array(segments, dtype=int)
+        r = secure_fraction_rows(np.concatenate([encoded_qber(c, eps, counts) for c in codes]))
     grid = tuple(spacings_km), tuple(memories), tuple(gen_rounds), codes
-    table = _one_availability if all(len(axis) == 1 for axis in grid) else _availability
+    # an evaluator's one-configuration grid is not cached, so it never evicts a search's table
+    table = _availability_table if all(len(axis) == 1 for axis in grid) else _availability
     avail = table(params.eta_c, params.l_att, *grid)
     shape = (len(codes), len(segments), 1, 1)
     powered = libm(pow, avail, np.array(segments, dtype=object).reshape(shape[1:]))
-    return powered * np.array(r, dtype=float).reshape(shape), segments
+    return powered * r.reshape(shape), segments

@@ -12,9 +12,10 @@ codes at transmissivities, each row with the float operations of a one-code
 fold, so a code's numbers do not depend on the table that holds it. The
 search computes a cell's throughputs in one pass over its grid; `evaluate`
 runs the same pass over its code alone at its spacing. Both turn a
-throughput into a cost through `price`. Only a search's station batch is
-cached (`station_outcome`), since it holds no distance; evaluate's batch of
-one code at one transmissivity is computed afresh.
+throughput into a cost through `price`. Only a search's station batch and
+its layout are cached (`station_outcome`, `_grid_layout`), since they hold
+no distance; evaluate's batch of one code at one transmissivity and its
+layout are computed afresh.
 
 A pass splits into a layout and a vote. The layout (`_layout`) holds the
 vote rows and the pmf of each row's arrived count; it reads the codes and
@@ -32,7 +33,7 @@ import numpy as np
 
 # binomial_pmf is not called here; the benchmark's tracer hooks this name
 from .binom import binomial_pmf, binomial_pmf_rows  # noqa: F401
-from .core import CostResult, Gen3Config, HardwareParams, _check_distance, libm
+from .core import CostResult, Gen3Config, HardwareParams, libm, segment_count
 from .keyrate import average_qber, parity_flip, secure_fraction_rows
 
 # floats per temporary array of a vote pass (128 KB): bounds the peak memory
@@ -163,15 +164,12 @@ def _layout(n: tuple, m: tuple, mu: tuple) -> _Layout:
 # (6,200 vote rows of up to 21 arrived counts) takes about 1.1 MB; keep the
 # live couplings of a default region map (5 of 10) and more.
 _grid_layout = lru_cache(maxsize=16)(_layout)
-# a batch of one code at one transmissivity (an evaluate's) has a cache of
-# its own, so it never evicts a search's layout
-_one_code_layout = lru_cache(maxsize=64)(_layout)
 
 
-def _station_outcome(n: tuple, m: tuple, mu: tuple, eps_q: float) -> tuple[np.ndarray, ...]:
+def _station_outcome(layout: _Layout, eps_q: float) -> tuple[np.ndarray, ...]:
     """Per-station decode summary (ratio_z, ratio_x, p_unknown, ok) of every
-    code (n[j], m[j]) at every transmissivity mu[i], as four read-only arrays
-    [i, j], from one _votes call over the rows of the batch's layout.
+    entry of a layout (see _layout), as four flat arrays, from one _votes
+    call over the layout's rows.
 
     ratio_z/ratio_x are the conditional correctness biases
     (p_correct - p_incorrect) / (p_correct + p_incorrect) of the Z and X
@@ -179,7 +177,6 @@ def _station_outcome(n: tuple, m: tuple, mu: tuple, eps_q: float) -> tuple[np.nd
     undecidable. ok is False where the code never decodes (ratios 0,
     p_unknown 1).
     """
-    layout = (_grid_layout if len(n) * len(mu) > 1 else _one_code_layout)(n, m, mu)
     block, z = layout.block, len(layout.block_m)
     pc, pi, pu = _votes(
         layout.trials,
@@ -199,19 +196,21 @@ def _station_outcome(n: tuple, m: tuple, mu: tuple, eps_q: float) -> tuple[np.nd
     ratio_z, ratio_x = np.zeros(len(ok)), np.zeros(len(ok))
     ratio_z[ok] = libm(pow, d[ok] / s[ok], n[ok])
     ratio_x[ok] = (pc_x[ok] - pi_x[ok]) / s_x[ok]
-    rows = ratio_z, ratio_x, np.where(ok, p_unknown, 1.0), ok
-    rows = tuple(a.reshape(len(mu), -1) for a in rows)
-    for a in rows:
-        a.flags.writeable = False
-    return rows
+    return ratio_z, ratio_x, np.where(ok, p_unknown, 1.0), ok
 
 
 # A search's batch serves its cell at every distance: an l_tot sweep reads
 # its one cell's batch at each value (7 of 8 hits in an 8-value sweep), and
 # no other command reads a batch twice. An entry of the default search takes
-# about 0.2 MB, so keep a few. A batch of one code at one transmissivity (an
-# evaluate's) is not cached, so it never evicts a search's batch.
-station_outcome = lru_cache(maxsize=4)(_station_outcome)
+# about 0.2 MB, so keep a few.
+@lru_cache(maxsize=4)
+def station_outcome(n: tuple, m: tuple, mu: tuple, eps_q: float) -> tuple[np.ndarray, ...]:
+    """_station_outcome of every code (n[j], m[j]) at every transmissivity
+    mu[i], from a search's shared layout, as four read-only arrays [i, j]."""
+    rows = tuple(a.reshape(len(mu), -1) for a in _station_outcome(_grid_layout(n, m, mu), eps_q))
+    for a in rows:
+        a.flags.writeable = False
+    return rows
 
 
 @lru_cache(maxsize=64)
@@ -244,14 +243,16 @@ def throughput(
     pass over the station batch of the live spacings; t0 is not read: the
     rate is x / t0. stations[i] counts the stations at spacings_km[i]."""
     n, m, qps = codes(*grid)
-    stations = [math.ceil(l_tot_km / spacing) for spacing in spacings_km]
+    stations = [segment_count(l_tot_km, spacing) for spacing in spacings_km]
     mus = [transmissivity(params.eta_c, spacing, params.l_att) for spacing in spacings_km]
     live = [i for i, mu in enumerate(mus) if mu > 0.5]
     if not live:
         return live, np.zeros((0, len(qps))), qps, stations
-    mu = tuple(mus[i] for i in live)
-    outcome = station_outcome if len(n) * len(mu) > 1 else _station_outcome
-    ratio_z, ratio_x, p_unknown, ok = outcome(n, m, mu, photon_error_rate(params))
+    mu, eps_q = tuple(mus[i] for i in live), photon_error_rate(params)
+    if len(n) * len(mu) > 1:
+        ratio_z, ratio_x, p_unknown, ok = station_outcome(n, m, mu, eps_q)
+    else:  # a batch of one code at one transmissivity (evaluate's) is not cached
+        ratio_z, ratio_x, p_unknown, ok = _station_outcome(_layout(n, m, mu), eps_q)
     live_stations = np.array([stations[i] for i in live], dtype=object)[:, None]  # Python ints
     p_succ = libm(pow, 1.0 - p_unknown, live_stations)
     q_x, q_z = parity_flip(ratio_x, live_stations), parity_flip(ratio_z, live_stations)
@@ -269,7 +270,6 @@ def price(params: HardwareParams, l_tot_km: float, x: float, qps: int, stations:
 def evaluate(params: HardwareParams, config: Gen3Config, l_tot_km: float) -> CostResult:
     """Rate and cost of the one-way parity-code chain, from the table of its
     code alone at its spacing."""
-    _check_distance("l_tot_km", l_tot_km)
     grid = config.n, config.n, config.m, config.m, config.n * config.m  # as codes takes it
     live, x, qps, stations = throughput(params, grid, (config.spacing_km,), l_tot_km)
     return price(params, l_tot_km, x.item(0) if live else 0.0, qps[0], stations[0])

@@ -30,16 +30,10 @@ GRID = (
 )
 READER = (
     "gen1._one_path",  # validate all: 5/8
-    # no command evaluates one configuration twice; these serve library
-    # callers that do
-    "gen2._one_availability",
-    "gen3._one_code_layout",
 )
 SHARED = (
-    "gen2._chain_states",  # default region map: 80/90, eps_g sweep: 80/90
-    "gen2._chain_secure_fraction",  # default region map: 810/900
-    "gen2.logical_flip_prob",  # default region map: 240/270, eps_g sweep: 240/270
-    "gen2._encoded_secure_fraction",  # default region map: 2,430/2,700
+    "gen2._chain_states",  # default region map: 90/100
+    "gen2.logical_flip_prob",  # default region map: 270/300
     "gen3.codes",  # default region map: 199/200
 )
 

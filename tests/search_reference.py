@@ -25,7 +25,14 @@ from chain_reference import schedule_summary, swap_chain
 
 from qrcost import gen1, gen2, gen3
 from qrcost.binom import tail_at_least
-from qrcost.core import Gen1Config, Gen2EncConfig, Gen2NoEncConfig, Gen3Config, HardwareParams
+from qrcost.core import (
+    Gen1Config,
+    Gen2EncConfig,
+    Gen2NoEncConfig,
+    Gen3Config,
+    HardwareParams,
+    segment_count,
+)
 from qrcost.keyrate import average_qber, secure_fraction
 from qrcost.optimize import (
     Candidate,
@@ -61,7 +68,7 @@ def gen2_throughput(params: HardwareParams, config, l_tot_km: float) -> tuple[fl
     """(x, qubits_per_station, segments) of one swap-chain configuration,
     with x = avail**segments * r the secret bits per cycle, and x = 0 when
     the chain cannot work. All segments must be ready in the same cycle."""
-    segments = gen2.segment_count(l_tot_km, config.spacing_km)
+    segments = segment_count(l_tot_km, config.spacing_km)
     qps = 2 * config.memories
     code = getattr(config, "code", None)  # only the encoded chain has one
     if code is None:
@@ -84,7 +91,7 @@ def gen3_throughput(params: HardwareParams, config, l_tot_km: float) -> tuple[fl
         params.eta_c, params.l_att, gen3.photon_error_rate(params),
         config.n, config.m, config.spacing_km, l_tot_km,
     )
-    return x, 2 * config.n * config.m, math.ceil(l_tot_km / config.spacing_km)
+    return x, 2 * config.n * config.m, segment_count(l_tot_km, config.spacing_km)
 
 
 def price(params: HardwareParams, config, l_tot_km: float):

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from qrcost.core import segment_count  # the one rule for every chain's station count
+
 
 def binomial_pmf(trials: int, p: float) -> list[float]:
     """Pmf of Binomial(trials, p), walked outward from the mode."""
@@ -94,7 +96,7 @@ def station_outcome(n: int, m: int, mu: float, eps_q: float) -> tuple[float, flo
 def throughput(eta_c: float, l_att: float, eps_q: float, n: int, m: int, spacing_km: float,
                l_tot_km: float) -> float:
     """x = p_succ * r of one gen3 configuration; 0 when the code cannot work."""
-    stations = math.ceil(l_tot_km / spacing_km)
+    stations = segment_count(l_tot_km, spacing_km)
     mu = eta_c * math.exp(-spacing_km / l_att)
     if mu <= 0.5:
         return 0.0

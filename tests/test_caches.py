@@ -3,8 +3,25 @@ import tracemalloc
 import caches
 import numpy as np
 
-from qrcost import optimize
+from qrcost import cli, optimize
 from qrcost.core import HardwareParams
+
+# Small CLI jobs and the listed caches that each must hit at least once: the
+# traffic the comments of caches.py claim, on smaller inputs
+_JOBS = (
+    (
+        ["region-map", "--set", "region.eta_c=0.8,0.9", "--set", "region.eps_g=1e-3,2e-3",
+         "--set", "region.t0=1e-6,1e-5"],
+        ("gen1._grid_qps_columns", "gen2._availability", "gen3._grid_layout", "optimize._frontier",
+         "gen2._chain_states", "gen2.logical_flip_prob", "gen3.codes"),
+    ),
+    (["sweep", "--set", "sweep.axis=l_tot", "--set", "sweep.values=500,1000,2000"],
+     ("gen3.station_outcome",)),
+    (["validate", "gen1-time", "--trials", "1000"], ("gen1._one_path",)),
+)
+# hit by no command: it holds one cell's tables for the unpruned fallback of
+# the same point, and the benchmark's tracer reads it
+_UNHIT = "gen1._schedule_summary"
 
 
 def test_every_cache_is_named_in_one_list():
@@ -12,6 +29,20 @@ def test_every_cache_is_named_in_one_list():
     listed = caches.GRID + caches.READER + caches.SHARED
     assert len(set(listed)) == len(listed), "a cache is named twice"
     assert sorted(caches.found()) == sorted(listed)
+
+
+def test_every_cache_hits_in_its_job(capsys, monkeypatch):
+    monkeypatch.delenv("QRCOST_CONFIG", raising=False)
+    listed = caches.GRID + caches.READER + caches.SHARED
+    named = [name for _, names in _JOBS for name in names]
+    assert sorted(named + [_UNHIT]) == sorted(listed)
+    for argv, names in _JOBS:
+        caches.clear_all()
+        assert cli.main(argv) == 0, argv
+        hits = {name: cache.cache_info().hits for name, cache in caches.found().items()}
+        assert {name: hits[name] for name in names if hits[name] == 0} == {}, argv
+        assert hits[_UNHIT] == 0, argv
+    capsys.readouterr()
 
 
 def test_memory_stays_flat_across_cold_cells():

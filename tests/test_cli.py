@@ -81,14 +81,17 @@ def test_non_finite_hardware_exits_naming_the_key(capsys):
         ("evaluate", "l_att", "nan"),
         ("evaluate", "t0", "inf"),
         ("evaluate", "c_fiber", "-inf"),
-        ("optimize", "l_tot", "nan"),
-        ("optimize", "l_tot", "inf"),
     ]:
         assert main([command, "--set", f"hardware.{key}={value}"]) == 2, (key, value)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err, (key, value, err)
+    # every total distance goes through one check (core._check_distance)
+    for value in ("nan", "inf"):
+        assert main(["optimize", "--set", f"hardware.l_tot={value}"]) == 2, value
+        want = f"error: hardware.l_tot must be finite and > 0, got {value}\n"
+        assert capsys.readouterr().err == want
     assert main(["sweep", "--set", "sweep.axis=l_tot", "--set", "sweep.values=100,nan"]) == 2
-    assert "l_tot grid value" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: l_tot grid value must be finite and > 0, got nan\n"
 
 
 def test_evaluate_every_family_through_config(capsys, monkeypatch):

@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import caches
+import numpy as np
 import pytest
 import search_reference
 from chain_reference import swap_chain
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qrcost import gen2, optimize
+from qrcost import gen2, gen3, optimize
 from qrcost.binom import tail_at_least
 from qrcost.core import (
     CSS_CATALOG,
@@ -20,6 +21,7 @@ from qrcost.core import (
     CssCode,
     Gen2EncConfig,
     Gen2NoEncConfig,
+    Gen3Config,
     HardwareParams,
 )
 from qrcost.keyrate import average_qber, secure_fraction
@@ -39,6 +41,28 @@ def test_segment_count():
                            (math.nan, 10.0)]:
         with pytest.raises(ValueError):
             gen2.segment_count(l_tot, spacing)
+
+
+@example(1000.0, 61)  # 1000 / (1000 / 61) rounds one ulp above 61
+@given(st.floats(1.0, 40000.0, exclude_min=True, exclude_max=True), st.integers(1, 1024))
+def test_derived_spacing_keeps_its_segment_count(l_tot, k):
+    # a spacing computed as l_tot / k spans l_tot in k segments, whichever way
+    # l_tot / spacing rounds; one ulp less spacing needs one segment more
+    spacing = l_tot / k
+    assert gen2.segment_count(l_tot, spacing) == k
+    assert gen2.segment_count(l_tot, math.nextafter(spacing, 0.0)) == k + 1
+
+
+def test_search_at_a_derived_spacing_counts_its_segments():
+    # the search's spacing 1000 / 61 once made 62 segments; evaluate, the
+    # reference fold and gen3's station count read the same rule
+    params = HardwareParams()
+    space = optimize.SearchSpace(gen2=optimize.Gen2Search(segment_counts=(61,)))
+    best = optimize.optimize_family("gen2_noenc", params, 1000.0, space)
+    assert (best.config.spacing_km, best.result.stations) == (1000.0 / 61, 61)
+    assert gen2.evaluate_no_encoding(params, best.config, 1000.0) == best.result
+    assert search_reference.price(params, best.config, 1000.0) == best.result
+    assert gen3.evaluate(params, Gen3Config(2, 2, 1000.0 / 61), 1000.0).stations == 61
 
 
 def test_link_availability_matches_direct_form():
@@ -68,16 +92,22 @@ def test_link_availability_validation():
 
 def test_chain_state_matches_explicit_fold():
     # the bare chain's cached states, extended to each segment count by the
-    # uncached secure fraction, and that fraction of each state
+    # array pass's fractions, and the fraction of each state, alone or in a
+    # pass over many counts
+    caches.clear_all()
     params = HardwareParams(eta_c=0.9, eps_g=1e-3, t0=1e-6)
     base = elementary_pair(params.eps_g)
-    state = base
+    state, want = base, []
     for segments in range(1, 9):
-        r = gen2._chain_secure_fraction.__wrapped__(params.eps_g, params.xi, segments)
+        r = gen2._chain_fractions(params.eps_g, params.xi, [segments])
         got = gen2._chain_states(params.eps_g, params.xi)[segments - 1]
         assert got.as_tuple() == pytest.approx(state.as_tuple(), rel=1e-12)
-        assert r == secure_fraction(average_qber(got.qber_x, got.qber_z))
+        want.append(secure_fraction(average_qber(got.qber_x, got.qber_z)))
+        assert r.tolist() == want[-1:]
         state = swap(state, base, params.eps_g, params.xi)
+    counts = [8, 1, 3, 3, 6]
+    got = gen2._chain_fractions(params.eps_g, params.xi, counts).tolist()
+    assert got == [want[k - 1] for k in counts]
 
 
 def test_physical_error_rate_composition():
@@ -111,6 +141,10 @@ def test_encoded_qber_identity():
     for segments in (1, 10, 100):
         want = 0.5 * (1.0 - (1.0 - 2.0 * p) ** segments)
         assert math.isclose(gen2.encoded_qber(GOLAY, eps, segments), want, rel_tol=1e-12)
+    # the cell pass's array of segment counts takes each count's scalar bits
+    counts = [1, 10, 100, 7]
+    got = gen2.encoded_qber(GOLAY, eps, np.array(counts)).tolist()
+    assert got == [gen2.encoded_qber(GOLAY, eps, k) for k in counts]
 
 
 def test_evaluate_no_encoding_rate_identity():
@@ -223,15 +257,15 @@ def test_evaluators_equal_the_scalar_fold(
 
 
 def test_one_configuration_readers_keep_the_search_tables():
-    # the evaluators alone fill no grid cache; more one-configuration
-    # evaluations than the table cache holds must leave the search's
-    # availability tables in it for the next gate error
+    # the evaluators alone fill no cache outside the shared ones; more
+    # one-configuration evaluations than the table cache holds must leave the
+    # search's availability tables in it for the next gate error
     caches.clear_all()
     params = HardwareParams()
     gen2.evaluate_no_encoding(params, Gen2NoEncConfig(4, 10.0), 1000.0)
     gen2.evaluate_encoded(params, Gen2EncConfig(STEANE, 64, 10.0), 1000.0)
-    assert caches.sizes(caches.GRID) == dict.fromkeys(caches.GRID, 0)
-    assert gen2._one_availability.cache_info().currsize == 2
+    unshared = caches.GRID + caches.READER
+    assert caches.sizes(unshared) == dict.fromkeys(unshared, 0)
     optimize.optimize_all(params, 1000.0)
     for memories in range(1, gen2._availability.cache_info().maxsize + 44):
         gen2.evaluate_no_encoding(params, Gen2NoEncConfig(memories, 10.0), 1000.0)

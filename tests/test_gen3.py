@@ -16,7 +16,7 @@ from qrcost.keyrate import average_qber, secure_fraction
 def _one_code_batch(n, m, mu, eps_q):
     """(ratio_z, ratio_x, p_unknown, ok) of one code at one transmissivity:
     the one row of its one-code batch, as gen3.evaluate computes it."""
-    return tuple(a.item() for a in gen3._station_outcome((n,), (m,), (mu,), eps_q))
+    return tuple(a.item() for a in gen3._station_outcome(gen3._layout((n,), (m,), (mu,)), eps_q))
 
 
 def test_transmissivity():
@@ -213,16 +213,17 @@ def test_shared_layouts_do_not_depend_on_the_cell_order():
 
 
 def test_one_code_readers_keep_the_search_layouts():
-    # one-code readers alone fill no grid cache, station_outcome included; at
-    # more transmissivities than the layout cache holds they must leave the
-    # search's layout in it for the next gate error
+    # one-code readers alone fill no cache outside the shared ones,
+    # station_outcome included; at more transmissivities than the layout
+    # cache holds they must leave the search's layout in it for the next gate
+    # error
     caches.clear_all()
     params = HardwareParams()
     for config in (Gen3Config(4, 3, 0.5), Gen3Config(30, 30, 1.0), Gen3Config(5, 5, 20.0)):
         gen3.evaluate(params, config, 1000.0)
     assert "gen3.station_outcome" in caches.GRID
-    assert caches.sizes(caches.GRID) == dict.fromkeys(caches.GRID, 0)
-    assert gen3._one_code_layout.cache_info().currsize == 2  # 20 km leaves mu below 1/2
+    unshared = caches.GRID + caches.READER
+    assert caches.sizes(unshared) == dict.fromkeys(unshared, 0)
     optimize.optimize_family("gen3", params, 1000.0)
     for k in range(gen3._grid_layout.cache_info().maxsize + 1):
         gen3.evaluate(params, Gen3Config(4, 3, 0.5 + 0.01 * k), 1000.0)
@@ -249,7 +250,7 @@ def test_one_code_readers_keep_the_search_batch():
 
 def test_one_spacing_search_fills_only_grid_caches():
     # a search batch at one live spacing still holds the whole code grid, so
-    # its cells go to the search's caches, not to the one-code reader's
+    # its cells go to the search's caches, not to the uncached one-code path
     caches.clear_all()
     space = optimize.SearchSpace(gen3=optimize.Gen3Search(spacings_km=(1.0,)))
     for eps_g in (1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3):

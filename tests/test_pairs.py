@@ -156,12 +156,12 @@ def test_swap_chain_folds_left():
     assert chained.as_tuple() == manual.as_tuple()
     assert swap_chain(base, 1, 0.001, 0.00025) is base
     # the cached chain states of the bare gen2 chain fold the same way; the
-    # uncached secure fraction extends them to the segment count
+    # array pass's fractions extend them to the segment count
     eps_g, xi = 0.001, 0.00025
     pair = elementary_pair(eps_g)
     for segments in (1, 2, 5, 17):
         want = swap_chain(pair, segments, eps_g, xi)
-        gen2._chain_secure_fraction.__wrapped__(eps_g, xi, segments)
+        gen2._chain_fractions(eps_g, xi, [segments])
         assert gen2._chain_states(eps_g, xi)[segments - 1].as_tuple() == want.as_tuple()
 
 
