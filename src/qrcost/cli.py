@@ -21,7 +21,7 @@ from . import __version__ as _VERSION
 from . import config as cfgmod
 from . import gen1, gen3, optimize, oracles
 from .config import ConfigError
-from .core import Gen1Config, HardwareParams, _check_distance, validate_hardware
+from .core import Gen1Config, HardwareParams, _check_distance
 
 SCHEMA_VERSION = 1
 _UNITS = "distances km, times s, rates sbit/s, cost qubit*s/sbit, cost_coeff qubit*s/(sbit*km)"
@@ -108,11 +108,11 @@ def _dataset(command: str, cfg, sections: tuple[str, ...], rows: list[dict]) -> 
 def _axis_problems(params: HardwareParams, axis: str, values) -> list[str]:
     problems = []
     for value in values:
-        if axis != "l_tot":
-            problems.extend(validate_hardware(params.with_(**{axis: value})))
-            continue
         try:
-            _check_distance("l_tot grid value", value)
+            if axis == "l_tot":
+                _check_distance("l_tot grid value", value)
+            else:
+                params.with_(**{axis: value})
         except ValueError as exc:
             problems.append(str(exc))
     return problems
@@ -231,7 +231,7 @@ def _qpc_checks(lines: list[str], trials: int, seed: int) -> bool:
 def _gen1_time_checks(lines: list[str], trials: int, seed: int) -> bool:
     failed = False
     band = 0.15
-    perfect = HardwareParams(eta_c=0.9, eps_g=0.0, eps_d=0.0, t0=0.0)
+    perfect = HardwareParams.ideal_gates(eta_c=0.9, eps_g=0.0, eps_d=0.0)
     example = HardwareParams(eta_c=0.9, eps_g=1e-3, eps_d=0.0, t0=1e-6)
 
     def banded(name: str, scheme: str, levels: int, rounds, params, l_tot, n_trials):

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CSS_CATALOG, CssCode, HardwareParams, _check_distance, validate_hardware
+from .core import CSS_CATALOG, CssCode, HardwareParams, _check_distance
 from .optimize import FAMILIES, FAMILY_TABLE, SWEEP_AXES, SearchSpace
 
 ENV_CONFIG_PATH = "QRCOST_CONFIG"
@@ -197,12 +197,8 @@ def parse_grid(raw: str, where: str) -> tuple[float, ...]:
 
 
 def hardware(cfg) -> HardwareParams:
-    """Build and validate the hardware point described by [hardware]."""
-    params = _read(cfg, "hardware", HardwareParams)
-    problems = validate_hardware(params)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return params
+    """Build the hardware point described by [hardware]."""
+    return _read(cfg, "hardware", HardwareParams)
 
 
 def total_distance(cfg) -> float:

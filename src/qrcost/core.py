@@ -121,6 +121,8 @@ class HardwareParams:
     xi is the measurement error probability; when omitted it defaults to
     eps_g / 4 (one two-qubit gate spread over the four Bell outcomes) and
     stays coupled to eps_g through with_(). An explicit xi stays as given.
+    Building a point, with_() included, checks every field; t0 = 0 needs
+    ideal_gates.
     """
 
     eta_c: float = 0.9  # photon-memory coupling efficiency
@@ -136,6 +138,24 @@ class HardwareParams:
         object.__setattr__(self, "_xi_coupled", self.xi is None)
         if self.xi is None:
             object.__setattr__(self, "xi", self.eps_g / 4.0)
+        problems = []
+        for name, high in (("eta_c", 1), ("eps_g", MAX_GATE_ERROR), ("xi", 0.5), ("eps_d", 1)):
+            if not 0.0 <= getattr(self, name) <= high:
+                model = " for the elementary-pair model" if name == "eps_g" else ""
+                problems.append(f"{name} must lie in [0, {high}]{model}, got {getattr(self, name)}")
+        for name in ("t0", "l_att", "c_fiber"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                problems.append(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    @classmethod
+    def ideal_gates(cls, **fields) -> "HardwareParams":
+        """The point of `fields` with gates that take no time, t0 = 0: an oracle
+        point for gen1's waiting time. No search may price it (gen3 divides by t0)."""
+        params = cls(t0=1.0, **fields)
+        object.__setattr__(params, "t0", 0.0)
+        return params
 
     def with_(self, **kwargs) -> "HardwareParams":
         if "xi" not in kwargs and self._xi_coupled:
@@ -178,12 +198,15 @@ def _check_distance(name: str, value: float, error: type = ValueError) -> None:
 
 def segment_count(l_tot_km: float, spacing_km: float) -> int:
     """Fewest segments n whose computed length l_tot_km / n is at most
-    spacing_km, counted down from one above the ceiling of the quotient."""
+    spacing_km, counted down from one above the ceiling of the quotient. A
+    third step never holds below a quotient of 2^53; above it, two steps
+    keep the count within about an ulp instead of counting down the ulp."""
     _check_distance("l_tot_km", l_tot_km)
     _check_distance("spacing_km", spacing_km)
     count = math.ceil(l_tot_km / spacing_km) + 1
-    while count > 1 and l_tot_km / (count - 1) <= spacing_km:
-        count -= 1
+    for _ in range(2):
+        if count > 1 and l_tot_km / (count - 1) <= spacing_km:
+            count -= 1
     return count
 
 
@@ -282,23 +305,3 @@ class CostResult:
             return cls.infeasible(qps, stations)
         cost = stations * qps / rate
         return cls(rate, qps, stations, cost, cost / l_tot_km, True)
-
-
-def validate_hardware(params: HardwareParams) -> list[str]:
-    """Return human-readable problems with a hardware parameter set."""
-    problems: list[str] = []
-    if not 0.0 < params.eta_c <= 1.0:
-        problems.append(f"eta_c must lie in (0, 1], got {params.eta_c}")
-    if not 0.0 <= params.eps_g <= MAX_GATE_ERROR:
-        problems.append(
-            f"eps_g must lie in [0, {MAX_GATE_ERROR}] for the elementary-pair model, got {params.eps_g}"
-        )
-    if not 0.0 <= params.xi <= 0.5:
-        problems.append(f"xi must lie in [0, 0.5], got {params.xi}")
-    if not 0.0 <= params.eps_d <= 1.0:
-        problems.append(f"eps_d must lie in [0, 1], got {params.eps_d}")
-    for name in ("t0", "l_att", "c_fiber"):
-        value = getattr(params, name)
-        if not 0.0 < value < math.inf:
-            problems.append(f"{name} must be finite and > 0, got {value}")
-    return problems

@@ -67,12 +67,9 @@ def link_availability(p_gen: float, attempts: int) -> float:
 def physical_error_rate(params: HardwareParams) -> float:
     """Effective independent error probability per physical qubit entering the
     CSS correction step: depolarizing storage error, one two-qubit gate, two
-    measurements, and the elementary-pair infidelity."""
+    measurements, and the elementary-pair infidelity; above 1 no code works."""
     f0 = elementary_pair(params.eps_g).fidelity
-    eps = params.eps_d + params.eps_g + 2.0 * params.xi + (2.0 / 3.0) * (1.0 - f0)
-    if eps > 1.0:
-        raise ValueError(f"physical error rate exceeds 1: {eps}")
-    return eps
+    return params.eps_d + params.eps_g + 2.0 * params.xi + (2.0 / 3.0) * (1.0 - f0)
 
 
 # a cell pass of the encoded chain looks up each code once; the cells of one
@@ -155,13 +152,16 @@ def throughput(
     x[c, s, m, g] = avail**segments * r is the secret bits per cycle of code
     codes[c] (None for the bare chain) at spacing spacings_km[s] with
     memories[m] pairs and gen_rounds[g] rounds, 0 where the chain cannot
-    work; all segments must be ready in the same cycle. segments[s] counts
-    the segments at spacing s. t0 is not read: the rate is x / cycle."""
+    work, as every code past a physical error rate of 1; all segments must
+    be ready in the same cycle. segments[s] counts the segments at spacing
+    s. t0 is not read: the rate is x / cycle."""
     segments = [segment_count(l_tot_km, spacing) for spacing in spacings_km]
     if codes == (None,):
         r = _chain_fractions(params.eps_g, params.xi, segments)
+    elif (eps := physical_error_rate(params)) > 1.0:
+        r = np.zeros(len(codes) * len(segments))
     else:
-        eps, counts = physical_error_rate(params), np.array(segments, dtype=int)
+        counts = np.array(segments, dtype=int)
         r = secure_fraction_rows(np.concatenate([encoded_qber(c, eps, counts) for c in codes]))
     grid = tuple(spacings_km), tuple(memories), tuple(gen_rounds), codes
     # an evaluator's one-configuration grid is not cached, so it never evicts a search's table

@@ -53,7 +53,7 @@ def transmissivity(eta_c: float, l0_km: float, l_att_km: float) -> float:
 
 def photon_error_rate(params: HardwareParams) -> float:
     """Readout flip probability for one arrived photon (storage error, half a
-    two-qubit gate, one measurement)."""
+    two-qubit gate, one measurement); above 1 no code works."""
     return params.eps_d + 0.5 * params.eps_g + params.xi
 
 
@@ -238,17 +238,19 @@ def throughput(
     """(live, x, qubits_per_station, stations) of every code of the grid (see
     codes) at every spacing. live lists the spacings whose transmissivity
     exceeds 1/2: no code works at the others, which are ruled out before any
-    decode. x[k, j] = p_succ * r is the secret bits per gate time of code j
-    at spacing live[k], 0 where the code cannot work, all from one array
-    pass over the station batch of the live spacings; t0 is not read: the
-    rate is x / t0. stations[i] counts the stations at spacings_km[i]."""
+    decode, nor anywhere past a photon error rate of 1. x[k, j] = p_succ * r
+    is the secret bits per gate time of code j at spacing live[k], 0 where
+    the code cannot work, all from one array pass over the station batch of
+    the live spacings; t0 is not read: the rate is x / t0. stations[i]
+    counts the stations at spacings_km[i]."""
     n, m, qps = codes(*grid)
     stations = [segment_count(l_tot_km, spacing) for spacing in spacings_km]
     mus = [transmissivity(params.eta_c, spacing, params.l_att) for spacing in spacings_km]
-    live = [i for i, mu in enumerate(mus) if mu > 0.5]
+    eps_q = photon_error_rate(params)
+    live = [i for i, mu in enumerate(mus) if mu > 0.5 and eps_q <= 1.0]
     if not live:
         return live, np.zeros((0, len(qps))), qps, stations
-    mu, eps_q = tuple(mus[i] for i in live), photon_error_rate(params)
+    mu = tuple(mus[i] for i in live)
     if len(n) * len(mu) > 1:
         ratio_z, ratio_x, p_unknown, ok = station_outcome(n, m, mu, eps_q)
     else:  # a batch of one code at one transmissivity (evaluate's) is not cached

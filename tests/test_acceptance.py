@@ -204,7 +204,7 @@ def test_criterion_6_keyrate_threshold():
 
 def test_criterion_7_waiting_time_sampler():
     # one swap level, no purification: inside the retry bookkeeping band
-    perfect = HardwareParams(eta_c=0.9, eps_g=0.0, eps_d=0.0, t0=0.0)
+    perfect = HardwareParams.ideal_gates(eta_c=0.9, eps_g=0.0, eps_d=0.0)
     est = mc_gen1_waiting_time("deutsch", 1, (0, 0), perfect, 100.0, trials=10**5, seed=0)
     want = gen1.waiting_time(perfect, Gen1Config("deutsch", 1, (0, 0)), 100.0)
     rel = (est.mean_s - want) / want

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -92,6 +93,71 @@ def test_non_finite_hardware_exits_naming_the_key(capsys):
         assert capsys.readouterr().err == want
     assert main(["sweep", "--set", "sweep.axis=l_tot", "--set", "sweep.values=100,nan"]) == 2
     assert capsys.readouterr().err == "error: l_tot grid value must be finite and > 0, got nan\n"
+
+
+# per hardware field: NaN, +-inf, a value below its range and one above it
+# (t0, l_att and c_fiber have no finite value above theirs)
+_BAD_HARDWARE = {
+    "eta_c": (-0.1, 1.5),
+    "eps_g": (-1e-3, 0.05),
+    "xi": (-0.1, 0.6),
+    "eps_d": (-0.1, 1.5),
+    "t0": (0.0, -1e-6),
+    "l_att": (0.0, -1.0),
+    "c_fiber": (0.0, -2e5),
+}
+
+
+@pytest.mark.parametrize("field", list(_BAD_HARDWARE))
+def test_bad_hardware_raises_one_message_everywhere(field, capsys, monkeypatch):
+    # HardwareParams checks its own ranges; with_ and the config build
+    # through it, so all three name the field with one message
+    monkeypatch.setattr(optimize, "optimize_all", lambda *args: pytest.fail("the search ran"))
+    for value in (math.nan, math.inf, -math.inf, *_BAD_HARDWARE[field]):
+        with pytest.raises(ValueError) as built:
+            HardwareParams(**{field: value})
+        message = str(built.value)
+        assert f"{field} must " in message, (field, value, message)
+        with pytest.raises(ValueError) as moved:
+            HardwareParams().with_(**{field: value})
+        assert str(moved.value) == message
+        assert main(["optimize", "--set", f"hardware.{field}={value}"]) == 2
+        assert capsys.readouterr().err == f"error: hardware: {message}\n"
+
+
+def test_hardware_range_edges_are_accepted(capsys):
+    # eta_c = 0 builds: no photon couples, so every family is infeasible
+    for field, edges in [("eta_c", (0.0, 1.0)), ("eps_g", (0.0, 0.04)), ("xi", (0.0, 0.5)),
+                         ("eps_d", (0.0, 1.0)), ("t0", (5e-324,)), ("c_fiber", (1.7e308,))]:
+        for value in edges:
+            assert getattr(HardwareParams(**{field: value}), field) == value
+    assert main(["optimize", "--set", "hardware.eta_c=0"] + _FAST_SPACE) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert row[4:6] == ["none", ""]
+
+
+def test_ideal_gates_is_the_only_zero_gate_time():
+    perfect = HardwareParams.ideal_gates(eta_c=0.9, eps_g=0.0)
+    assert perfect.t0 == 0.0 and perfect.eta_c == 0.9 and perfect.xi == 0.0
+    with pytest.raises(ValueError, match="eta_c must lie in"):
+        HardwareParams.ideal_gates(eta_c=1.5)
+    with pytest.raises(TypeError):
+        HardwareParams.ideal_gates(t0=1e-6)
+    with pytest.raises(ValueError, match="t0 must be finite and > 0, got 0.0"):
+        perfect.with_(eta_c=0.8)
+
+
+def test_bad_axis_values_are_all_named(capsys, monkeypatch):
+    monkeypatch.setattr(optimize, "sweep", lambda *args: pytest.fail("the sweep ran"))
+    monkeypatch.setattr(optimize, "region_map", lambda *args: pytest.fail("the map ran"))
+    argv = ["sweep", "--set", "sweep.axis=eta_c", "--set", "sweep.values=0.5,1.5,0.7,nan"]
+    assert main(argv) == 2
+    want = "eta_c must lie in [0, 1], got 1.5; eta_c must lie in [0, 1], got nan"
+    assert capsys.readouterr().err == f"error: {want}\n"
+    argv = ["region-map", "--set", "region.eta_c=2,0.5", "--set", "region.t0=1e-6,0"]
+    assert main(argv) == 2
+    want = "eta_c must lie in [0, 1], got 2.0; t0 must be finite and > 0, got 0.0"
+    assert capsys.readouterr().err == f"error: {want}\n"
 
 
 def test_evaluate_every_family_through_config(capsys, monkeypatch):
@@ -341,6 +407,24 @@ def test_region_map_deterministic_across_runs_and_threads(tmp_path):
     assert paths[1].read_bytes() == first
     assert paths[2].read_bytes() == first
     assert len(first.decode().splitlines()) == 6 + 1 + 2
+
+
+# sha256 of the bytes each default job writes; a deliberate change of the
+# bytes updates its pin and says so in CHANGES.md
+_PINNED_BYTES = {
+    ("region-map", "--threads", "2"): "a329d87a4f37de79998173938852b75470f90d1f89d005dde7cb60a322b3332a",
+    ("sweep",): "def222794077a5a11a8f2a67bbb88d0c9b03ce0343cdd20b4c4b9faad8c12fe9",
+    ("validate", "gen1-time", "--trials", "2000"):
+        "0949270ac854057c3d07ed76e0d0a937202a22dd832cf1b6f41e8ea3f6b9e4cc",
+}
+
+
+def test_default_jobs_keep_their_pinned_bytes(tmp_path, monkeypatch):
+    monkeypatch.delenv("QRCOST_CONFIG", raising=False)
+    for argv, want in _PINNED_BYTES.items():
+        path = tmp_path / "out"
+        assert main([*argv, "--out", str(path)]) == 0, argv
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want, argv
 
 
 def test_output_path_config_and_flag(tmp_path, capsys):

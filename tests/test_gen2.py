@@ -53,6 +53,32 @@ def test_derived_spacing_keeps_its_segment_count(l_tot, k):
     assert gen2.segment_count(l_tot, math.nextafter(spacing, 0.0)) == k + 1
 
 
+def _counted_down(l_tot, spacing):
+    """The fewest-segments rule as a count down by ones, with no step limit."""
+    count = math.ceil(l_tot / spacing) + 1
+    while count > 1 and l_tot / (count - 1) <= spacing:
+        count -= 1
+    return count
+
+
+# a count down by ones took 0.8 s at 1e20 km and never returned at 1e300 km
+@example(1e20, 0.5)
+@example(1e22, 0.5)
+@example(1e300, 0.5)
+@example(1e307, 0.5)
+@example(2.0**53, 1.0)
+@given(st.floats(2.0**53, 1e300), st.floats(1e-3, 10.0))
+def test_huge_quotient_counts_in_two_steps(l_tot, spacing):
+    # the count goes at most two steps down from ceil + 1, so it may stay
+    # above the fewest count, by at most two ulps of the quotient (which
+    # below a quotient of 2^52 means not at all)
+    quotient = math.ceil(l_tot / spacing)
+    count = gen2.segment_count(l_tot, spacing)
+    assert quotient - 1 <= count <= quotient + 1
+    if quotient <= 2**60:
+        assert 0 <= count - _counted_down(l_tot, spacing) <= 2 * math.ulp(quotient)
+
+
 def test_search_at_a_derived_spacing_counts_its_segments():
     # the search's spacing 1000 / 61 once made 62 segments; evaluate, the
     # reference fold and gen3's station count read the same rule
@@ -117,8 +143,11 @@ def test_physical_error_rate_composition():
     assert math.isclose(gen2.physical_error_rate(params), want, rel_tol=1e-12)
     # with xi = eps_g/4 and the 1 - (5/4)eps_g pair fidelity this is (7/3)eps_g
     assert math.isclose(gen2.physical_error_rate(params), (7.0 / 3.0) * 1e-3, rel_tol=1e-9)
-    with pytest.raises(ValueError):
-        gen2.physical_error_rate(HardwareParams(eta_c=0.9, eps_g=0.04, eps_d=1.0, t0=1e-6))
+    # past a rate of 1 the code formulas give no probabilities: no code works
+    noisy = HardwareParams(eta_c=0.9, eps_g=0.04, eps_d=1.0, t0=1e-6)
+    assert gen2.physical_error_rate(noisy) > 1.0
+    for code in CSS_CATALOG:
+        assert not gen2.evaluate_encoded(noisy, Gen2EncConfig(code, 16, 10.0), 1000.0).feasible
 
 
 def test_logical_flip_prob_exact():

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -18,6 +19,8 @@ from qrcost.core import (
     CSS_CATALOG,
     FIBER_SPEED_KM_S,
     GOLAY,
+    MAX_GATE_ERROR,
+    CostResult,
     Gen1Config,
     Gen2EncConfig,
     Gen2NoEncConfig,
@@ -146,29 +149,32 @@ def test_report_row_shapes():
 
 
 def test_nan_cost_never_wins():
-    # every evaluator prices a NaN gate time as a feasible NaN cost
-    params = HardwareParams(eta_c=0.9, eps_g=1e-3, t0=float("nan"))
-    report = optimize_all(params, 1000.0, _SMALL)
-    assert report.winner is None
-    assert report.per_family == {f: None for f in FAMILIES}
+    # a NaN gate time, which once priced every configuration as a feasible
+    # NaN cost, no longer builds; a feasible NaN cost still never wins,
+    # wherever it stands among the results
+    with pytest.raises(ValueError, match="t0 must be finite and > 0, got nan"):
+        HardwareParams(eta_c=0.9, eps_g=1e-3, t0=float("nan"))
+    nan, cheap = CostResult(1.0, 2, 3, math.nan, math.nan), CostResult(1.0, 2, 3, 6.0, 6e-3)
+    assert optimize._argmin([("a", nan)]) is None
+    assert optimize._argmin([("a", nan), ("b", cheap)]) == ("b", cheap)
+    assert optimize._argmin([("b", cheap), ("a", nan), ("c", nan)]) == ("b", cheap)
     with pytest.raises(ValueError):
-        optimize_family("gen5", params, 1000.0, _SMALL)
+        optimize_family("gen5", HardwareParams(), 1000.0, _SMALL)
 
 
 def test_nan_gate_time_or_fiber_speed_is_infeasible():
-    # a NaN rate fails rate > 0 and must read as infeasible, not as a
-    # feasible NaN cost; gen3's cost never reads the fiber speed
+    # a NaN gate time or fiber speed is rejected when the point is built; a
+    # NaN rate still fails rate > 0 and reads as infeasible, not as a
+    # feasible NaN cost
     base = HardwareParams(eta_c=0.95, eps_g=1e-4)
-    for family in FAMILIES:
-        config = optimize_family(family, base, 1000.0).config
-        assert evaluate_config(base, config, 1000.0).feasible, family
-        for params in (base.with_(t0=math.nan), base.with_(c_fiber=math.nan)):
-            result = evaluate_config(params, config, 1000.0)
-            if family == "gen3" and math.isnan(params.c_fiber):
-                assert result == evaluate_config(base, config, 1000.0)
-                continue
-            assert result.feasible is False and result.cost == math.inf, (family, params)
-            assert result.cost_coeff == math.inf and result.rate_sbits_per_s == 0.0
+    for name in ("t0", "c_fiber"):
+        want = re.escape(f"{name} must be finite and > 0, got nan")
+        with pytest.raises(ValueError, match=want):
+            base.with_(**{name: math.nan})
+        with pytest.raises(ValueError, match=want):
+            HardwareParams(eta_c=0.95, eps_g=1e-4, **{name: math.nan})
+    result = CostResult.from_rate(math.nan, 4, 10, 1000.0)
+    assert result == CostResult.infeasible(4, 10) and result.cost_coeff == math.inf
 
 
 def test_sweep_axes():
@@ -550,6 +556,34 @@ def test_every_entry_point_rejects_a_bad_distance(bad):
             call()
     with pytest.raises(ValueError, match=re.escape(f"spacing_km must be finite and > 0, got {bad}")):
         gen2.segment_count(1000.0, bad)
+
+
+def _range(low, high, *edges):
+    """A float in [low, high], its ends and `edges` drawn often."""
+    return st.one_of(st.sampled_from((low, high, *edges)), st.floats(low, high))
+
+
+# every hardware point that builds: each field over its whole range
+_ANY_HARDWARE = st.builds(
+    HardwareParams,
+    eta_c=_range(0.0, 1.0),
+    eps_g=_range(0.0, MAX_GATE_ERROR),
+    xi=st.one_of(st.none(), _range(0.0, 0.5)),
+    eps_d=_range(0.0, 1.0),
+    t0=_range(5e-324, sys.float_info.max),
+    l_att=_range(5e-324, sys.float_info.max, 1e18),
+    c_fiber=_range(5e-324, sys.float_info.max, 1.7e308),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(HardwareParams(xi=0.5), 1000.0)  # gen2's physical error rate above 1
+@example(HardwareParams(eta_c=1.0, eps_d=1.0, xi=0.25), 1000.0)  # gen3's photon error rate above 1
+@given(_ANY_HARDWARE, st.floats(0.0, 1e5, exclude_min=True))
+def test_every_hardware_point_that_builds_is_priced(params, l_tot):
+    report = optimize_all(params, l_tot, _SMALL)
+    for candidate in report.per_family.values():
+        assert candidate is None or candidate.result.feasible, (params, l_tot)
 
 
 @settings(max_examples=60, deadline=None)

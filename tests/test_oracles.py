@@ -50,7 +50,7 @@ def test_qpc_sampler_validation():
 
 def test_gen1_sampler_matches_analytic_band():
     # one swap level, no purification: retry bookkeeping is near exact
-    params = HardwareParams(eta_c=0.9, eps_g=0.0, eps_d=0.0, t0=0.0)
+    params = HardwareParams.ideal_gates(eta_c=0.9, eps_g=0.0, eps_d=0.0)
     est = mc_gen1_waiting_time("deutsch", 1, (0, 0), params, 100.0, trials=20_000, seed=5)
     want = gen1.waiting_time(params, Gen1Config("deutsch", 1, (0, 0)), 100.0)
     assert abs(est.mean_s - want) / want < 0.15
@@ -81,7 +81,7 @@ def test_gen1_sampler_certain_success_is_deterministic():
 
 
 def test_gen1_sampler_error_scales_with_trials():
-    params = HardwareParams(eta_c=0.9, eps_g=0.0, eps_d=0.0, t0=0.0)
+    params = HardwareParams.ideal_gates(eta_c=0.9, eps_g=0.0, eps_d=0.0)
     small = mc_gen1_waiting_time("deutsch", 1, (0, 0), params, 100.0, trials=20_000, seed=0)
     large = mc_gen1_waiting_time("deutsch", 1, (0, 0), params, 100.0, trials=40_000, seed=1)
     assert small.std_error_s / large.std_error_s == pytest.approx(math.sqrt(2.0), abs=0.1)
