@@ -1,6 +1,12 @@
 """Secret-key rates, resource counts, and cost optimization for three
 generations of quantum repeaters, with Monte Carlo cross-checks."""
 
+import os
+
+# qrcost makes no BLAS call, and an idle OpenBLAS pool spins a core while
+# numpy loads; set before the first numpy import, so a value the user set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import gen1, gen2, gen3, oracles
 from .core import (
     ATTENUATION_KM,

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .core import libm
+from .core import libm, ordered_sum
 
 # floats per pmf block of tail_rows (512 KB)
 _BLOCK = 1 << 16
@@ -69,11 +69,9 @@ def tail_rows(trials, p, thresholds) -> np.ndarray:
     """[j, i] = P(Binomial(trials[i], p[i]) >= thresholds[j]).
 
     The pmf terms on the side of the threshold away from the mean are summed
-    left to right (np.cumsum adds in order; builtin sum() of floats is
-    compensated from Python 3.12 on, which would change the last bits
-    between versions). The zeros past trials[i] add nothing, so an entry does
-    not depend on the rows beside it. Rows go in blocks of about _BLOCK
-    floats, which bounds the memory of wide rows.
+    left to right (core.ordered_sum). The zeros past trials[i] add nothing,
+    so an entry does not depend on the rows beside it. Rows go in blocks of
+    about _BLOCK floats, which bounds the memory of wide rows.
     """
     trials = np.asarray(trials, dtype=np.int64)
     p = np.asarray(p, dtype=float)
@@ -82,10 +80,10 @@ def tail_rows(trials, p, thresholds) -> np.ndarray:
     step = max(1, _BLOCK // (int(trials.max(initial=0)) + 1))
     for start in range(0, len(p), step):
         rows = slice(start, start + step)
-        pmf = binomial_pmf_rows(trials[rows], p[rows])
-        k = np.arange(pmf.shape[1])
+        pmf = np.ascontiguousarray(binomial_pmf_rows(trials[rows], p[rows]).T)  # [k, row]
+        k = np.arange(len(pmf))
         for j, threshold in enumerate(thresholds):
             upper = threshold > mean[rows]
-            total = np.cumsum(np.where(upper[:, None] == (k >= threshold), pmf, 0.0), axis=1)[:, -1]
+            total = ordered_sum(np.where((k >= threshold)[:, None] == upper, pmf, 0.0))
             out[j, rows] = np.where(upper, np.minimum(total, 1.0), np.maximum(1.0 - total, 0.0))
     return out

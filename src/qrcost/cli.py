@@ -156,7 +156,7 @@ def cmd_sweep(cfg, out_path: Optional[str]) -> int:
     axis, values = cfgmod.sweep_spec(cfg)
     problems = _axis_problems(params, axis, values)
     if problems:
-        raise ConfigError("; ".join(problems))
+        raise ConfigError("sweep: " + "; ".join(problems))
     rows = optimize.sweep(axis, values, params, l_tot, space)
     sections = ("hardware", "search.gen1", "search.gen2", "search.gen3", "sweep")
     _emit(_dataset("sweep", cfg, sections, rows), out_path)
@@ -177,7 +177,7 @@ def cmd_region_map(cfg, out_path: Optional[str], threads: int) -> int:
         + _axis_problems(params, "t0", t0_values)
     )
     if problems:
-        raise ConfigError("; ".join(problems))
+        raise ConfigError("region: " + "; ".join(problems))
     rows = optimize.region_map(eta_values, eps_values, t0_values, l_tot, space, params, threads)
     sections = ("hardware", "search.gen1", "search.gen2", "search.gen3", "region")
     _emit(_dataset("region-map", cfg, sections, rows), out_path)

@@ -41,6 +41,19 @@ def libm(fn, *args):
     return np.fromiter(map(fn, *flat), float, len(flat[0])).reshape(columns[0].shape)
 
 
+def ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ... elementwise, added left to right: the last
+    partial sum of np.cumsum(terms, axis=0), without writing the others.
+    Builtin sum() of floats is compensated from Python 3.12 on, and numpy
+    sums a lone contiguous axis pairwise, so neither keeps these bits. numpy
+    reduces the outer axis of a C-contiguous array one term at a time across
+    the other elements; with a single other element that axis is all that is
+    left, so it takes the cumsum."""
+    if math.prod(terms.shape[1:]) == 1:
+        return np.cumsum(terms, axis=0)[-1]
+    return np.add.reduce(np.ascontiguousarray(terms), axis=0)
+
+
 def _checked_total(a, b, c, d):
     """The left-to-right sum of Bell weights (floats or arrays), after
     checking that none is negative and that it lies within the tolerance
@@ -51,6 +64,14 @@ def _checked_total(a, b, c, d):
     if _any(abs(total - 1.0) > _RENORM_TOL):
         raise ValueError(f"Bell weights must sum to 1, got {total!r}")
     return total
+
+
+def _renormalized(a, b, c, d) -> tuple:
+    """The Bell weights (floats or arrays) divided by their checked total
+    (see _checked_total): the step every BellDiagonalState applies. Dividing
+    by exactly 1.0 keeps every bit."""
+    total = _checked_total(a, b, c, d)
+    return a / total, b / total, c / total, d / total
 
 
 @dataclass(frozen=True)
@@ -72,10 +93,8 @@ class BellDiagonalState:
     d: float
 
     def __post_init__(self) -> None:
-        vals = self.as_tuple()
-        total = _checked_total(*vals)
-        for name, value in zip("abcd", vals):  # dividing by exactly 1.0 keeps every bit
-            object.__setattr__(self, name, value / total)
+        for name, value in zip("abcd", _renormalized(*self.as_tuple())):
+            object.__setattr__(self, name, value)
 
     @property
     def fidelity(self) -> float:
@@ -200,10 +219,16 @@ def segment_count(l_tot_km: float, spacing_km: float) -> int:
     """Fewest segments n whose computed length l_tot_km / n is at most
     spacing_km, counted down from one above the ceiling of the quotient. A
     third step never holds below a quotient of 2^53; above it, two steps
-    keep the count within about an ulp instead of counting down the ulp."""
+    keep the count within about an ulp instead of counting down the ulp.
+    Where the quotient overflows, no float holds n or a length l_tot_km / n,
+    and n is the exact ceiling of the quotient."""
     _check_distance("l_tot_km", l_tot_km)
     _check_distance("spacing_km", spacing_km)
-    count = math.ceil(l_tot_km / spacing_km) + 1
+    quotient = l_tot_km / spacing_km
+    if quotient == math.inf:
+        (a, b), (c, d) = l_tot_km.as_integer_ratio(), spacing_km.as_integer_ratio()
+        return -(-a * d // (b * c))
+    count = math.ceil(quotient) + 1
     for _ in range(2):
         if count > 1 and l_tot_km / (count - 1) <= spacing_km:
             count -= 1

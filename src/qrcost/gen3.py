@@ -26,6 +26,7 @@ the arrivals by the flip probabilities, which read the gate error only.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -33,7 +34,7 @@ import numpy as np
 
 # binomial_pmf is not called here; the benchmark's tracer hooks this name
 from .binom import binomial_pmf, binomial_pmf_rows  # noqa: F401
-from .core import CostResult, Gen3Config, HardwareParams, libm, segment_count
+from .core import CostResult, Gen3Config, HardwareParams, libm, ordered_sum, segment_count
 from .keyrate import average_qber, parity_flip, secure_fraction_rows
 
 # floats per temporary array of a vote pass (128 KB): bounds the peak memory
@@ -58,15 +59,15 @@ def photon_error_rate(params: HardwareParams) -> float:
 
 
 def _split(flips: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """[outcome, flip, i]: the probabilities that a minority, a majority or
+    """[i, outcome, flip]: the probabilities that a minority, a majority or
     exactly half of k[i] arrived votes flip, each flipping with probability
-    flips[f]. Sums run left to right over the flipped count (np.cumsum adds
-    in order)."""
+    flips[f]. Sums run left to right over the flipped count
+    (core.ordered_sum)."""
     flipped = binomial_pmf_rows(np.tile(k, len(flips)), np.repeat(flips, len(k)))
-    flipped = flipped.reshape(len(flips), len(k), -1)  # [flip, i, flipped]
-    excess = 2 * np.arange(flipped.shape[2]) - k[:, None]  # flipped minus unflipped votes
+    flipped = np.ascontiguousarray(flipped.T).reshape(-1, len(flips), len(k))  # [flipped, flip, i]
+    excess = np.arange(len(flipped))[:, None] * 2 - k  # flipped minus unflipped votes
     outcomes = (excess < 0, excess > 0, excess == 0)
-    return np.stack([np.cumsum(np.where(o, flipped, 0.0), axis=2)[..., -1] for o in outcomes])
+    return np.stack([ordered_sum(np.where(o[:, None], flipped, 0.0)).T for o in outcomes], axis=1)
 
 
 def _arrivals(trials, p_arrive) -> tuple[np.ndarray, ...]:
@@ -83,18 +84,19 @@ def _votes(trials, arrivals, p_flip) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """(correct, incorrect, unknown) of one majority vote per row, over the
     subset of trials[i] voters that arrive (arrivals, see _arrivals), each
     arrived vote flipped with probability p_flip[i]. No arrivals or a tie
-    leave the outcome unknown. Sums run left to right over the arrived count.
-    Flip splits go in blocks of arrived counts that keep each temporary array
-    near _BLOCK floats; a row's sums do not depend on its block."""
+    leave the outcome unknown. Sums run left to right over the arrived count
+    (core.ordered_sum). Flip splits go in blocks of arrived counts that keep
+    each temporary array near _BLOCK floats; a row's sums do not depend on
+    its block."""
     flips, which = np.unique(p_flip, return_inverse=True)
     which, width = which.ravel(), int(np.max(trials, initial=0)) + 1
     step = max(1, _BLOCK // (len(flips) * width))
     blocks = (np.arange(k, min(k + step, width)) for k in range(0, width, step))
-    split = np.concatenate([_split(flips, k) for k in blocks], axis=2)
+    split = np.concatenate([_split(flips, k) for k in blocks])  # [arrived, outcome, flip]
     votes, start = [], 0
     for arrive in arrivals:  # [row, arrived]
-        weights = split[:, which[start:start + len(arrive)], : arrive.shape[1]]
-        votes.append(np.cumsum(arrive * weights, axis=2)[..., -1])
+        weights = split[: arrive.shape[1], :, which[start:start + len(arrive)]]
+        votes.append(ordered_sum(arrive.T[:, None, :] * weights))
         start += len(arrive)
     return tuple(np.concatenate(votes, axis=1)) if votes else (np.zeros(0),) * 3
 
@@ -237,17 +239,21 @@ def throughput(
 ) -> tuple[list[int], np.ndarray, tuple[int, ...], list[int]]:
     """(live, x, qubits_per_station, stations) of every code of the grid (see
     codes) at every spacing. live lists the spacings whose transmissivity
-    exceeds 1/2: no code works at the others, which are ruled out before any
-    decode, nor anywhere past a photon error rate of 1. x[k, j] = p_succ * r
-    is the secret bits per gate time of code j at spacing live[k], 0 where
-    the code cannot work, all from one array pass over the station batch of
-    the live spacings; t0 is not read: the rate is x / t0. stations[i]
-    counts the stations at spacings_km[i]."""
+    exceeds 1/2 (no code works at the others) and whose station count a
+    float holds (past it no cost is a float); the others are ruled out
+    before any decode, as is every spacing past a photon error rate of 1.
+    x[k, j] = p_succ * r is the secret bits per gate time of code j at
+    spacing live[k], 0 where the code cannot work, all from one array pass
+    over the station batch of the live spacings; t0 is not read: the rate
+    is x / t0. stations[i] counts the stations at spacings_km[i]."""
     n, m, qps = codes(*grid)
     stations = [segment_count(l_tot_km, spacing) for spacing in spacings_km]
     mus = [transmissivity(params.eta_c, spacing, params.l_att) for spacing in spacings_km]
     eps_q = photon_error_rate(params)
-    live = [i for i, mu in enumerate(mus) if mu > 0.5 and eps_q <= 1.0]
+    live = [
+        i for i, mu in enumerate(mus)
+        if mu > 0.5 and eps_q <= 1.0 and stations[i] <= sys.float_info.max
+    ]
     if not live:
         return live, np.zeros((0, len(qps))), qps, stations
     mu = tuple(mus[i] for i in live)

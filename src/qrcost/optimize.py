@@ -182,6 +182,21 @@ _COST_CEILING = 2.0**1000
 _NO_RESULT = CostResult.infeasible()
 
 
+def _lexmin(rows: np.ndarray) -> int:
+    """Index of the lexicographically smallest row, np.lexsort(rows.T[::-1])[0]
+    in one pass per column: NaN sorts after every number and ties go to the
+    lowest index."""
+    candidates = np.arange(len(rows))
+    for column in rows.T:
+        values = column[candidates]
+        numbers = values[~np.isnan(values)]
+        if numbers.size:  # else every candidate holds NaN, and they tie
+            candidates = candidates[values == numbers.min()]
+        if len(candidates) == 1:
+            break
+    return int(candidates[0])
+
+
 def _undominated(vectors) -> list[int]:
     """Ascending indices of the rows that no other row beats by the margin in
     every column: row j dominates row i when (1 + margin) * v[j] <= v[i]
@@ -194,7 +209,7 @@ def _undominated(vectors) -> list[int]:
     while alive.size:
         rows = v[alive]
         # the lexicographic minimum can only be dominated by an equal row
-        best = alive[np.lexsort(rows.T[::-1])[0]]
+        best = alive[_lexmin(rows)]
         if not np.isfinite(v[best]).all():
             kept.extend(alive.tolist())
             break
@@ -442,7 +457,7 @@ def _cell_pass(family: str, space: SearchSpace, cell, prune: bool = True) -> tup
     kept = range(len(terms))
     if prune:
         kept = []
-        for group in np.unique(groups):
+        for group in set(groups.tolist()):  # np.unique would import numpy.ma
             rows = np.flatnonzero(groups == group)
             kept += rows[_undominated(terms[rows])].tolist()
         kept.sort()

@@ -129,8 +129,15 @@ def swap(
     adds an identity admixture and each of the two measurement outcomes is
     misread independently with probability xi.
     """
-    a1, b1, c1, d1 = rho1.as_tuple()
-    a2, b2, c2, d2 = rho2.as_tuple()
+    return BellDiagonalState(*swap_weights(rho1.as_tuple(), rho2.as_tuple(), eps_g, xi))
+
+
+def swap_weights(weights1: tuple, weights2: tuple, eps_g: float, xi: float) -> tuple:
+    """The Bell weights (a, b, c, d) that swap gives, before the
+    renormalization of BellDiagonalState (core._renormalized), from the two
+    pairs' weights (floats or arrays)."""
+    a1, b1, c1, d1 = weights1
+    a2, b2, c2, d2 = weights2
 
     w0 = (1.0 - xi) ** 2  # both outcomes read correctly
     w1 = xi * (1.0 - xi)  # exactly one misread (each of two ways)
@@ -151,4 +158,4 @@ def swap(
     b = g * (w0 * phase + w1 * same + w2 * bitph) + eps_g / 4.0
     c = g * (w2 * phase + w1 * same + w0 * bitph) + eps_g / 4.0
     d = g * (w2 * diag + w1 * cross + w0 * anti) + eps_g / 4.0
-    return BellDiagonalState(a, b, c, d)
+    return a, b, c, d

@@ -11,7 +11,7 @@ import station_reference
 
 import qrcost
 from qrcost.binom import binomial_pmf, binomial_pmf_rows, tail_at_least, tail_rows
-from qrcost.core import libm
+from qrcost.core import libm, ordered_sum
 
 
 def _pmf_exact(n: int, p: float):
@@ -173,3 +173,23 @@ def test_sources_call_no_numpy_transcendental():
     pattern = re.compile(r"np\.(exp|expm1|log|log1p|log2|log10|power|float_power)\b")
     for path in (Path(qrcost.__file__).parent).glob("*.py"):
         assert not pattern.search(path.read_text()), path.name
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 3), (2, 1), (9, 1), (50, 1), (50, 1, 1), (17, 2), (21, 3, 40), (1281, 1), (1281, 7),
+    (1281, 2, 3), (640, 1, 5),
+])
+def test_ordered_sum_equals_the_cumsum_fold(shape):
+    # one non-reduced element is where an outer-axis np.add.reduce would
+    # sum pairwise
+    rng = np.random.default_rng(len(shape) * 10_000 + shape[0])
+    for _ in range(20):
+        terms = rng.random(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        want = np.cumsum(terms, axis=0)[-1]
+        got = ordered_sum(terms)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # a non-contiguous view adds the same terms in the same order
+        assert ordered_sum(np.asfortranarray(terms)).tobytes() == want.tobytes()
+    for width in range(1, 1282, 40):
+        terms = rng.random((width, 3))
+        assert ordered_sum(terms).tobytes() == np.cumsum(terms, axis=0)[-1].tobytes()

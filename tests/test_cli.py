@@ -13,7 +13,7 @@ import pytest
 import qrcost
 from qrcost import config, optimize
 from qrcost.cli import main
-from qrcost.core import HardwareParams
+from qrcost.core import HardwareParams, segment_count
 from qrcost.optimize import (
     FAMILIES,
     Gen1Search,
@@ -92,7 +92,7 @@ def test_non_finite_hardware_exits_naming_the_key(capsys):
         want = f"error: hardware.l_tot must be finite and > 0, got {value}\n"
         assert capsys.readouterr().err == want
     assert main(["sweep", "--set", "sweep.axis=l_tot", "--set", "sweep.values=100,nan"]) == 2
-    assert capsys.readouterr().err == "error: l_tot grid value must be finite and > 0, got nan\n"
+    assert capsys.readouterr().err == "error: sweep: l_tot grid value must be finite and > 0, got nan\n"
 
 
 # per hardware field: NaN, +-inf, a value below its range and one above it
@@ -152,11 +152,11 @@ def test_bad_axis_values_are_all_named(capsys, monkeypatch):
     monkeypatch.setattr(optimize, "region_map", lambda *args: pytest.fail("the map ran"))
     argv = ["sweep", "--set", "sweep.axis=eta_c", "--set", "sweep.values=0.5,1.5,0.7,nan"]
     assert main(argv) == 2
-    want = "eta_c must lie in [0, 1], got 1.5; eta_c must lie in [0, 1], got nan"
+    want = "sweep: eta_c must lie in [0, 1], got 1.5; eta_c must lie in [0, 1], got nan"
     assert capsys.readouterr().err == f"error: {want}\n"
     argv = ["region-map", "--set", "region.eta_c=2,0.5", "--set", "region.t0=1e-6,0"]
     assert main(argv) == 2
-    want = "eta_c must lie in [0, 1], got 2.0; t0 must be finite and > 0, got 0.0"
+    want = "region: eta_c must lie in [0, 1], got 2.0; t0 must be finite and > 0, got 0.0"
     assert capsys.readouterr().err == f"error: {want}\n"
 
 
@@ -477,3 +477,48 @@ def test_start_up_leaves_multiprocessing_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("l_tot", ["1e308", repr(sys.float_info.max)])
+def test_station_counts_past_the_float_range_are_infeasible(l_tot, capsys):
+    # gen3's 0.5 km spacing needs more stations than a float holds: that
+    # spacing prices nothing, and every family comes out infeasible
+    argv = ["optimize", "--set", f"hardware.l_tot={l_tot}"] + _FAST_SPACE
+    assert main(argv + ["--set", "search.gen3.spacings_km=0.5,1"]) == 0
+    row = capsys.readouterr().out.splitlines()[7].split(",")
+    assert float(row[3]) == float(l_tot)
+    assert row[4:] == ["none", "", "0.0", "inf", "inf", "False", "inf", "inf", "inf", "inf"]
+    assert segment_count(1e308, 0.5) == 2 * int(1e308)
+
+
+def test_cli_jobs_load_neither_numpy_ma_nor_the_process_pool():
+    # numpy.ma costs 16-24 ms per process; only a region map over several
+    # workers needs concurrent.futures.process
+    code = (
+        "import contextlib, io, sys; from qrcost.cli import main\n"
+        "jobs = [['optimize'], ['sweep', '--set', 'sweep.axis=eps_g', '--set', 'sweep.values=1e-3,2e-3'],\n"
+        "        ['region-map', '--threads', '1', '--set', 'region.eta_c=0.9',\n"
+        "         '--set', 'region.eps_g=1e-3', '--set', 'region.t0=1e-6,1e-5'],\n"
+        "        ['validate', 'gen1-time', '--trials', '2000']]\n"
+        "for job in jobs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(job) == 0, job\n"
+        "print(sorted({'numpy.ma', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    src = str(Path(qrcost.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=300)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("user_value", [None, "4"])
+def test_import_defaults_openblas_to_one_thread(user_value):
+    # qrcost makes no BLAS call; a value the user set wins
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    env["PYTHONPATH"] = str(Path(qrcost.__file__).parents[1])
+    code = "import os, qrcost; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == (user_value or "1")

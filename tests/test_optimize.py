@@ -599,3 +599,17 @@ def test_better_coupling_never_raises_a_configurations_cost(family, data, eta_a,
         for eta in (low, high)
     ]
     assert cost[1] <= cost[0], (config, low, high, cost)
+
+
+_LEX_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, 1e-300, 1e300, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda width: st.lists(st.lists(_LEX_VALUES | st.floats(), min_size=width, max_size=width),
+                           min_size=1, max_size=12)
+))
+def test_lexmin_equals_lexsort(rows):
+    # a small value pool makes ties, NaN and +-inf common
+    rows = np.array(rows, dtype=float)
+    assert optimize._lexmin(rows) == np.lexsort(rows.T[::-1])[0]

@@ -155,14 +155,14 @@ def test_swap_chain_folds_left():
         manual = swap(manual, base, 0.001, 0.00025)
     assert chained.as_tuple() == manual.as_tuple()
     assert swap_chain(base, 1, 0.001, 0.00025) is base
-    # the cached chain states of the bare gen2 chain fold the same way; the
+    # the cached chain weights of the bare gen2 chain fold the same way; the
     # array pass's fractions extend them to the segment count
     eps_g, xi = 0.001, 0.00025
     pair = elementary_pair(eps_g)
     for segments in (1, 2, 5, 17):
         want = swap_chain(pair, segments, eps_g, xi)
         gen2._chain_fractions(eps_g, xi, [segments])
-        assert gen2._chain_states(eps_g, xi)[segments - 1].as_tuple() == want.as_tuple()
+        assert gen2._chain_states(eps_g, xi)[segments - 1] == want.as_tuple()
 
 
 def test_elementary_pair_model():
