@@ -1,6 +1,6 @@
 """Module entry point so `python -m qrcost` behaves like the console script."""
 import sys
 
-from .cli import main
+from .cli import run
 
-sys.exit(main())
+sys.exit(run())

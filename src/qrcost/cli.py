@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -341,5 +342,14 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None) -> int:
+    """main() for a process that exits next: the console script and `python
+    -m qrcost`. Freezing the heap first spares interpreter shutdown a full
+    collection of objects the OS is about to discard."""
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

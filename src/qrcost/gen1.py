@@ -93,6 +93,11 @@ def _qps_columns(scheme: str, grid: tuple[tuple[int, ...], ...]) -> tuple[np.nda
     return tuple(columns)
 
 
+def _search_grid(max_levels: int, max_rounds: int) -> tuple[tuple[int, ...], ...]:
+    """The round counts allowed at each level of a search's tables."""
+    return (tuple(range(max_rounds + 1)),) * (max_levels + 1)
+
+
 # Every table of a search grid shares its qps columns, whatever its gate
 # error. An entry of the default grid (9,840 rows) takes up to about 0.2 MB
 # (Deutsch, whose counts are Python ints); keep both schemes of a few grids.
@@ -145,7 +150,7 @@ def _schedule_summary(
     """The summary columns of every schedule at most max_levels deep with at
     most max_rounds rounds per level; the search reads nothing else, so the
     states and success probabilities are dropped."""
-    grid = (tuple(range(max_rounds + 1)),) * (max_levels + 1)
+    grid = _search_grid(max_levels, max_rounds)
     table = _build_table(scheme, eps_g, xi, grid, _grid_qps_columns(scheme, grid))
     return table._replace(states=(), probs=())
 

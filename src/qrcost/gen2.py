@@ -137,6 +137,17 @@ def _availability_table(
 _availability = lru_cache(maxsize=64)(_availability_table)
 
 
+def availability(
+    params: HardwareParams, codes: tuple, spacings_km: list, memories: tuple, gen_rounds: tuple
+) -> np.ndarray:
+    """The availability table of a grid (see _availability_table). An
+    evaluator's one-configuration grid is not cached, so it never evicts a
+    search's table."""
+    grid = tuple(spacings_km), tuple(memories), tuple(gen_rounds), codes
+    table = _availability_table if all(len(axis) == 1 for axis in grid) else _availability
+    return table(params.eta_c, params.l_att, *grid)
+
+
 def throughput(
     params: HardwareParams,
     codes: tuple,
@@ -153,17 +164,14 @@ def throughput(
     be ready in the same cycle. segments[s] counts the segments at spacing
     s. t0 is not read: the rate is x / cycle."""
     segments = [segment_count(l_tot_km, spacing) for spacing in spacings_km]
+    counts = np.array(segments, dtype=object)  # Python ints: a count may pass int64
     if codes == (None,):
         r = _chain_fractions(params.eps_g, params.xi, segments)
     elif (eps := physical_error_rate(params)) > 1.0:
         r = np.zeros(len(codes) * len(segments))
     else:
-        counts = np.array(segments, dtype=int)
         r = secure_fraction_rows(np.concatenate([encoded_qber(c, eps, counts) for c in codes]))
-    grid = tuple(spacings_km), tuple(memories), tuple(gen_rounds), codes
-    # an evaluator's one-configuration grid is not cached, so it never evicts a search's table
-    table = _availability_table if all(len(axis) == 1 for axis in grid) else _availability
-    avail = table(params.eta_c, params.l_att, *grid)
+    avail = availability(params, codes, spacings_km, memories, gen_rounds)
     shape = (len(codes), len(segments), 1, 1)
-    powered = libm(pow, avail, np.array(segments, dtype=object).reshape(shape[1:]))
+    powered = libm(pow, avail, counts.reshape(shape[1:]))
     return powered * r.reshape(shape), segments

@@ -234,6 +234,17 @@ def codes(
     )
 
 
+def _live(params: HardwareParams, spacings_km: tuple, l_tot_km: float) -> tuple:
+    """(stations, live, mu): the station count at each spacing, the spacings
+    whose transmissivity exceeds 1/2 and whose station count a float holds,
+    and their transmissivities. Only the coupling, attenuation length and
+    distance are read, whatever the gate error."""
+    stations = [segment_count(l_tot_km, spacing) for spacing in spacings_km]
+    mus = [transmissivity(params.eta_c, spacing, params.l_att) for spacing in spacings_km]
+    live = [i for i, mu in enumerate(mus) if mu > 0.5 and stations[i] <= sys.float_info.max]
+    return stations, live, tuple(mus[i] for i in live)
+
+
 def throughput(
     params: HardwareParams, grid: tuple, spacings_km: tuple, l_tot_km: float
 ) -> tuple[list[int], np.ndarray, tuple[int, ...], list[int]]:
@@ -247,16 +258,10 @@ def throughput(
     over the station batch of the live spacings; t0 is not read: the rate
     is x / t0. stations[i] counts the stations at spacings_km[i]."""
     n, m, qps = codes(*grid)
-    stations = [segment_count(l_tot_km, spacing) for spacing in spacings_km]
-    mus = [transmissivity(params.eta_c, spacing, params.l_att) for spacing in spacings_km]
+    stations, live, mu = _live(params, spacings_km, l_tot_km)
     eps_q = photon_error_rate(params)
-    live = [
-        i for i, mu in enumerate(mus)
-        if mu > 0.5 and eps_q <= 1.0 and stations[i] <= sys.float_info.max
-    ]
-    if not live:
-        return live, np.zeros((0, len(qps))), qps, stations
-    mu = tuple(mus[i] for i in live)
+    if not (live and eps_q <= 1.0):
+        return [], np.zeros((0, len(qps))), qps, stations
     if len(n) * len(mu) > 1:
         ratio_z, ratio_x, p_unknown, ok = station_outcome(n, m, mu, eps_q)
     else:  # a batch of one code at one transmissivity (evaluate's) is not cached
@@ -266,6 +271,15 @@ def throughput(
     q_x, q_z = parity_flip(ratio_x, live_stations), parity_flip(ratio_z, live_stations)
     r = secure_fraction_rows(average_qber(q_x, q_z).ravel()).reshape(ok.shape)
     return live, np.where(ok, p_succ * r, 0.0), qps, stations
+
+
+def warm(params: HardwareParams, grid: tuple, spacings_km: tuple, l_tot_km: float) -> None:
+    """Build the layout that throughput's station batch reads at params'
+    coupling, attenuation length and distance, whatever the gate error."""
+    n, m, _ = codes(*grid)
+    _, _, mu = _live(params, spacings_km, l_tot_km)
+    if len(n) * len(mu) > 1:  # as throughput picks the cached batch
+        _grid_layout(n, m, mu)
 
 
 def price(params: HardwareParams, l_tot_km: float, x: float, qps: int, stations: int) -> CostResult:

@@ -27,8 +27,9 @@ for these reasons:
 
 Grid points are independent; the region map fans (eta_c, eps_g) cells out over
 worker processes, eps_g-outermost so that each worker builds few gen1 tables,
-and reassembles rows in grid order, which keeps the output byte-identical for
-any worker count.
+forked from a parent that has built the tables every cell of a coupling
+shares, and reassembles rows in grid order, which keeps the output
+byte-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -277,6 +278,13 @@ def _gen1_terms(space: SearchSpace, cell):
     return np.concatenate(terms), block_levels[rows[:, 0]], key
 
 
+def _gen1_warm(params: HardwareParams, l_tot_km: float, space: SearchSpace) -> None:
+    """The qps columns that every table of the search grid shares."""
+    s = space.gen1
+    for scheme in s.schemes:
+        gen1._grid_qps_columns(scheme, gen1._search_grid(s.max_levels, s.max_rounds))
+
+
 def _gen1_weights(params: HardwareParams, l_tot_km: float, space: SearchSpace) -> list:
     """A level whose link never succeeds (p0 = 0) is infeasible in every scan
     and adds no weights."""
@@ -292,15 +300,32 @@ def _gen2_spacings(s: Gen2Search, l_tot_km: float) -> list[float]:
     return [l_tot_km / k for k in s.segment_counts if l_tot_km / k >= s.min_spacing_km]
 
 
+def _gen2_codes(family: str, s: Gen2Search) -> tuple:
+    return s.codes if family == "gen2_enc" else (None,)
+
+
+def _gen2_warm(family: str) -> Callable:
+    """The availability table of a swap-chain family's grid."""
+
+    def warm(params: HardwareParams, l_tot_km: float, space: SearchSpace) -> None:
+        s = space.gen2
+        codes, spacings = _gen2_codes(family, s), _gen2_spacings(s, l_tot_km)
+        gen2.availability(params, codes, spacings, s.memories, s.gen_rounds)
+
+    return warm
+
+
+def _gen3_grid(s: Gen3Search) -> tuple:
+    return s.min_n, s.max_n, s.min_m, s.max_m, s.max_photons  # as gen3.codes takes it
+
+
 def _gen3_terms(space: SearchSpace, cell):
     """The one term N/x of every configuration with x > 0, from one array
     pass over the cell (gen3.throughput); N = stations * qps is an exact
     integer, cast to float once. A row's inputs are those of gen3.price."""
     params, l_tot_km = cell
-    s = space.gen3
-    grid = s.min_n, s.max_n, s.min_m, s.max_m, s.max_photons  # as gen3.codes takes it
+    grid, spacings = _gen3_grid(space.gen3), space.gen3.spacings_km
     n_values, m_values, _ = gen3.codes(*grid)
-    spacings = s.spacings_km
     live, x, qps, stations = gen3.throughput(params, grid, spacings, l_tot_km)
     k, j = np.nonzero(x > 0.0)
     i = np.array(live, dtype=int)[k]
@@ -328,7 +353,7 @@ def _gen2_terms(family: str) -> Callable:
     def terms(space: SearchSpace, cell):
         params, l_tot_km = cell
         s = space.gen2
-        codes = s.codes if family == "gen2_enc" else (None,)
+        codes = _gen2_codes(family, s)
         spacings = _gen2_spacings(s, l_tot_km)
         x, segments = gen2.throughput(params, codes, spacings, s.memories, s.gen_rounds, l_tot_km)
         n = np.array([[k * 2 * m for m in s.memories] for k in segments], dtype=object)
@@ -373,7 +398,10 @@ class Family(NamedTuple):
     t0-free numbers the cost needs, and price(params, l_tot_km, *inputs)
     prices them, as evaluate does after computing them for its one
     configuration. weights(params, l_tot_km, space) lists the point's
-    weights.
+    weights. warm(params, l_tot_km, space) fills the cached tables that the
+    cell pass reads at every cell of params' coupling and attenuation
+    length, whatever its gate error, through the accessors the cell pass
+    calls.
     """
 
     config_type: type
@@ -383,6 +411,7 @@ class Family(NamedTuple):
     terms: Callable
     weights: Callable
     describe: Callable
+    warm: Callable
 
 
 _gen2_weights = lambda params, l_tot_km, space: (1.0 / params.c_fiber, params.t0)  # noqa: E731
@@ -398,6 +427,7 @@ FAMILY_TABLE: dict[str, Family] = {
         _gen1_terms,
         _gen1_weights,
         lambda c: f"scheme={c.scheme} levels={c.levels} rounds={','.join(map(str, c.rounds))}",
+        _gen1_warm,
     ),
     "gen2_noenc": Family(
         Gen2NoEncConfig,
@@ -407,6 +437,7 @@ FAMILY_TABLE: dict[str, Family] = {
         _gen2_terms("gen2_noenc"),
         _gen2_weights,
         _describe_gen2,
+        _gen2_warm("gen2_noenc"),
     ),
     "gen2_enc": Family(
         Gen2EncConfig,
@@ -416,6 +447,7 @@ FAMILY_TABLE: dict[str, Family] = {
         _gen2_terms("gen2_enc"),
         _gen2_weights,
         lambda c: f"code=[[{c.code.n_phys},1,{2 * c.code.t + 1}]] " + _describe_gen2(c),
+        _gen2_warm("gen2_enc"),
     ),
     "gen3": Family(
         Gen3Config,
@@ -425,6 +457,9 @@ FAMILY_TABLE: dict[str, Family] = {
         _gen3_terms,
         lambda params, l_tot_km, space: (params.t0,),
         lambda c: f"n={c.n} m={c.m} spacing_km={c.spacing_km!r}",
+        lambda params, l_tot_km, space: gen3.warm(
+            params, _gen3_grid(space.gen3), space.gen3.spacings_km, l_tot_km
+        ),
     ),
 }
 FAMILIES = tuple(FAMILY_TABLE)
@@ -599,6 +634,14 @@ def _map_task(args) -> list[list[dict]]:
     return out
 
 
+def _warm(params: HardwareParams, eta_values, l_tot_km: float, space: SearchSpace) -> None:
+    """Every family's shared tables (Family.warm) at each coupling."""
+    for eta_c in eta_values:
+        point = params.with_(eta_c=eta_c)
+        for family in FAMILY_TABLE.values():
+            family.warm(point, l_tot_km, space)
+
+
 def region_map(
     eta_values: tuple[float, ...],
     eps_values: tuple[float, ...],
@@ -611,11 +654,19 @@ def region_map(
     """Winner label and cost for every (eta_c, eps_g, t0) lattice point.
 
     Cells run eps_g-outermost in one contiguous chunk per worker, so each
-    worker builds the gen1 tables of its own eps_g values only; the gen2 and
-    gen3 tables shared per eta_c are then built in every worker, which costs
-    less than eta_c-outermost chunks that double each worker's gen1 tables and
-    put every live eta_c's gen3 work in one worker. Rows come back in lattice
-    order (eta outermost, t0 innermost) regardless of the worker count.
+    worker builds the gen1 schedule tables of its own eps_g values only.
+    Every worker reads every coupling, but what a coupling's cells share
+    whatever their gate error (each family's warm: the gen3 vote layouts,
+    the gen2 availability tables, the gen1 qps columns) is built once, here,
+    before the pool starts, and the workers fork from this process and
+    inherit it. The fork context is explicit because Linux's default start
+    method may not fork (forkserver from Python 3.14 on), and a worker that
+    imports qrcost afresh starts cold; elsewhere the platform's default
+    stands and each worker rebuilds those tables. eta_c-outermost chunks
+    would instead double each worker's gen1 tables and put every live
+    eta_c's gen3 work in one worker. One worker runs in this process and
+    builds each table on first use. Rows come back in lattice order (eta
+    outermost, t0 innermost) regardless of the worker count.
     """
     cells = [(i, j) for j in range(len(eps_values)) for i in range(len(eta_values))]
     size = max(1, math.ceil(len(cells) / max(threads, 1)))
@@ -628,10 +679,13 @@ def region_map(
     if len(tasks) <= 1:
         done = list(map(_map_task, tasks))
     else:
-        # imported here: it loads multiprocessing, which a one-process run never needs
+        # imported here: they load multiprocessing, which a one-process run never needs
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        _warm(params, eta_values, l_tot_km, space)
+        context = multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
+        with ProcessPoolExecutor(max_workers=len(tasks), mp_context=context) as pool:
             done = list(pool.map(_map_task, tasks))
     by_cell = dict(zip(cells, itertools.chain.from_iterable(done)))
     return [

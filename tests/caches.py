@@ -36,6 +36,10 @@ SHARED = (
     "gen2.logical_flip_prob",  # default region map: 270/300
     "gen3.codes",  # default region map: 199/200
 )
+# The GRID caches whose tables every cell at one coupling reads, whatever its
+# gate error: a region map over several workers fills them in the parent
+# (optimize.Family.warm) before the workers fork from it.
+WARMED = ("gen1._grid_qps_columns", "gen2._availability", "gen3._grid_layout")
 
 
 def found() -> dict:

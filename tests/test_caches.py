@@ -1,3 +1,4 @@
+import concurrent.futures
 import tracemalloc
 
 import caches
@@ -61,3 +62,58 @@ def test_memory_stays_flat_across_cold_cells():
     finally:
         tracemalloc.stop()
     assert grown < 2 * 2**20, f"{grown / 2**20:.1f} MB more held after {len(rest)} more cells"
+
+
+def _misses(names) -> dict:
+    caches_ = caches.found()
+    return {name: caches_[name].cache_info().misses for name in names}
+
+
+class _ForkedPool:
+    """Stands in for the process pool: runs the tasks in this process, in
+    the given order, and records the misses the first task adds to the
+    warmed caches. The first task starts from the caches the parent holds
+    when the pool starts, as a forked worker does."""
+
+    def __init__(self, order, max_workers, mp_context=None):
+        self.order, self.first_task_misses = order, None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        tasks, done = list(tasks), {}
+        for k in self.order(range(len(tasks))):
+            before = _misses(caches.WARMED)
+            done[k] = fn(tasks[k])
+            if self.first_task_misses is None:
+                after = _misses(caches.WARMED)
+                self.first_task_misses = {name: after[name] - before[name] for name in after}
+        return [done[k] for k in range(len(tasks))]
+
+
+def test_warmed_caches_are_grid_caches():
+    assert set(caches.WARMED) <= set(caches.GRID)
+
+
+def test_workers_fork_with_every_shared_table_built(monkeypatch):
+    # region_t2's lattice at seed 0 over two workers: whichever chunk a
+    # worker runs, it builds none of the tables the parent warms
+    etas = tuple(float(v) for v in np.linspace(0.1, 1.0, 4))
+    epss = tuple(float(v) for v in np.geomspace(1e-4, 3e-2, 4))
+    t0s = tuple(float(v) for v in np.geomspace(1e-7, 1e-4, 10))
+    for order in (list, lambda ks: list(reversed(ks))):
+        pools = []
+
+        def pool(max_workers, mp_context=None):
+            pools.append(_ForkedPool(order, max_workers, mp_context))
+            return pools[-1]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        caches.clear_all()
+        optimize.region_map(etas, epss, t0s, 1000.0, threads=2)
+        assert len(pools) == 1
+        assert pools[0].first_task_misses == dict.fromkeys(caches.WARMED, 0)

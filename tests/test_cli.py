@@ -1,3 +1,5 @@
+import ast
+import gc
 import hashlib
 import json
 import math
@@ -522,3 +524,48 @@ def test_import_defaults_openblas_to_one_thread(user_value):
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == (user_value or "1")
+
+
+def test_encoded_segment_counts_past_int64_are_infeasible(capsys):
+    # 10^300 segments: the encoded chain keeps the count as a Python int and
+    # prices nothing, as gen3 does at the same spacing
+    for family in ("gen2_enc", "gen3"):
+        argv = ["evaluate", "--set", f"evaluate.family={family}",
+                "--set", "evaluate.spacing_km=1e-300", "--set", "hardware.l_tot=1"]
+        assert main(argv) == 0, family
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["stations"] == segment_count(1.0, 1e-300) > 2**63, family
+        assert (result["feasible"], result["rate_sbits_per_s"], result["cost"]) == (False, 0.0, None)
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    # only cli.run, whose process exits next, freezes the heap
+    assert main(["optimize"] + _FAST_SPACE) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == 0
+
+
+def test_both_entry_points_exit_through_run(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(qrcost.__file__).parents[2]
+    with open(root / "pyproject.toml", "rb") as handle:
+        assert tomllib.load(handle)["project"]["scripts"] == {"qrcost": "qrcost.cli:run"}
+    module = ast.parse((Path(qrcost.__file__).parent / "__main__.py").read_text())
+    calls = [ast.unparse(node) for node in ast.walk(module) if isinstance(node, ast.Call)]
+    imports = [(node.module, node.level, [alias.name for alias in node.names])
+               for node in ast.walk(module) if isinstance(node, ast.ImportFrom)]
+    assert calls == ["sys.exit(run())", "run()"] and imports == [("cli", 1, ["run"])]
+
+    # the module entry point writes what main writes, and run freezes the heap
+    src = str(Path(qrcost.__file__).parents[1])
+    child, here = tmp_path / "child.csv", tmp_path / "here.csv"
+    done = subprocess.run([sys.executable, "-m", "qrcost", "optimize", "--out", str(child)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert main(["optimize", "--out", str(here)]) == 0
+    assert child.read_bytes() == here.read_bytes()
+    argv = ["validate", "qpc", "--trials", "10", "--out", str(tmp_path / "validate.txt")]
+    code = f"import gc; from qrcost.cli import run; print(run({argv!r}), gc.get_freeze_count() > 0)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["0", "True"]

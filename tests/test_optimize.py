@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import caches
 import search_reference
 import station_reference
 from search_reference import reference_optimum
@@ -358,6 +359,21 @@ def test_region_map_rows_identical_for_any_worker_count(etas, epss):
     assert [(r["eta_c"], r["eps_g"], r["t0"]) for r in rows] == want
     for threads in (2, 3):
         assert region_map(etas, epss, t0s, 300.0, _SMALL, threads=threads) == rows
+
+
+def test_region_map_rows_identical_for_any_worker_count_from_a_warm_parent():
+    # the workers fork from a parent that has built each coupling's shared
+    # tables: at eta_c 0.4 gen3 has no live spacing, at 1.0 all 20 are live
+    space = SearchSpace(gen1=_SMALL.gen1, gen2=_SMALL.gen2)
+    etas, epss, t0s, l_tot = (0.4, 0.7, 1.0), (1e-3, 1e-2), (1e-7, 1e-5), 1000.0
+    live = [gen3._live(HardwareParams(eta_c=eta), space.gen3.spacings_km, l_tot)[1] for eta in etas]
+    assert (len(live[0]), len(live[-1])) == (0, len(space.gen3.spacings_km)) == (0, 20)
+    runs = []
+    for threads in (1, 2, 3):
+        caches.clear_all()
+        runs.append(region_map(etas, epss, t0s, l_tot, space, threads=threads))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert len(runs[0]) == len(etas) * len(epss) * len(t0s)
 
 
 def _cost(candidate):
