@@ -19,18 +19,16 @@ classical heralding over a level-k pair costs 2^k signal times.
 Schedule tables. The schedules of a grid form a prefix tree: level k starts
 from swap(prefix, prefix) of its level-(k-1) prefix and then runs its own
 rounds. `_schedule_summary` builds one table per (scheme, eps_g, xi) and
-search bounds (max_levels, max_rounds). It advances every prefix of a level
-at once, as one batch of states, and each row gets exactly the float
-operations of a one-schedule fold, so a row does not depend on the table
-that holds it. The optimizer reads each level's summary columns whole and
-prices a row through `price`; a search's table keeps only those columns, and
-only while its cell is searched (optimize._frontier keeps the cell's
-result). Every reader of one schedule (evaluate, waiting_time,
+grid. It advances every prefix of a level at once, as one batch of states,
+and each row gets exactly the float operations of a one-schedule fold, so a
+row does not depend on the table that holds it. Every table is read
+through that one cached accessor: the optimizer reads each level's summary
+columns of its search grid (`_search_grid`) whole and prices a row through
+`price`; every reader of one schedule (evaluate, waiting_time,
 time_constants, ladder_success_probs) reads row 0 of each level of the
-schedule's own one-path table, which has a cache of its own, so it never
-evicts a grid table. The qubits per station of every row depend on the
-scheme and the grid only, so every table of a search grid, at any
-(eps_g, xi), shares one set of qps columns (`_grid_qps_columns`).
+schedule's one-path grid (`_path`). The qubits per station of every row
+depend on the scheme and the grid only, so every table of a grid, at any
+(eps_g, xi), shares one set of qps columns (`_qps_columns`).
 """
 from __future__ import annotations
 
@@ -60,7 +58,7 @@ class _Table(NamedTuple):
 
     grid: tuple[tuple[int, ...], ...]
     # per level, one batch over its rows, and the [parent row, round] success
-    # probabilities; both empty in a search's table (see _schedule_summary)
+    # probabilities
     states: tuple[BellDiagonalState, ...]
     probs: tuple[np.ndarray, ...]
     # per level, the summary columns (alpha, beta, gamma, r, qps) over its
@@ -77,6 +75,10 @@ def _parent_major(columns, parents: int) -> np.ndarray:
     return out
 
 
+# Every table of a grid shares its qps columns, whatever its gate error. An
+# entry of the default search grid (9,840 rows) takes up to about 0.2 MB
+# (Deutsch, whose counts are Python ints); keep both schemes of a few grids.
+@lru_cache(maxsize=8)
 def _qps_columns(scheme: str, grid: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, ...]:
     """Per level of the grid, the qubits per station of each row; they depend
     on the scheme and the grid only. The rounds prefixes are Python ints so
@@ -98,21 +100,18 @@ def _search_grid(max_levels: int, max_rounds: int) -> tuple[tuple[int, ...], ...
     return (tuple(range(max_rounds + 1)),) * (max_levels + 1)
 
 
-# Every table of a search grid shares its qps columns, whatever its gate
-# error. An entry of the default grid (9,840 rows) takes up to about 0.2 MB
-# (Deutsch, whose counts are Python ints); keep both schemes of a few grids.
-_grid_qps_columns = lru_cache(maxsize=8)(_qps_columns)
-
-
-def _build_table(
-    scheme: str,
-    eps_g: float,
-    xi: float,
-    grid: tuple[tuple[int, ...], ...],
-    qps_columns: tuple[np.ndarray, ...],
+# The search reads a cell's tables once, and its rare unpruned fallback at
+# the same point reads them again; optimize._frontier keeps what a later
+# point needs. The readers of one schedule come back to its one-path table
+# within a check (validate gen1-time: 5 of 8 hits). So keep two tables: one
+# cell's, one per scheme.
+@lru_cache(maxsize=len(GEN1_SCHEMES))
+def _schedule_summary(
+    scheme: str, eps_g: float, xi: float, grid: tuple[tuple[int, ...], ...]
 ) -> _Table:
     """The schedule table of a grid; grid[k] lists the round counts allowed at
-    level k, qps_columns are the grid's (see _qps_columns)."""
+    level k."""
+    qps_columns = _qps_columns(scheme, grid)
     states, probs, columns, a_levels, s_levels = [], [], [], [], []
     size = 1
     for k, options in enumerate(grid):
@@ -134,38 +133,17 @@ def _build_table(
             [np.repeat(s, size // len(s)) for s in s_levels],
         )
         r = secure_fraction_rows(average_qber(states[-1].qber_x, states[-1].qber_z))
-        for column in (alpha, beta, gamma, r):
+        for column in (alpha, beta, gamma, r, probs[-1], *states[-1].as_tuple()):
             column.flags.writeable = False
         columns.append((alpha, beta, gamma, r, qps_columns[k]))
     return _Table(grid, tuple(states), tuple(probs), tuple(columns))
 
 
-# The search reads a cell's tables once, and its rare unpruned fallback at
-# the same point reads them again; optimize._frontier keeps what a later
-# point needs. So keep the tables of one cell: one per scheme.
-@lru_cache(maxsize=len(GEN1_SCHEMES))
-def _schedule_summary(
-    scheme: str, eps_g: float, xi: float, max_levels: int, max_rounds: int
-) -> _Table:
-    """The summary columns of every schedule at most max_levels deep with at
-    most max_rounds rounds per level; the search reads nothing else, so the
-    states and success probabilities are dropped."""
-    grid = _search_grid(max_levels, max_rounds)
-    table = _build_table(scheme, eps_g, xi, grid, _grid_qps_columns(scheme, grid))
-    return table._replace(states=(), probs=())
-
-
-@lru_cache(maxsize=256)
-def _one_path(scheme: str, eps_g: float, xi: float, rounds: tuple[int, ...]) -> _Table:
-    """The table of one schedule alone: one row per level. Its qps columns
-    are computed afresh, so they never evict a search grid's."""
-    grid = tuple((m,) for m in rounds)
-    return _build_table(scheme, eps_g, xi, grid, _qps_columns(scheme, grid))
-
-
 def _path(params: HardwareParams, config: Gen1Config) -> _Table:
-    """The schedule's own one-path table; the schedule is row 0 of each level."""
-    return _one_path(config.scheme, params.eps_g, params.xi, config.rounds)
+    """The table of the schedule's one-path grid; the schedule is row 0 of
+    each level."""
+    grid = tuple((m,) for m in config.rounds)
+    return _schedule_summary(config.scheme, params.eps_g, params.xi, grid)
 
 
 def _summary(params: HardwareParams, config: Gen1Config) -> tuple[float, float, float, float, int]:

@@ -6,15 +6,18 @@ Multiplexing M memory pairs per segment (with n_EG generation attempts
 pooled per cycle) raises the per-cycle availability; one cycle lasts
 n_EG * (L0/c + t0).
 
-The search computes a cell's throughputs, secure fractions included, in one
-array pass over its grid (`throughput`); the evaluators run the same pass,
-uncached, over a grid of their one configuration, so a configuration's
-numbers do not depend on the grid that holds it. Both turn a throughput
-into a cost through `price`.
+Throughputs, secure fractions included, come from one array pass over a
+grid (`throughput`): the search's over its cell's grid, an evaluator's over
+a grid of its one configuration. Both read each table through its one
+cached accessor, whichever grid asks: a grid's availabilities
+(`_availability`) and the bare chain's fractions at the grid's segment
+counts (`_chain_fractions`). A configuration's numbers do not depend on the
+grid that holds it. Both turn a throughput into a cost through `price`.
 """
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -26,27 +29,32 @@ from .keyrate import average_qber, parity_flip, secure_fraction_rows
 from .pairs import elementary_pair, heg_success_prob, swap, swap_weights  # noqa: F401
 
 
-# Every cell pass of the bare chain at one (eps_g, xi) reads its chain: 90 of
-# 100 lookups hit in the default region map (eps_g outermost), and no command
-# comes back to an earlier chain of up to 1,024 states
+def _chain_states(eps_g: float, xi: float, segments) -> list[tuple[float, float, float, float]]:
+    """Bell weights (a, b, c, d) of the end-to-end state of each count of
+    swapped elementary pairs in segments, from one left fold out to the
+    longest that keeps only the states asked for. Each swap is pairs.swap on
+    plain floats: the same weights, checked and renormalized as a
+    BellDiagonalState would be, without building one."""
+    first = elementary_pair(eps_g).as_tuple()
+    state, count, kept = first, 1, {}
+    for n in sorted(set(segments)):
+        for _ in range(n - count):
+            state = _renormalized(*swap_weights(state, first, eps_g, xi))
+        kept[n], count = state, n
+    return [kept[n] for n in segments]
+
+
+# Every cell pass of the bare chain at one (eps_g, xi) and distance asks for
+# the same counts: 90 of 100 lookups hit in the default region map (eps_g
+# outermost)
 @lru_cache(maxsize=4)
-def _chain_states(eps_g: float, xi: float) -> list[tuple[float, float, float, float]]:
-    """Bell weights (a, b, c, d) of the end-to-end states of 1, 2, ...
-    swapped elementary pairs, extended on demand by _chain_fractions."""
-    return [elementary_pair(eps_g).as_tuple()]
-
-
-def _chain_fractions(eps_g: float, xi: float, segments: list[int]) -> np.ndarray:
+def _chain_fractions(eps_g: float, xi: float, segments: tuple[int, ...]) -> np.ndarray:
     """Secure fraction of the bare chain at each segment count, from one
-    secure_fraction_rows call over its states, swapped out to the longest.
-    Each swap is pairs.swap on plain floats: the same weights, checked and
-    renormalized as a BellDiagonalState would be, without building one."""
-    states = _chain_states(eps_g, xi)
-    first = states[0]
-    while len(states) < max(segments, default=0):
-        states.append(_renormalized(*swap_weights(states[-1], first, eps_g, xi)))
-    qber = [average_qber(b + d, c + d) for _, b, c, d in (states[n - 1] for n in segments)]
-    return secure_fraction_rows(np.array(qber, dtype=float))
+    secure_fraction_rows call over its states (see _chain_states)."""
+    qber = [average_qber(b + d, c + d) for _, b, c, d in _chain_states(eps_g, xi, segments)]
+    r = secure_fraction_rows(np.array(qber, dtype=float))
+    r.flags.writeable = False
+    return r
 
 
 def link_availability(p_gen: float, attempts: int) -> float:
@@ -108,8 +116,12 @@ def _evaluate(params: HardwareParams, config, l_tot_km: float) -> CostResult:
 evaluate_no_encoding = evaluate_encoded = _evaluate
 
 
-def _availability_table(
-    eta_c: float, l_att: float, spacings_km: tuple, memories: tuple, gen_rounds: tuple, codes: tuple
+# availability tables of a grid, up to a few KB each: the default region map
+# cycles through 20 at one worker (10 eta_c x 2 families), 180/200 hits
+@lru_cache(maxsize=64)
+def _availability(
+    eta_c: float, l_att: float, spacings_km: tuple, memories: tuple, gen_rounds: tuple,
+    codes: tuple,
 ) -> np.ndarray:
     """[c, s, m, g]: the per-cycle availability of code codes[c] (None for
     the bare chain) at spacing spacings_km[s] with memories[m] *
@@ -132,20 +144,12 @@ def _availability_table(
     return avail
 
 
-# availability tables of a search's grids, up to a few KB each: the default
-# region map cycles through 20 at one worker (10 eta_c x 2 families), 180/200 hits
-_availability = lru_cache(maxsize=64)(_availability_table)
-
-
 def availability(
     params: HardwareParams, codes: tuple, spacings_km: list, memories: tuple, gen_rounds: tuple
 ) -> np.ndarray:
-    """The availability table of a grid (see _availability_table). An
-    evaluator's one-configuration grid is not cached, so it never evicts a
-    search's table."""
+    """The availability table of a grid (see _availability)."""
     grid = tuple(spacings_km), tuple(memories), tuple(gen_rounds), codes
-    table = _availability_table if all(len(axis) == 1 for axis in grid) else _availability
-    return table(params.eta_c, params.l_att, *grid)
+    return _availability(params.eta_c, params.l_att, *grid)
 
 
 def throughput(
@@ -160,13 +164,18 @@ def throughput(
     x[c, s, m, g] = avail**segments * r is the secret bits per cycle of code
     codes[c] (None for the bare chain) at spacing spacings_km[s] with
     memories[m] pairs and gen_rounds[g] rounds, 0 where the chain cannot
-    work, as every code past a physical error rate of 1; all segments must
-    be ready in the same cycle. segments[s] counts the segments at spacing
-    s. t0 is not read: the rate is x / cycle."""
+    work: as every code past a physical error rate of 1, and every spacing
+    whose segment count no float holds (past it no cost is a float), which
+    is ruled out before the fold and any power. All segments must be ready
+    in the same cycle. segments[s] counts the segments at spacing s. t0 is
+    not read: the rate is x / cycle."""
     segments = [segment_count(l_tot_km, spacing) for spacing in spacings_km]
-    counts = np.array(segments, dtype=object)  # Python ints: a count may pass int64
+    fits = [n <= sys.float_info.max for n in segments]
+    # a count past the float range stands in as 1, and its x is 0 below
+    held = tuple(n if fit else 1 for n, fit in zip(segments, fits))
+    counts = np.array(held, dtype=object)  # Python ints: a count may pass int64
     if codes == (None,):
-        r = _chain_fractions(params.eps_g, params.xi, segments)
+        r = _chain_fractions(params.eps_g, params.xi, held)
     elif (eps := physical_error_rate(params)) > 1.0:
         r = np.zeros(len(codes) * len(segments))
     else:
@@ -174,4 +183,7 @@ def throughput(
     avail = availability(params, codes, spacings_km, memories, gen_rounds)
     shape = (len(codes), len(segments), 1, 1)
     powered = libm(pow, avail, counts.reshape(shape[1:]))
-    return powered * r.reshape(shape), segments
+    x = powered * r.reshape(shape)
+    if not all(fits):
+        x[:, [not fit for fit in fits]] = 0.0
+    return x, segments

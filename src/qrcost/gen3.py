@@ -9,13 +9,12 @@ work at all.
 
 Station decodes and throughputs are computed in array passes over tables of
 codes at transmissivities, each row with the float operations of a one-code
-fold, so a code's numbers do not depend on the table that holds it. The
-search computes a cell's throughputs in one pass over its grid; `evaluate`
-runs the same pass over its code alone at its spacing. Both turn a
-throughput into a cost through `price`. Only a search's station batch and
-its layout are cached (`station_outcome`, `_grid_layout`), since they hold
-no distance; evaluate's batch of one code at one transmissivity and its
-layout are computed afresh.
+fold, so a code's numbers do not depend on the table that holds it.
+`throughput` computes every code of a grid at every spacing in one pass:
+the search over its cell's grid, `evaluate` over its code alone at its
+spacing. Both read the station batch and its layout through their one
+cached accessor each (`station_outcome`, `_layout`), and both turn a
+throughput into a cost through `price`.
 
 A pass splits into a layout and a vote. The layout (`_layout`) holds the
 vote rows and the pmf of each row's arrived count; it reads the codes and
@@ -145,6 +144,11 @@ class _Layout(NamedTuple):
     arrivals: tuple[np.ndarray, ...]  # per vote row, see _arrivals
 
 
+# Every cell of a search at one coupling and attenuation length shares its
+# batch's layout, whatever its gate error. An entry of the default search
+# (6,200 vote rows of up to 21 arrived counts) takes about 1.1 MB; keep the
+# live couplings of a default region map (5 of 10) and more.
+@lru_cache(maxsize=16)
 def _layout(n: tuple, m: tuple, mu: tuple) -> _Layout:
     """The vote rows of every code (n[j], m[j]) at every transmissivity mu[i]:
     the Z vote once per transmissivity and distinct m, of m photons that
@@ -161,17 +165,16 @@ def _layout(n: tuple, m: tuple, mu: tuple) -> _Layout:
     return layout
 
 
-# Every cell of a search at one coupling and attenuation length shares its
-# batch's layout, whatever its gate error. An entry of the default search
-# (6,200 vote rows of up to 21 arrived counts) takes about 1.1 MB; keep the
-# live couplings of a default region map (5 of 10) and more.
-_grid_layout = lru_cache(maxsize=16)(_layout)
-
-
-def _station_outcome(layout: _Layout, eps_q: float) -> tuple[np.ndarray, ...]:
+# A search's batch serves its cell at every distance: an l_tot sweep reads
+# its one cell's batch at each value (7 of 8 hits in an 8-value sweep), and
+# no other command reads a batch twice. An entry of the default search takes
+# about 0.2 MB, so keep a few.
+@lru_cache(maxsize=4)
+def station_outcome(n: tuple, m: tuple, mu: tuple, eps_q: float) -> tuple[np.ndarray, ...]:
     """Per-station decode summary (ratio_z, ratio_x, p_unknown, ok) of every
-    entry of a layout (see _layout), as four flat arrays, from one _votes
-    call over the layout's rows.
+    code (n[j], m[j]) at every transmissivity mu[i], as four read-only arrays
+    [i, j], from one _votes call over the rows of their layout (see
+    _layout).
 
     ratio_z/ratio_x are the conditional correctness biases
     (p_correct - p_incorrect) / (p_correct + p_incorrect) of the Z and X
@@ -179,37 +182,28 @@ def _station_outcome(layout: _Layout, eps_q: float) -> tuple[np.ndarray, ...]:
     undecidable. ok is False where the code never decodes (ratios 0,
     p_unknown 1).
     """
+    layout = _layout(n, m, mu)
     block, z = layout.block, len(layout.block_m)
     pc, pi, pu = _votes(
         layout.trials,
         layout.arrivals,
         np.concatenate((np.full(z, eps_q), _parity_flip(layout.block_m, eps_q)[block])),
     )
-    n, s, d = layout.trials[z:], (pc[:z] + pi[:z])[block], (pc[:z] - pi[:z])[block]
+    blocks, s, d = layout.trials[z:], (pc[:z] + pi[:z])[block], (pc[:z] - pi[:z])[block]
     # Z logical value is the parity of the n block outcomes: every block must
     # be known, errors cancel pairwise. The bias is taken as (d/s)**n: the
     # ratio of decode_probs(..., "z") agrees only to about 1e-12.
-    known_z = libm(pow, s, n)
+    known_z = libm(pow, s, blocks)
     pu_z = 1.0 - known_z
     pc_x, pi_x, pu_x = pc[z:], pi[z:], pu[z:]
     s_x = pc_x + pi_x
     p_unknown = 1.0 - (1.0 - pu_x) * (1.0 - pu_z)
     ok = ~((known_z <= 0.0) | (s_x <= 0.0))
     ratio_z, ratio_x = np.zeros(len(ok)), np.zeros(len(ok))
-    ratio_z[ok] = libm(pow, d[ok] / s[ok], n[ok])
+    ratio_z[ok] = libm(pow, d[ok] / s[ok], blocks[ok])
     ratio_x[ok] = (pc_x[ok] - pi_x[ok]) / s_x[ok]
-    return ratio_z, ratio_x, np.where(ok, p_unknown, 1.0), ok
-
-
-# A search's batch serves its cell at every distance: an l_tot sweep reads
-# its one cell's batch at each value (7 of 8 hits in an 8-value sweep), and
-# no other command reads a batch twice. An entry of the default search takes
-# about 0.2 MB, so keep a few.
-@lru_cache(maxsize=4)
-def station_outcome(n: tuple, m: tuple, mu: tuple, eps_q: float) -> tuple[np.ndarray, ...]:
-    """_station_outcome of every code (n[j], m[j]) at every transmissivity
-    mu[i], from a search's shared layout, as four read-only arrays [i, j]."""
-    rows = tuple(a.reshape(len(mu), -1) for a in _station_outcome(_grid_layout(n, m, mu), eps_q))
+    p_unknown = np.where(ok, p_unknown, 1.0)
+    rows = tuple(a.reshape(len(mu), -1) for a in (ratio_z, ratio_x, p_unknown, ok))
     for a in rows:
         a.flags.writeable = False
     return rows
@@ -262,10 +256,7 @@ def throughput(
     eps_q = photon_error_rate(params)
     if not (live and eps_q <= 1.0):
         return [], np.zeros((0, len(qps))), qps, stations
-    if len(n) * len(mu) > 1:
-        ratio_z, ratio_x, p_unknown, ok = station_outcome(n, m, mu, eps_q)
-    else:  # a batch of one code at one transmissivity (evaluate's) is not cached
-        ratio_z, ratio_x, p_unknown, ok = _station_outcome(_layout(n, m, mu), eps_q)
+    ratio_z, ratio_x, p_unknown, ok = station_outcome(n, m, mu, eps_q)
     live_stations = np.array([stations[i] for i in live], dtype=object)[:, None]  # Python ints
     p_succ = libm(pow, 1.0 - p_unknown, live_stations)
     q_x, q_z = parity_flip(ratio_x, live_stations), parity_flip(ratio_z, live_stations)
@@ -278,8 +269,7 @@ def warm(params: HardwareParams, grid: tuple, spacings_km: tuple, l_tot_km: floa
     coupling, attenuation length and distance, whatever the gate error."""
     n, m, _ = codes(*grid)
     _, _, mu = _live(params, spacings_km, l_tot_km)
-    if len(n) * len(mu) > 1:  # as throughput picks the cached batch
-        _grid_layout(n, m, mu)
+    _layout(n, m, mu)
 
 
 def price(params: HardwareParams, l_tot_km: float, x: float, qps: int, stations: int) -> CostResult:

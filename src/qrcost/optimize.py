@@ -121,6 +121,11 @@ class Gen2Search:
             values = getattr(self, name)
             if not values or any(value < 1 for value in values):
                 raise ValueError(f"{name} must be a non-empty list of values >= 1, got {values}")
+        # each spacing L_tot/k is a float
+        if any(k > sys.float_info.max for k in self.segment_counts):
+            raise ValueError(
+                f"segment_counts above {sys.float_info.max:.4g} overflow a float spacing"
+            )
         if not self.min_spacing_km >= 0.0:
             raise ValueError(f"min_spacing_km must be >= 0, got {self.min_spacing_km}")
         if not self.codes:
@@ -232,9 +237,9 @@ def _gen1_columns(search: Gen1Search, eps_g: float, xi: float):
     """((scheme, levels), summary columns) of every nesting level of the
     grid in enumeration order, read off one table per scheme whose rows run
     in the same order."""
-    bounds = (search.max_levels, search.max_rounds)
+    grid = gen1._search_grid(search.max_levels, search.max_rounds)
     for scheme in search.schemes:
-        table = gen1._schedule_summary(scheme, eps_g, xi, *bounds)
+        table = gen1._schedule_summary(scheme, eps_g, xi, grid)
         for levels in range(search.min_levels, search.max_levels + 1):
             yield (scheme, levels), table.columns[levels]
 
@@ -282,7 +287,7 @@ def _gen1_warm(params: HardwareParams, l_tot_km: float, space: SearchSpace) -> N
     """The qps columns that every table of the search grid shares."""
     s = space.gen1
     for scheme in s.schemes:
-        gen1._grid_qps_columns(scheme, gen1._search_grid(s.max_levels, s.max_rounds))
+        gen1._qps_columns(scheme, gen1._search_grid(s.max_levels, s.max_rounds))
 
 
 def _gen1_weights(params: HardwareParams, l_tot_km: float, space: SearchSpace) -> list:

@@ -1,13 +1,12 @@
-"""Every per-process cache of qrcost, each named once in one of three lists,
-for tests that compare a result computed with warm caches against the same
-result computed from cold ones, and for tests that check which path fills
+"""Every per-process cache of qrcost, each named once in CACHES, for tests
+that compare a result computed with warm caches against the same result
+computed from cold ones, and for tests that check which command fills
 which cache.
 
-- GRID caches hold the tables of a search's grids; only the search fills
-  them.
-- READER caches hold the tables of one configuration, which the readers of
-  one configuration (`evaluate` and its kin) compute.
-- SHARED caches hold entries that both paths compute alike.
+Each table has one cached accessor, which the search's cell pass, the
+region map's warm step and the readers of one configuration (`evaluate`
+and its kin) all read through, so an entry does not depend on which path
+filled it.
 """
 from __future__ import annotations
 
@@ -18,28 +17,21 @@ import qrcost
 
 # Each cache's comment names a command whose hits keep it, measured as
 # hits/lookups with the command run in-process after clear_all().
-GRID = (
-    # no command hits it (0/20 in the default region map): it holds one
-    # cell's tables for the unpruned fallback of the same point
-    "gen1._schedule_summary",
-    "gen1._grid_qps_columns",  # default region map and eps_g sweep: 18/20
+CACHES = (
+    "gen1._schedule_summary",  # validate gen1-time: 5/8
+    "gen1._qps_columns",  # default region map and eps_g sweep: 18/20
     "gen2._availability",  # default region map: 180/200
-    "gen3._grid_layout",  # default region map: 45/50
+    "gen2._chain_fractions",  # default region map: 90/100
+    "gen2.logical_flip_prob",  # default region map: 270/300
+    "gen3._layout",  # default region map: 45/50
     "gen3.station_outcome",  # l_tot sweep of 8 values: 7/8
+    "gen3.codes",  # default region map: 199/200
     "optimize._frontier",  # default region map: 3,690/4,000
 )
-READER = (
-    "gen1._one_path",  # validate all: 5/8
-)
-SHARED = (
-    "gen2._chain_states",  # default region map: 90/100
-    "gen2.logical_flip_prob",  # default region map: 270/300
-    "gen3.codes",  # default region map: 199/200
-)
-# The GRID caches whose tables every cell at one coupling reads, whatever its
-# gate error: a region map over several workers fills them in the parent
+# The caches whose tables every cell at one coupling reads, whatever its gate
+# error: a region map over several workers fills them in the parent
 # (optimize.Family.warm) before the workers fork from it.
-WARMED = ("gen1._grid_qps_columns", "gen2._availability", "gen3._grid_layout")
+WARMED = ("gen1._qps_columns", "gen2._availability", "gen3._layout")
 
 
 def found() -> dict:

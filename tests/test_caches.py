@@ -7,42 +7,36 @@ import numpy as np
 from qrcost import cli, optimize
 from qrcost.core import HardwareParams
 
-# Small CLI jobs and the listed caches that each must hit at least once: the
+# Small CLI jobs and the caches that each must hit at least once: the
 # traffic the comments of caches.py claim, on smaller inputs
 _JOBS = (
     (
         ["region-map", "--set", "region.eta_c=0.8,0.9", "--set", "region.eps_g=1e-3,2e-3",
          "--set", "region.t0=1e-6,1e-5"],
-        ("gen1._grid_qps_columns", "gen2._availability", "gen3._grid_layout", "optimize._frontier",
-         "gen2._chain_states", "gen2.logical_flip_prob", "gen3.codes"),
+        ("gen1._qps_columns", "gen2._availability", "gen3._layout", "optimize._frontier",
+         "gen2._chain_fractions", "gen2.logical_flip_prob", "gen3.codes"),
     ),
     (["sweep", "--set", "sweep.axis=l_tot", "--set", "sweep.values=500,1000,2000"],
      ("gen3.station_outcome",)),
-    (["validate", "gen1-time", "--trials", "1000"], ("gen1._one_path",)),
+    (["validate", "gen1-time", "--trials", "1000"], ("gen1._schedule_summary",)),
 )
-# hit by no command: it holds one cell's tables for the unpruned fallback of
-# the same point, and the benchmark's tracer reads it
-_UNHIT = "gen1._schedule_summary"
 
 
 def test_every_cache_is_named_in_one_list():
-    # a new lru_cache must be sorted into one list, and a deleted one taken out
-    listed = caches.GRID + caches.READER + caches.SHARED
-    assert len(set(listed)) == len(listed), "a cache is named twice"
-    assert sorted(caches.found()) == sorted(listed)
+    # a new lru_cache must be added to the list, and a deleted one taken out
+    assert len(set(caches.CACHES)) == len(caches.CACHES), "a cache is named twice"
+    assert sorted(caches.found()) == sorted(caches.CACHES)
 
 
 def test_every_cache_hits_in_its_job(capsys, monkeypatch):
     monkeypatch.delenv("QRCOST_CONFIG", raising=False)
-    listed = caches.GRID + caches.READER + caches.SHARED
     named = [name for _, names in _JOBS for name in names]
-    assert sorted(named + [_UNHIT]) == sorted(listed)
+    assert sorted(named) == sorted(caches.CACHES)
     for argv, names in _JOBS:
         caches.clear_all()
         assert cli.main(argv) == 0, argv
         hits = {name: cache.cache_info().hits for name, cache in caches.found().items()}
         assert {name: hits[name] for name in names if hits[name] == 0} == {}, argv
-        assert hits[_UNHIT] == 0, argv
     capsys.readouterr()
 
 
@@ -96,7 +90,8 @@ class _ForkedPool:
 
 
 def test_warmed_caches_are_grid_caches():
-    assert set(caches.WARMED) <= set(caches.GRID)
+    # the warm step fills the accessors of the search grids' shared tables
+    assert set(caches.WARMED) <= set(caches.CACHES)
 
 
 def test_workers_fork_with_every_shared_table_built(monkeypatch):

@@ -232,6 +232,8 @@ _INVALID_SEARCH = [
     ("search.gen1.max_rounds=7", Gen1Search, {"max_rounds": 7}),
     ("search.gen1.max_levels=1000000000000", Gen1Search, {"max_levels": 10**12}),
     ("search.gen2.segment_counts=", Gen2Search, {"segment_counts": ()}),
+    # a segment count past the float range: its spacing L_tot/k is no float
+    ("search.gen2.segment_counts=1" + "0" * 400, Gen2Search, {"segment_counts": (10**400,)}),
     ("search.gen2.memories=", Gen2Search, {"memories": ()}),
     ("search.gen2.gen_rounds=", Gen2Search, {"gen_rounds": ()}),
     ("search.gen3.max_photons=3", Gen3Search, {"max_photons": 3}),
@@ -535,6 +537,18 @@ def test_encoded_segment_counts_past_int64_are_infeasible(capsys):
         assert main(argv) == 0, family
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["stations"] == segment_count(1.0, 1e-300) > 2**63, family
+        assert (result["feasible"], result["rate_sbits_per_s"], result["cost"]) == (False, 0.0, None)
+
+
+def test_segment_counts_past_the_float_range_are_infeasible(capsys):
+    # 10^310 segments: both swap chains rule the count out before the bare
+    # chain's fold and any power, as gen3 does at the same spacing
+    for family in ("gen2_enc", "gen2_noenc", "gen3"):
+        argv = ["evaluate", "--set", f"evaluate.family={family}",
+                "--set", "evaluate.spacing_km=1e-300", "--set", "hardware.l_tot=1e10"]
+        assert main(argv) == 0, family
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["stations"] == segment_count(1e10, 1e-300) > sys.float_info.max, family
         assert (result["feasible"], result["rate_sbits_per_s"], result["cost"]) == (False, 0.0, None)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -28,11 +29,8 @@ def _grid_row(rounds, max_rounds):
 
 
 def _grid_table(scheme, eps_g, xi, max_levels, max_rounds):
-    """The full table of a search grid, states and success probabilities
-    included, built as gen1._schedule_summary builds it before it keeps
-    only the summary columns."""
-    grid = (tuple(range(max_rounds + 1)),) * (max_levels + 1)
-    return gen1._build_table(scheme, eps_g, xi, grid, gen1._grid_qps_columns(scheme, grid))
+    """The table of a search grid, as the search reads it."""
+    return gen1._schedule_summary(scheme, eps_g, xi, gen1._search_grid(max_levels, max_rounds))
 
 
 def _level_time(scheme, entry, comm, probs):
@@ -218,19 +216,29 @@ def test_qps_stays_exact_past_int64():
 
 
 def test_readers_use_the_searched_grid_table():
+    # the search and the readers of one schedule read through one accessor:
+    # the search's table keeps its states and success probabilities, equals
+    # its cold value, and holds each schedule's numbers as its one-path table
     params = HardwareParams(eps_g=1.5e-3)
     # a narrow search never builds the default grid's table
     narrow = optimize.SearchSpace(gen1=optimize.Gen1Search(max_levels=2, max_rounds=1))
-    gen1._schedule_summary.cache_clear()
+    caches.clear_all()
     assert optimize.optimize_family("gen1", params, 300.0, narrow) is not None
     assert gen1._schedule_summary.cache_info().currsize == 2  # one table per scheme
-    table = gen1._schedule_summary("dur", params.eps_g, params.xi, 2, 1)
-    assert gen1._schedule_summary.cache_info().currsize == 2  # the search's table
+    hits = gen1._schedule_summary.cache_info().hits
+    table = _grid_table("dur", params.eps_g, params.xi, 2, 1)
+    assert gen1._schedule_summary.cache_info().hits == hits + 1  # the search's table
     assert table.grid == ((0, 1),) * 3
-    # the search reads the summary columns only; its table keeps nothing else
-    assert table.states == table.probs == ()
-    full = _grid_table("dur", params.eps_g, params.xi, 2, 1)
-    assert _table_text(table) == _table_text(full._replace(states=(), probs=()))
+    assert len(table.states) == len(table.probs) == 3
+    caches.clear_all()
+    assert _table_text(table) == _table_text(_grid_table("dur", params.eps_g, params.xi, 2, 1))
+    for levels in range(3):
+        for rounds in itertools.product((0, 1), repeat=levels + 1):
+            path = gen1._path(params, Gen1Config("dur", levels, rounds))
+            row = _grid_row(rounds, 1)
+            got = [c.item(row) for c in (*table.columns[levels], *table.states[levels].as_tuple())]
+            want = [c.item(0) for c in (*path.columns[levels], *path.states[levels].as_tuple())]
+            assert repr(got) == repr(want), rounds
 
 
 def _table_text(table):
@@ -254,7 +262,7 @@ def test_shared_qps_columns_do_not_depend_on_the_table_order():
     def build(kind, scheme, eps_g, shape):
         if kind == "grid":
             return _table_text(_grid_table(scheme, eps_g, 2.5e-4, *shape))
-        return _table_text(gen1._one_path(scheme, eps_g, 2.5e-4, shape))
+        return _table_text(gen1._schedule_summary(scheme, eps_g, 2.5e-4, tuple((m,) for m in shape)))
 
     cold = {}
     for table in tables:
@@ -263,23 +271,5 @@ def test_shared_qps_columns_do_not_depend_on_the_table_order():
     caches.clear_all()
     for table in tables + tables[::-1] + random.Random(2).sample(tables, len(tables)):
         assert build(*table) == cold[table], table
-        gen1._one_path.cache_clear()
-    # one qps computation per scheme and grid; one-path tables never enter the cache
-    assert gen1._grid_qps_columns.cache_info().misses == 4
-
-
-def test_one_schedule_readers_keep_the_search_tables():
-    # every reader of one schedule, in the default grid and off it, reads the
-    # schedule's own one-path table: no grid cache gets an entry
-    caches.clear_all()
-    params = HardwareParams(eps_g=2e-3)
-    schedules = [(0, 1), (2, 0, 1), (1,) * 8, (3, 1), (5, 0, 1, 2, 3, 4, 5, 0, 1, 2)]
-    for scheme in ("deutsch", "dur"):
-        for rounds in schedules:
-            config = Gen1Config(scheme, len(rounds) - 1, rounds)
-            gen1.evaluate(params, config, 1000.0)
-            gen1.waiting_time(params, config, 1000.0)
-            gen1.time_constants(params, config)
-            gen1.ladder_success_probs(params, config)
-    assert caches.sizes(caches.GRID) == dict.fromkeys(caches.GRID, 0)
-    assert gen1._one_path.cache_info().currsize == 2 * len(schedules)
+    # one qps computation per scheme and grid, search and one-path grids alike
+    assert gen1._qps_columns.cache_info().misses == 8

@@ -117,22 +117,24 @@ def test_link_availability_validation():
 
 
 def test_chain_state_matches_explicit_fold():
-    # the bare chain's cached states, extended to each segment count by the
-    # array pass's fractions, and the fraction of each state, alone or in a
-    # pass over many counts
+    # the bare chain's states that the fold keeps at each asked segment
+    # count, and the fraction of each state, alone or in a pass over many
+    # counts
     caches.clear_all()
     params = HardwareParams(eta_c=0.9, eps_g=1e-3, t0=1e-6)
     base = elementary_pair(params.eps_g)
-    state, want = base, []
+    state, want, states = base, [], []
     for segments in range(1, 9):
-        r = gen2._chain_fractions(params.eps_g, params.xi, [segments])
-        got = gen2._chain_states(params.eps_g, params.xi)[segments - 1]
+        r = gen2._chain_fractions(params.eps_g, params.xi, (segments,))
+        (got,) = gen2._chain_states(params.eps_g, params.xi, (segments,))
         assert got == pytest.approx(state.as_tuple(), rel=1e-12)
+        states.append(got)
         _, b, c, d = got
         want.append(secure_fraction(average_qber(b + d, c + d)))
         assert r.tolist() == want[-1:]
         state = swap(state, base, params.eps_g, params.xi)
-    counts = [8, 1, 3, 3, 6]
+    counts = (8, 1, 3, 3, 6)
+    assert gen2._chain_states(params.eps_g, params.xi, counts) == [states[k - 1] for k in counts]
     got = gen2._chain_fractions(params.eps_g, params.xi, counts).tolist()
     assert got == [want[k - 1] for k in counts]
 
@@ -284,22 +286,3 @@ def test_evaluators_equal_the_scalar_fold(
     for evaluate, config in ((gen2.evaluate_no_encoding, bare), (gen2.evaluate_encoded, encoded)):
         want = search_reference.price(params, config, l_tot)
         assert repr(evaluate(params, config, l_tot)) == repr(want), config
-
-
-def test_one_configuration_readers_keep_the_search_tables():
-    # the evaluators alone fill no cache outside the shared ones; more
-    # one-configuration evaluations than the table cache holds must leave the
-    # search's availability tables in it for the next gate error
-    caches.clear_all()
-    params = HardwareParams()
-    gen2.evaluate_no_encoding(params, Gen2NoEncConfig(4, 10.0), 1000.0)
-    gen2.evaluate_encoded(params, Gen2EncConfig(STEANE, 64, 10.0), 1000.0)
-    unshared = caches.GRID + caches.READER
-    assert caches.sizes(unshared) == dict.fromkeys(unshared, 0)
-    optimize.optimize_all(params, 1000.0)
-    for memories in range(1, gen2._availability.cache_info().maxsize + 44):
-        gen2.evaluate_no_encoding(params, Gen2NoEncConfig(memories, 10.0), 1000.0)
-    before = gen2._availability.cache_info()
-    optimize.optimize_all(params.with_(eps_g=1.2345e-3), 1000.0)
-    after = gen2._availability.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 2, before.misses)  # bare and encoded

@@ -16,7 +16,7 @@ from qrcost.keyrate import average_qber, secure_fraction
 def _one_code_batch(n, m, mu, eps_q):
     """(ratio_z, ratio_x, p_unknown, ok) of one code at one transmissivity:
     the one row of its one-code batch, as gen3.evaluate computes it."""
-    return tuple(a.item() for a in gen3._station_outcome(gen3._layout((n,), (m,), (mu,)), eps_q))
+    return tuple(a.item() for a in gen3.station_outcome((n,), (m,), (mu,), eps_q))
 
 
 def test_transmissivity():
@@ -206,55 +206,25 @@ def test_shared_layouts_do_not_depend_on_the_cell_order():
     for cell in cells:
         caches.clear_all()
         cold[cell] = _cell(*cell)
-    hits = gen3._grid_layout.cache_info().hits
+    hits = gen3._layout.cache_info().hits
     for cell in cells + cells[::-1] + random.Random(5).sample(cells, len(cells)):
         assert _cell(*cell) == cold[cell], cell
-    assert gen3._grid_layout.cache_info().hits > hits
-
-
-def test_one_code_readers_keep_the_search_layouts():
-    # one-code readers alone fill no cache outside the shared ones,
-    # station_outcome included; at more transmissivities than the layout
-    # cache holds they must leave the search's layout in it for the next gate
-    # error
-    caches.clear_all()
-    params = HardwareParams()
-    for config in (Gen3Config(4, 3, 0.5), Gen3Config(30, 30, 1.0), Gen3Config(5, 5, 20.0)):
-        gen3.evaluate(params, config, 1000.0)
-    assert "gen3.station_outcome" in caches.GRID
-    unshared = caches.GRID + caches.READER
-    assert caches.sizes(unshared) == dict.fromkeys(unshared, 0)
-    optimize.optimize_family("gen3", params, 1000.0)
-    for k in range(gen3._grid_layout.cache_info().maxsize + 1):
-        gen3.evaluate(params, Gen3Config(4, 3, 0.5 + 0.01 * k), 1000.0)
-    before = gen3._grid_layout.cache_info()
-    optimize.optimize_family("gen3", params.with_(eps_g=1.2345e-3), 1000.0)
-    after = gen3._grid_layout.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-
-
-def test_one_code_readers_keep_the_search_batch():
-    # a search's station batch serves its cell at the next distance, even
-    # after more one-code evaluations than any batch cache holds
-    caches.clear_all()
-    params = HardwareParams()
-    optimize.optimize_family("gen3", params, 1000.0)
-    for k in range(260):
-        gen3.evaluate(params, Gen3Config(4, 3, 0.5 + 0.01 * k), 1000.0)
-    before = gen3.station_outcome.cache_info()
-    optimize.optimize_family("gen3", params, 2000.0)
-    after = gen3.station_outcome.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-
+    assert gen3._layout.cache_info().hits > hits
 
 
 def test_one_spacing_search_fills_only_grid_caches():
-    # a search batch at one live spacing still holds the whole code grid, so
-    # its cells go to the search's caches, not to the uncached one-code path
+    # a search batch at one live spacing still holds the whole code grid: the
+    # cells share its layout, and each gate error's batch holds every code
     caches.clear_all()
     space = optimize.SearchSpace(gen3=optimize.Gen3Search(spacings_km=(1.0,)))
     for eps_g in (1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3):
-        optimize.optimize_family("gen3", HardwareParams(eps_g=eps_g), 1000.0, space)
-    assert caches.sizes(caches.READER) == dict.fromkeys(caches.READER, 0)
-    assert caches.sizes(("gen3._grid_layout", "gen3.station_outcome")) == {
-        "gen3._grid_layout": 1, "gen3.station_outcome": gen3.station_outcome.cache_info().maxsize}
+        params = HardwareParams(eps_g=eps_g)
+        optimize.optimize_family("gen3", params, 1000.0, space)
+    assert caches.sizes(("gen3._layout", "gen3.station_outcome")) == {
+        "gen3._layout": 1, "gen3.station_outcome": gen3.station_outcome.cache_info().maxsize}
+    n, m, _ = gen3.codes(*optimize._gen3_grid(space.gen3))
+    mu = gen3.transmissivity(params.eta_c, 1.0, params.l_att)
+    hits = gen3.station_outcome.cache_info().hits
+    rows = gen3.station_outcome(n, m, (mu,), gen3.photon_error_rate(params))
+    assert gen3.station_outcome.cache_info().hits == hits + 1
+    assert [a.shape for a in rows] == [(1, len(n))] * 4

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 import re
 import sys
 from dataclasses import asdict
@@ -334,6 +335,45 @@ def test_search_prices_only_from_the_cell_pass(monkeypatch, params, l_tot):
             report = optimize_all(params, l_tot, space)
         assert repr(report) == want
         assert report.per_family == reference
+
+
+# per family, a configuration that is _ONE's whole grid at 1,000 km, so its
+# reader and _ONE's search look up the same cache entries, and one off every grid
+_SHARED_READS = {
+    "gen1": (Gen1Config("deutsch", 2, (0, 0, 0)), Gen1Config("dur", 2, (5, 0, 1))),
+    "gen2_noenc": (Gen2NoEncConfig(32, 31.25, 2), Gen2NoEncConfig(37, 7.3, 3)),
+    "gen2_enc": (Gen2EncConfig(CSS_CATALOG[0], 32, 31.25, 2), Gen2EncConfig(GOLAY, 37, 7.3, 3)),
+    "gen3": (Gen3Config(20, 6, 1.5), Gen3Config(30, 30, 0.7)),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cache_entries_do_not_depend_on_the_path_that_filled_them(family):
+    # the search and the readers of one configuration read each table through
+    # one cached accessor: at one cell, interleaved in any order, every result
+    # equals its value from cold caches
+    params = HardwareParams(eps_g=1.5e-3)
+    searches = [("search", space, t0) for space in (SearchSpace(), _ONE) for t0 in (1e-6, 1e-4)]
+
+    def run(call):
+        kind, item, t0 = call
+        point = params.with_(t0=t0)
+        if kind == "read":
+            return repr(optimize.evaluate_config(point, item, 1000.0))
+        optimize._frontier.cache_clear()  # the cell pass reads the tables again
+        return repr(optimize_family(family, point, 1000.0, item))
+
+    caches.clear_all()
+    best = optimize_family(family, params, 1000.0).config
+    reads = [("read", config, t0) for config in (best, *_SHARED_READS[family]) for t0 in (1e-6, 1e-4)]
+    calls = searches + reads
+    cold = {}
+    for call in calls:
+        caches.clear_all()
+        cold[call] = run(call)
+    caches.clear_all()
+    for call in calls + calls[::-1] + random.Random(7).sample(calls, len(calls)):
+        assert run(call) == cold[call], call
 
 
 def test_gen1_survives_link_probability_underflow():

@@ -155,14 +155,15 @@ def test_swap_chain_folds_left():
         manual = swap(manual, base, 0.001, 0.00025)
     assert chained.as_tuple() == manual.as_tuple()
     assert swap_chain(base, 1, 0.001, 0.00025) is base
-    # the cached chain weights of the bare gen2 chain fold the same way; the
-    # array pass's fractions extend them to the segment count
+    # the bare gen2 chain folds the same way, alone or kept at several
+    # counts of one fold
     eps_g, xi = 0.001, 0.00025
     pair = elementary_pair(eps_g)
-    for segments in (1, 2, 5, 17):
-        want = swap_chain(pair, segments, eps_g, xi)
-        gen2._chain_fractions(eps_g, xi, [segments])
-        assert gen2._chain_states(eps_g, xi)[segments - 1] == want.as_tuple()
+    counts = (1, 2, 5, 17)
+    wants = [swap_chain(pair, segments, eps_g, xi).as_tuple() for segments in counts]
+    for segments, want in zip(counts, wants):
+        assert gen2._chain_states(eps_g, xi, (segments,)) == [want]
+    assert gen2._chain_states(eps_g, xi, counts[::-1]) == wants[::-1]
 
 
 def test_elementary_pair_model():
