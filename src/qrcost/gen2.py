@@ -34,13 +34,19 @@ def _chain_states(eps_g: float, xi: float, segments) -> list[tuple[float, float,
     swapped elementary pairs in segments, from one left fold out to the
     longest that keeps only the states asked for. Each swap is pairs.swap on
     plain floats: the same weights, checked and renormalized as a
-    BellDiagonalState would be, without building one."""
+    BellDiagonalState would be, without building one. The next state depends
+    on this one only, so the fold stops at the first swap that returns its
+    input bit for bit: every longer chain ends in that state too."""
     first = elementary_pair(eps_g).as_tuple()
     state, count, kept = first, 1, {}
     for n in sorted(set(segments)):
-        for _ in range(n - count):
-            state = _renormalized(*swap_weights(state, first, eps_g, xi))
-        kept[n], count = state, n
+        while count < n:
+            swapped = _renormalized(*swap_weights(state, first, eps_g, xi))
+            # the weights are sums of non-negative products, never -0.0, so
+            # == is equality bit for bit (a NaN state never stops the fold)
+            count = n if swapped == state else count + 1
+            state = swapped
+        kept[n] = state
     return [kept[n] for n in segments]
 
 

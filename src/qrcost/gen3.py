@@ -147,7 +147,8 @@ class _Layout(NamedTuple):
 # Every cell of a search at one coupling and attenuation length shares its
 # batch's layout, whatever its gate error. An entry of the default search
 # (6,200 vote rows of up to 21 arrived counts) takes about 1.1 MB; keep the
-# live couplings of a default region map (5 of 10) and more.
+# live couplings of a default region map (5 of 10) and more, and a larger
+# lattice's (hold_layouts).
 @lru_cache(maxsize=16)
 def _layout(n: tuple, m: tuple, mu: tuple) -> _Layout:
     """The vote rows of every code (n[j], m[j]) at every transmissivity mu[i]:
@@ -163,6 +164,16 @@ def _layout(n: tuple, m: tuple, mu: tuple) -> _Layout:
     for a in (*layout[:3], *layout.arrivals):
         a.flags.writeable = False
     return layout
+
+
+def hold_layouts(count: int) -> None:
+    """Let the layout cache keep count layouts, if it keeps fewer: a region
+    map visits every coupling once per gate error, so a cache that holds
+    fewer than its couplings evicts each layout before the next gate error
+    reads it. The cache starts empty at its new size."""
+    global _layout
+    if count > _layout.cache_info().maxsize:
+        _layout = lru_cache(maxsize=count)(_layout.__wrapped__)
 
 
 # A search's batch serves its cell at every distance: an l_tot sweep reads

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
@@ -625,8 +627,7 @@ def sweep(
 
 
 def _map_task(args) -> list[list[dict]]:
-    """The inner-axis rows of each (eta_c, eps_g) cell in a chunk; must stay
-    importable at module top level so worker processes can unpickle it."""
+    """The inner-axis rows of each (eta_c, eps_g) cell in a chunk."""
     base, cells, t0_values, l_tot_km, space = args
     out = []
     for eta_c, eps_g in cells:
@@ -647,6 +648,95 @@ def _warm(params: HardwareParams, eta_values, l_tot_km: float, space: SearchSpac
             family.warm(point, l_tot_km, space)
 
 
+def _error_payload(exc: BaseException) -> bytes:
+    """A child's error as it goes up its pipe: the exception itself, or its
+    formatted traceback where the exception does not survive pickling."""
+    try:
+        payload = pickle.dumps((False, exc))
+        pickle.loads(payload)
+        return payload
+    except Exception:
+        import traceback  # only a failed map gets here
+
+        return pickle.dumps((False, "".join(traceback.format_exception(exc))))
+
+
+class _Child:
+    """A forked child process that runs _map_task over one task and sends
+    back its rows, or its error, pickled through a pipe."""
+
+    def __init__(self, task):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                try:
+                    payload, status = pickle.dumps((True, _map_task(task))), 0
+                except BaseException as exc:  # interrupts too: the parent raises it
+                    payload = _error_payload(exc)
+                with open(write, "wb") as pipe:
+                    pipe.write(payload)
+            finally:
+                # no exit handlers and no flush of the buffers the parent owns
+                os._exit(status)
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def rows(self) -> list[list[dict]]:
+        """The child's rows, once it has exited; its error is raised here."""
+        payload = self.pipe.read()
+        self.pipe.close()
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = 0
+        try:
+            ok, result = pickle.loads(payload)
+        except (EOFError, pickle.UnpicklingError):  # nothing, or a part, was sent
+            raise RuntimeError(f"a region-map worker ended without a result (exit code {status})") from None
+        if ok:
+            return result
+        if isinstance(result, str):
+            raise RuntimeError(f"a region-map worker failed:\n{result}")
+        raise result
+
+    def kill(self) -> None:
+        """Stop the child, unless already reaped, and reap it."""
+        self.pipe.close()
+        if self.pid:
+            import signal  # only a failed map gets here
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+
+
+# Workers fork on Linux only: a child forked on macOS may crash in system
+# libraries, and a spawned child would import qrcost afresh and rebuild every
+# table the parent warmed
+_FORKS = sys.platform.startswith("linux")
+
+
+def _forked(tasks: list) -> list[list[list[dict]]]:
+    """_map_task of every task, in task order: a forked child runs each task
+    but the last, which this process runs meanwhile. Every child is reaped
+    before this returns or raises."""
+    children = []
+    try:
+        for task in tasks[:-1]:
+            children.append(_Child(task))
+        last = _map_task(tasks[-1])
+        return [child.rows() for child in children] + [last]
+    finally:
+        for child in children:
+            child.kill()
+
+
 def region_map(
     eta_values: tuple[float, ...],
     eps_values: tuple[float, ...],
@@ -659,19 +749,22 @@ def region_map(
     """Winner label and cost for every (eta_c, eps_g, t0) lattice point.
 
     Cells run eps_g-outermost in one contiguous chunk per worker, so each
-    worker builds the gen1 schedule tables of its own eps_g values only.
-    Every worker reads every coupling, but what a coupling's cells share
-    whatever their gate error (each family's warm: the gen3 vote layouts,
-    the gen2 availability tables, the gen1 qps columns) is built once, here,
-    before the pool starts, and the workers fork from this process and
-    inherit it. The fork context is explicit because Linux's default start
-    method may not fork (forkserver from Python 3.14 on), and a worker that
-    imports qrcost afresh starts cold; elsewhere the platform's default
-    stands and each worker rebuilds those tables. eta_c-outermost chunks
-    would instead double each worker's gen1 tables and put every live
-    eta_c's gen3 work in one worker. One worker runs in this process and
-    builds each table on first use. Rows come back in lattice order (eta
-    outermost, t0 innermost) regardless of the worker count.
+    worker builds the gen1 schedule tables of its own eps_g values only;
+    eta_c-outermost chunks would instead double each worker's gen1 tables
+    and put every live eta_c's gen3 work in one worker. Every worker reads
+    every coupling, but what a coupling's cells share whatever their gate
+    error (each family's warm: the gen3 vote layouts, the gen2 availability
+    tables, the gen1 qps columns) is built once, here, before any worker
+    starts. This process then forks one child per chunk but the last, runs
+    the last chunk itself, and collects each child's rows through a pipe;
+    the children inherit the warmed tables. A chunk that raises, in a child
+    or here, makes this raise, after every child has been stopped and
+    reaped. Workers fork on Linux only; elsewhere, as with one worker,
+    every chunk runs in this process and builds each table on first use.
+    The gen3 layout cache keeps one layout per coupling of the lattice, so
+    no cell evicts a layout that a later gate error reads. Rows come back
+    in lattice order (eta outermost, t0 innermost) regardless of the worker
+    count.
     """
     cells = [(i, j) for j in range(len(eps_values)) for i in range(len(eta_values))]
     size = max(1, math.ceil(len(cells) / max(threads, 1)))
@@ -681,17 +774,12 @@ def region_map(
          l_tot_km, space)
         for chunk in chunks
     ]
-    if len(tasks) <= 1:
+    gen3.hold_layouts(len(eta_values))
+    if len(tasks) <= 1 or not _FORKS:
         done = list(map(_map_task, tasks))
     else:
-        # imported here: they load multiprocessing, which a one-process run never needs
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
         _warm(params, eta_values, l_tot_km, space)
-        context = multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
-        with ProcessPoolExecutor(max_workers=len(tasks), mp_context=context) as pool:
-            done = list(pool.map(_map_task, tasks))
+        done = _forked(tasks)
     by_cell = dict(zip(cells, itertools.chain.from_iterable(done)))
     return [
         row

@@ -1,11 +1,11 @@
-import concurrent.futures
 import tracemalloc
 
 import caches
 import numpy as np
 
-from qrcost import cli, optimize
+from qrcost import cli, gen3, optimize
 from qrcost.core import HardwareParams
+from qrcost.optimize import Gen1Search, Gen2Search, Gen3Search, SearchSpace
 
 # Small CLI jobs and the caches that each must hit at least once: the
 # traffic the comments of caches.py claim, on smaller inputs
@@ -63,52 +63,68 @@ def _misses(names) -> dict:
     return {name: caches_[name].cache_info().misses for name in names}
 
 
-class _ForkedPool:
-    """Stands in for the process pool: runs the tasks in this process, in
-    the given order, and records the misses the first task adds to the
-    warmed caches. The first task starts from the caches the parent holds
-    when the pool starts, as a forked worker does."""
-
-    def __init__(self, order, max_workers, mp_context=None):
-        self.order, self.first_task_misses = order, None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        tasks, done = list(tasks), {}
-        for k in self.order(range(len(tasks))):
-            before = _misses(caches.WARMED)
-            done[k] = fn(tasks[k])
-            if self.first_task_misses is None:
-                after = _misses(caches.WARMED)
-                self.first_task_misses = {name: after[name] - before[name] for name in after}
-        return [done[k] for k in range(len(tasks))]
-
-
 def test_warmed_caches_are_grid_caches():
     # the warm step fills the accessors of the search grids' shared tables
     assert set(caches.WARMED) <= set(caches.CACHES)
 
 
 def test_workers_fork_with_every_shared_table_built(monkeypatch):
-    # region_t2's lattice at seed 0 over two workers: whichever chunk a
-    # worker runs, it builds none of the tables the parent warms
+    # region_t2's lattice at seed 0 over two workers: whichever chunk runs
+    # first, the forked child's or the parent's own, it builds none of the
+    # tables the parent warms
     etas = tuple(float(v) for v in np.linspace(0.1, 1.0, 4))
     epss = tuple(float(v) for v in np.geomspace(1e-4, 3e-2, 4))
     t0s = tuple(float(v) for v in np.geomspace(1e-7, 1e-4, 10))
-    for order in (list, lambda ks: list(reversed(ks))):
-        pools = []
+    monkeypatch.setattr(optimize, "_FORKS", True)
+    for child_first in (True, False):
+        firsts = []
 
-        def pool(max_workers, mp_context=None):
-            pools.append(_ForkedPool(order, max_workers, mp_context))
-            return pools[-1]
+        class Child:
+            """Stands in for a forked child (optimize._Child): runs its chunk
+            in this process, at the fork, so before the parent's own chunk,
+            or when its rows are read, after it. The chunk that runs first
+            records the misses it adds to the warmed caches, counted from
+            the caches at the fork, from which a forked child starts."""
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+            def __init__(self, task):
+                self.task, self.at_fork = task, _misses(caches.WARMED)
+                if child_first:
+                    self.done = optimize._map_task(task)
+                    firsts.append(self.added())
+
+            def added(self) -> dict:
+                now = _misses(caches.WARMED)
+                return {name: now[name] - self.at_fork[name] for name in now}
+
+            def rows(self):
+                if not child_first:
+                    firsts.append(self.added())  # the parent's chunk has run since the fork
+                    self.done = optimize._map_task(self.task)
+                return self.done
+
+            def kill(self):
+                pass
+
+        monkeypatch.setattr(optimize, "_Child", Child)
         caches.clear_all()
         optimize.region_map(etas, epss, t0s, 1000.0, threads=2)
-        assert len(pools) == 1
-        assert pools[0].first_task_misses == dict.fromkeys(caches.WARMED, 0)
+        assert firsts == [dict.fromkeys(caches.WARMED, 0)]
+
+
+def test_every_coupling_keeps_its_layout_across_gate_errors():
+    # 20 live couplings, more than the layout cache holds by default: in
+    # the eps_g-outermost order each coupling's layout is built once and
+    # read again at the second eps_g, in one process or by the parent that
+    # warms it and then runs the last chunk
+    space = SearchSpace(
+        gen1=Gen1Search(max_levels=2, max_rounds=0),
+        gen2=Gen2Search(segment_counts=(4, 16), memories=(4,), gen_rounds=(1,)),
+        gen3=Gen3Search(spacings_km=(1.0, 2.0), max_n=4, max_m=4),
+    )
+    etas = tuple(float(v) for v in np.linspace(0.8, 1.0, 20))
+    assert all(gen3._live(HardwareParams(eta_c=eta), space.gen3.spacings_km, 1000.0)[1] for eta in etas)
+    for threads in (1, 2):
+        caches.clear_all()
+        optimize.region_map(etas, (1e-3, 2e-3), (1e-6,), 1000.0, space, threads=threads)
+        info = caches.found()["gen3._layout"].cache_info()
+        assert (info.misses, info.hits) == (20, 20), threads

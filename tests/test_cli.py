@@ -399,18 +399,21 @@ def test_region_map_deterministic_across_runs_and_threads(tmp_path):
         "--set", "region.eps_g=1e-3",
         "--set", "region.t0=1e-6",
     ]
-    paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
+    # a second run, then 2 and 3 workers over the 2 cells
+    paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv", "d.csv")]
     argvs = [
         ["region-map", "--out", str(paths[0])] + grids + _FAST_SPACE,
         ["region-map", "--out", str(paths[1])] + grids + _FAST_SPACE,
         ["region-map", "--out", str(paths[2]), "--threads", "2"] + grids + _FAST_SPACE,
+        ["region-map", "--out", str(paths[3]), "--threads", "3"] + grids + _FAST_SPACE,
     ]
     for argv in argvs:
         assert main(argv) == 0
     first = paths[0].read_bytes()
-    assert paths[1].read_bytes() == first
-    assert paths[2].read_bytes() == first
+    assert [path.read_bytes() for path in paths[1:]] == [first] * 3
     assert len(first.decode().splitlines()) == 6 + 1 + 2
+    with pytest.raises(ChildProcessError):  # every worker has been reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 # sha256 of the bytes each default job writes; a deliberate change of the
@@ -472,15 +475,23 @@ def test_underpowered_lines_name_only_underpowered_counts(capsys):
 
 
 def test_start_up_leaves_multiprocessing_unloaded():
-    # only a region map over several workers needs the process pool
+    # a region map over several workers forks them itself: neither start-up
+    # nor such a map loads multiprocessing or concurrent.futures
     code = (
-        "import sys, qrcost.cli; from qrcost import config; config.load_config(None, ());"
-        " print('multiprocessing' in sys.modules)"
+        "import contextlib, io, sys, qrcost.cli; from qrcost import config\n"
+        "config.load_config(None, ())\n"
+        "pool = {'multiprocessing', 'concurrent.futures'}\n"
+        "print(sorted(pool & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert qrcost.cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted(pool & set(sys.modules)))"
     )
+    argv = ["region-map", "--threads", "2", "--set", "region.eta_c=0.9",
+            "--set", "region.eps_g=1e-3,2e-3", "--set", "region.t0=1e-6"] + _FAST_SPACE
     src = str(Path(qrcost.__file__).parents[1])
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+    out = subprocess.run([sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 @pytest.mark.parametrize("l_tot", ["1e308", repr(sys.float_info.max)])
@@ -496,8 +507,8 @@ def test_station_counts_past_the_float_range_are_infeasible(l_tot, capsys):
 
 
 def test_cli_jobs_load_neither_numpy_ma_nor_the_process_pool():
-    # numpy.ma costs 16-24 ms per process; only a region map over several
-    # workers needs concurrent.futures.process
+    # numpy.ma costs 16-24 ms per process, concurrent.futures.process about
+    # 30 ms; no job needs either
     code = (
         "import contextlib, io, sys; from qrcost.cli import main\n"
         "jobs = [['optimize'], ['sweep', '--set', 'sweep.axis=eps_g', '--set', 'sweep.values=1e-3,2e-3'],\n"
@@ -550,6 +561,20 @@ def test_segment_counts_past_the_float_range_are_infeasible(capsys):
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["stations"] == segment_count(1e10, 1e-300) > sys.float_info.max, family
         assert (result["feasible"], result["rate_sbits_per_s"], result["cost"]) == (False, 0.0, None)
+
+
+@pytest.mark.parametrize("spacing, l_tot", [("1e-5", "1000"), ("1e-290", "1e10")])
+def test_bare_chain_at_a_short_spacing_ends(spacing, l_tot):
+    # 10^8 and 10^300 segments: the bare chain's fold stops at its fixed
+    # point, where the secure fraction is long 0
+    argv = ["evaluate", "--set", "evaluate.family=gen2_noenc",
+            "--set", f"evaluate.spacing_km={spacing}", "--set", f"hardware.l_tot={l_tot}"]
+    src = str(Path(qrcost.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-m", "qrcost", *argv], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    result = json.loads(out.stdout)["result"]
+    assert result["stations"] == segment_count(float(l_tot), float(spacing)) >= 10**8
+    assert (result["feasible"], result["rate_sbits_per_s"], result["cost"]) == (False, 0.0, None)
 
 
 def test_main_leaves_the_heap_unfrozen(capsys):

@@ -139,6 +139,23 @@ def test_chain_state_matches_explicit_fold():
     assert got == [want[k - 1] for k in counts]
 
 
+def test_chain_states_past_the_fixed_point_equal_the_full_fold():
+    # at eps_g 3e-2 the full fold reaches a state that one swap returns bit
+    # for bit within a few hundred swaps; the fold stops there and gives
+    # that state to every longer chain, as the full fold does
+    eps_g, xi = 3e-2, 2.5e-4
+    pair = elementary_pair(eps_g)
+    state, states = pair, [pair.as_tuple()]  # states[k] of k + 1 segments
+    for _ in range(1999):
+        state = swap(state, pair, eps_g, xi)
+        states.append(state.as_tuple())
+    fixed = next(k for k in range(1, len(states)) if states[k] == states[k - 1])
+    assert 100 < fixed < 1000 and states[fixed:] == [states[fixed]] * (len(states) - fixed)
+    counts = (2000, 1, fixed, fixed + 1, fixed + 2, 1500)
+    assert gen2._chain_states(eps_g, xi, counts) == [states[n - 1] for n in counts]
+    assert gen2._chain_states(eps_g, xi, (fixed - 1, 10**300)) == [states[fixed - 2], states[fixed]]
+
+
 def test_physical_error_rate_composition():
     params = HardwareParams(eta_c=0.9, eps_g=1e-3, t0=1e-6)
     f0 = elementary_pair(1e-3).fidelity

@@ -1,9 +1,11 @@
 import functools
 import itertools
 import math
+import os
 import random
 import re
 import sys
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -414,6 +416,70 @@ def test_region_map_rows_identical_for_any_worker_count_from_a_warm_parent():
         runs.append(region_map(etas, epss, t0s, l_tot, space, threads=threads))
     assert runs[1] == runs[0] and runs[2] == runs[0]
     assert len(runs[0]) == len(etas) * len(epss) * len(t0s)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _chunks_calling(monkeypatch, child=None, parent=None) -> None:
+    """Make each region_map chunk call child() in a forked child, or
+    parent() in this process, before it runs as usual."""
+    pid, map_task = os.getpid(), optimize._map_task
+
+    def chunk(task):
+        call = parent if os.getpid() == pid else child
+        if call is not None:
+            call()
+        return map_task(task)
+
+    monkeypatch.setattr(optimize, "_map_task", chunk)
+
+
+class _Unpicklable(Exception):
+    def __init__(self, what, code):
+        super().__init__(f"{what} (code {code})")
+
+
+def _raise(exc):
+    def fail():
+        raise exc
+
+    return fail
+
+
+_TWO_CELLS = (0.7, 0.9), (2e-3,), (1e-6,), 300.0, _SMALL
+
+
+@pytest.mark.skipif(not optimize._FORKS, reason="region-map workers fork on Linux only")
+@pytest.mark.parametrize(
+    "where, fail, raised, match",
+    [
+        ("child", _raise(ValueError("chunk failed")), ValueError, "^chunk failed$"),
+        ("parent", _raise(ValueError("chunk failed")), ValueError, "^chunk failed$"),
+        # an exception that does not unpickle comes up as its traceback
+        ("child", _raise(_Unpicklable("chunk failed", 7)), RuntimeError, r"_Unpicklable: chunk failed \(code 7\)"),
+        ("child", lambda: os._exit(3), RuntimeError, "ended without a result .exit code 3."),
+    ],
+)
+def test_a_failed_chunk_raises_and_leaves_no_child(monkeypatch, where, fail, raised, match):
+    _chunks_calling(monkeypatch, **{where: fail})
+    with pytest.raises(raised, match=match):
+        region_map(*_TWO_CELLS, threads=2)
+    _no_child_left()
+
+
+@pytest.mark.skipif(not optimize._FORKS, reason="region-map workers fork on Linux only")
+def test_a_parent_chunk_that_raises_stops_a_running_child(monkeypatch):
+    # the parent raises at once and kills the child, which would run a minute
+    fail = _raise(ValueError("parent chunk failed"))
+    _chunks_calling(monkeypatch, child=lambda: time.sleep(60), parent=fail)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="parent chunk failed"):
+        region_map(*_TWO_CELLS, threads=2)
+    assert time.monotonic() - start < 30
+    _no_child_left()
 
 
 def _cost(candidate):
