@@ -297,6 +297,9 @@ def cmd_validate(suite: str, trials: int, seed: int, out_path: Optional[str]) ->
     if trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return 2
+    if seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 2
     lines = [
         f"# schema_version: {SCHEMA_VERSION}",
         f"# tool: qrcost {_VERSION}",

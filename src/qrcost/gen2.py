@@ -123,7 +123,7 @@ evaluate_no_encoding = evaluate_encoded = _evaluate
 
 
 # availability tables of a grid, up to a few KB each: the default region map
-# cycles through 20 at one worker (10 eta_c x 2 families), 180/200 hits
+# reads 20 (10 eta_c x 2 families); a larger one keeps its own (optimize.WARMED)
 @lru_cache(maxsize=64)
 def _availability(
     eta_c: float, l_att: float, spacings_km: tuple, memories: tuple, gen_rounds: tuple,

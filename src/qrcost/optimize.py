@@ -40,7 +40,7 @@ import pickle
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, NamedTuple, Optional
 
 import numpy as np
@@ -626,12 +626,13 @@ def sweep(
     return rows
 
 
-def _map_task(args) -> list[list[dict]]:
-    """The inner-axis rows of each (eta_c, eps_g) cell in a chunk."""
-    base, cells, t0_values, l_tot_km, space = args
+def _map_task(
+    params: HardwareParams, t0_values: tuple, l_tot_km: float, space: SearchSpace, cells: list
+) -> list[list[dict]]:
+    """The inner-axis rows of each (eta_c, eps_g) cell of a chunk."""
     out = []
     for eta_c, eps_g in cells:
-        point_base = base.with_(eta_c=eta_c, eps_g=eps_g)
+        point_base = params.with_(eta_c=eta_c, eps_g=eps_g)
         rows = []
         for t0 in t0_values:
             point = point_base.with_(t0=t0)
@@ -640,8 +641,20 @@ def _map_task(args) -> list[list[dict]]:
     return out
 
 
+# The caches that Family.warm fills. The eps_g-outermost order visits every
+# coupling once per gate error, so _warm lets each keep one entry per family
+# and coupling of the lattice, lest a cell evict a table a later one reads.
+WARMED = ((gen1, "_qps_columns"), (gen2, "_availability"), (gen3, "_layout"))
+
+
 def _warm(params: HardwareParams, eta_values, l_tot_km: float, space: SearchSpace) -> None:
-    """Every family's shared tables (Family.warm) at each coupling."""
+    """Every family's shared tables (Family.warm) at each coupling, in caches
+    that hold them all (maxsize is only a cap; a resized cache starts empty)."""
+    count = len(FAMILY_TABLE) * len(eta_values)
+    for module, name in WARMED:
+        cache = getattr(module, name)
+        if cache.cache_info().maxsize < count:
+            setattr(module, name, lru_cache(maxsize=count)(cache.__wrapped__))
     for eta_c in eta_values:
         point = params.with_(eta_c=eta_c)
         for family in FAMILY_TABLE.values():
@@ -662,10 +675,10 @@ def _error_payload(exc: BaseException) -> bytes:
 
 
 class _Child:
-    """A forked child process that runs _map_task over one task and sends
-    back its rows, or its error, pickled through a pipe."""
+    """A forked child process that runs task over one chunk of cells and
+    sends back its rows, or its error, pickled through a pipe."""
 
-    def __init__(self, task):
+    def __init__(self, task: Callable, chunk: list):
         read, write = os.pipe()
         try:
             self.pid = os.fork()
@@ -678,7 +691,7 @@ class _Child:
             try:
                 os.close(read)
                 try:
-                    payload, status = pickle.dumps((True, _map_task(task))), 0
+                    payload, status = pickle.dumps((True, task(chunk))), 0
                 except BaseException as exc:  # interrupts too: the parent raises it
                     payload = _error_payload(exc)
                 with open(write, "wb") as pipe:
@@ -722,15 +735,15 @@ class _Child:
 _FORKS = sys.platform.startswith("linux")
 
 
-def _forked(tasks: list) -> list[list[list[dict]]]:
-    """_map_task of every task, in task order: a forked child runs each task
+def _forked(task: Callable, chunks: list) -> list[list[list[dict]]]:
+    """task of every chunk, in chunk order: a forked child runs each chunk
     but the last, which this process runs meanwhile. Every child is reaped
     before this returns or raises."""
     children = []
     try:
-        for task in tasks[:-1]:
-            children.append(_Child(task))
-        last = _map_task(tasks[-1])
+        for chunk in chunks[:-1]:
+            children.append(_Child(task, chunk))
+        last = task(chunks[-1])
         return [child.rows() for child in children] + [last]
     finally:
         for child in children:
@@ -751,36 +764,28 @@ def region_map(
     Cells run eps_g-outermost in one contiguous chunk per worker, so each
     worker builds the gen1 schedule tables of its own eps_g values only;
     eta_c-outermost chunks would instead double each worker's gen1 tables
-    and put every live eta_c's gen3 work in one worker. Every worker reads
-    every coupling, but what a coupling's cells share whatever their gate
-    error (each family's warm: the gen3 vote layouts, the gen2 availability
-    tables, the gen1 qps columns) is built once, here, before any worker
-    starts. This process then forks one child per chunk but the last, runs
-    the last chunk itself, and collects each child's rows through a pipe;
-    the children inherit the warmed tables. A chunk that raises, in a child
-    or here, makes this raise, after every child has been stopped and
-    reaped. Workers fork on Linux only; elsewhere, as with one worker,
-    every chunk runs in this process and builds each table on first use.
-    The gen3 layout cache keeps one layout per coupling of the lattice, so
-    no cell evicts a layout that a later gate error reads. Rows come back
-    in lattice order (eta outermost, t0 innermost) regardless of the worker
-    count.
+    and put every live eta_c's gen3 work in one worker. What a coupling's
+    cells share whatever their gate error (Family.warm: the gen3 vote
+    layouts, the gen2 availability tables, the gen1 qps columns) is built
+    first, here, at any worker count, in caches that keep every coupling's
+    tables (WARMED). This process then forks one child per chunk but the
+    last, runs the last chunk itself, and collects each child's rows
+    through a pipe; the children inherit the warmed tables. A chunk that
+    raises, in a child or here, makes this raise, after every child has
+    been stopped and reaped. Workers fork on Linux only; elsewhere the
+    lattice is one chunk, as with one worker. Rows come back in lattice
+    order (eta outermost, t0 innermost) regardless of the worker count.
     """
     cells = [(i, j) for j in range(len(eps_values)) for i in range(len(eta_values))]
-    size = max(1, math.ceil(len(cells) / max(threads, 1)))
-    chunks = [cells[k:k + size] for k in range(0, len(cells), size)]
-    tasks = [
-        (params, [(eta_values[i], eps_values[j]) for i, j in chunk], tuple(t0_values),
-         l_tot_km, space)
-        for chunk in chunks
-    ]
-    gen3.hold_layouts(len(eta_values))
-    if len(tasks) <= 1 or not _FORKS:
-        done = list(map(_map_task, tasks))
-    else:
-        _warm(params, eta_values, l_tot_km, space)
-        done = _forked(tasks)
-    by_cell = dict(zip(cells, itertools.chain.from_iterable(done)))
+    workers = max(threads, 1) if _FORKS else 1
+    size = max(1, math.ceil(len(cells) / workers))
+    chunks = [
+        [(eta_values[i], eps_values[j]) for i, j in cells[k:k + size]]
+        for k in range(0, len(cells), size)
+    ] or [[]]  # an empty lattice is one empty chunk
+    _warm(params, eta_values, l_tot_km, space)
+    task = partial(_map_task, params, tuple(t0_values), l_tot_km, space)
+    by_cell = dict(zip(cells, itertools.chain.from_iterable(_forked(task, chunks))))
     return [
         row
         for i in range(len(eta_values))

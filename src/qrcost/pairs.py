@@ -39,49 +39,6 @@ def elementary_pair(eps_g: float) -> BellDiagonalState:
     return werner_state(elementary_pair_fidelity(eps_g))
 
 
-def pumped_fidelity_bound(eps_g: float, xi: float) -> float:
-    """Fidelity ceiling of recurrence purification, to second order in the
-    errors.
-
-    Quadratic expansion of the fixed point reached by purifying a state
-    against itself repeatedly (see deutsch_fixed_point for the exact
-    iteration); the residual is third order in (eps_g, xi).
-    """
-    if not 0.0 <= eps_g <= MAX_GATE_ERROR:
-        raise ValueError(
-            f"eps_g must lie in [0, {MAX_GATE_ERROR}] for the elementary-pair model, got {eps_g}"
-        )
-    return 1.0 - 1.25 * eps_g - (9.0 * xi + 4.75 * eps_g) * eps_g
-
-
-def deutsch_fixed_point(
-    eps_g: float,
-    xi: float,
-    tol: float = 1e-14,
-    max_iter: int = 1000,
-) -> BellDiagonalState:
-    """Fixed point of purifying a pair against an identical copy of itself.
-
-    Iterates from the Werner state of fidelity 0.9 until successive
-    fidelities differ by less than tol. This is the exact ceiling that
-    pumped_fidelity_bound approximates.
-    """
-    if not 0.0 <= eps_g <= 0.01:
-        raise ValueError(
-            f"eps_g must lie in [0, 0.01] for the fixed point to be meaningful, got {eps_g}"
-        )
-    state = werner_state(0.9)
-    prev = state.a
-    for _ in range(max_iter):
-        _, state = purify(state, state, eps_g, xi)
-        if abs(state.a - prev) < tol:
-            return state
-        prev = state.a
-    raise ArithmeticError(
-        f"purification iteration did not converge within {max_iter} rounds"
-    )
-
-
 def purify(
     rho1: BellDiagonalState,
     rho2: BellDiagonalState,

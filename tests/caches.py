@@ -12,26 +12,27 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+from functools import lru_cache
 
 import qrcost
+from qrcost import optimize
 
 # Each cache's comment names a command whose hits keep it, measured as
 # hits/lookups with the command run in-process after clear_all().
 CACHES = (
     "gen1._schedule_summary",  # validate gen1-time: 5/8
-    "gen1._qps_columns",  # default region map and eps_g sweep: 18/20
-    "gen2._availability",  # default region map: 180/200
+    "gen1._qps_columns",  # default region map: 38/40; eps_g sweep: 18/20
+    "gen2._availability",  # default region map: 200/220
     "gen2._chain_fractions",  # default region map: 90/100
     "gen2.logical_flip_prob",  # default region map: 270/300
-    "gen3._layout",  # default region map: 45/50
+    "gen3._layout",  # default region map: 54/60
     "gen3.station_outcome",  # l_tot sweep of 8 values: 7/8
-    "gen3.codes",  # default region map: 199/200
+    "gen3.codes",  # default region map: 209/210
     "optimize._frontier",  # default region map: 3,690/4,000
 )
-# The caches whose tables every cell at one coupling reads, whatever its gate
-# error: a region map over several workers fills them in the parent
-# (optimize.Family.warm) before the workers fork from it.
-WARMED = ("gen1._qps_columns", "gen2._availability", "gen3._layout")
+# The caches that a region map fills before its cells run, and lets keep its
+# whole lattice (optimize.WARMED), by the names of CACHES
+WARMED = tuple(f"{module.__name__.rpartition('.')[2]}.{name}" for module, name in optimize.WARMED)
 
 
 def found() -> dict:
@@ -54,7 +55,17 @@ def sizes(names) -> dict:
     return {name: caches[name].cache_info().currsize for name in names}
 
 
+# Each cache's size at import, which a region map may have raised since
+_SIZES = {name: cache.cache_info().maxsize for name, cache in found().items()}
+
+
 def clear_all() -> None:
-    """Empty every lru_cache of the package's modules."""
-    for cache in found().values():
-        cache.cache_clear()
+    """Empty every lru_cache of the package's modules, each back at its size
+    at import, so that no test reads a size an earlier region map left."""
+    for name, cache in found().items():
+        if cache.cache_info().maxsize == _SIZES[name]:
+            cache.cache_clear()
+        else:
+            module, attr = name.split(".")
+            resized = lru_cache(maxsize=_SIZES[name])(cache.__wrapped__)
+            setattr(importlib.import_module(f"qrcost.{module}"), attr, resized)

@@ -2,6 +2,10 @@
 production paths (gen1's batched schedule tables, gen2's swap-chain table) so
 the tests can check those against an independent implementation.
 
+`deutsch_fixed_point` iterates Deutsch purification of a pair against
+itself to its fixed point, the exact ceiling that the quadratic expansion
+`pumped_fidelity_bound` approximates; no production path computes either.
+
 `schedule_summary` is the scalar per-schedule fold that gen1 used before its
 tables: one `swap` and one `pump_schedule` per level on single states, then
 the retry and suffix-product loops in the same operation order, and the
@@ -16,7 +20,7 @@ from functools import lru_cache
 
 from station_reference import secure_fraction
 
-from qrcost.core import BellDiagonalState
+from qrcost.core import MAX_GATE_ERROR, BellDiagonalState, werner_state
 from qrcost.keyrate import average_qber
 from qrcost.pairs import elementary_pair, purify, swap
 
@@ -53,6 +57,49 @@ def pump_schedule(
         p, state = purify(state, other, eps_g, xi)
         probs.append(p)
     return state, tuple(probs)
+
+
+def pumped_fidelity_bound(eps_g: float, xi: float) -> float:
+    """Fidelity ceiling of recurrence purification, to second order in the
+    errors.
+
+    Quadratic expansion of the fixed point reached by purifying a state
+    against itself repeatedly (see deutsch_fixed_point for the exact
+    iteration); the residual is third order in (eps_g, xi).
+    """
+    if not 0.0 <= eps_g <= MAX_GATE_ERROR:
+        raise ValueError(
+            f"eps_g must lie in [0, {MAX_GATE_ERROR}] for the elementary-pair model, got {eps_g}"
+        )
+    return 1.0 - 1.25 * eps_g - (9.0 * xi + 4.75 * eps_g) * eps_g
+
+
+def deutsch_fixed_point(
+    eps_g: float,
+    xi: float,
+    tol: float = 1e-14,
+    max_iter: int = 1000,
+) -> BellDiagonalState:
+    """Fixed point of purifying a pair against an identical copy of itself.
+
+    Iterates from the Werner state of fidelity 0.9 until successive
+    fidelities differ by less than tol. This is the exact ceiling that
+    pumped_fidelity_bound approximates.
+    """
+    if not 0.0 <= eps_g <= 0.01:
+        raise ValueError(
+            f"eps_g must lie in [0, 0.01] for the fixed point to be meaningful, got {eps_g}"
+        )
+    state = werner_state(0.9)
+    prev = state.a
+    for _ in range(max_iter):
+        _, state = purify(state, state, eps_g, xi)
+        if abs(state.a - prev) < tol:
+            return state
+        prev = state.a
+    raise ArithmeticError(
+        f"purification iteration did not converge within {max_iter} rounds"
+    )
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ import math
 import time
 
 import numpy as np
-from chain_reference import ladder, swap_chain
+from chain_reference import deutsch_fixed_point, ladder, swap_chain
 from qpc_reference import enumerate_decode
 
 from qrcost import cli, gen1, gen2, gen3, oracles
@@ -21,7 +21,7 @@ from qrcost.core import (
 from qrcost.keyrate import average_qber, secure_fraction
 from qrcost.oracles import mc_gen1_waiting_time, mc_qpc_decode
 from qrcost.optimize import optimize_all, optimize_family
-from qrcost.pairs import deutsch_fixed_point, elementary_pair, purify, swap
+from qrcost.pairs import elementary_pair, purify, swap
 
 ETA_GRID = tuple(float(x) for x in np.linspace(0.1, 1.0, 10))
 EPS_GRID = tuple(float(x) for x in np.geomspace(1e-4, 3e-2, 10))

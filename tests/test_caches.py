@@ -68,6 +68,38 @@ def test_warmed_caches_are_grid_caches():
     assert set(caches.WARMED) <= set(caches.CACHES)
 
 
+def _in_process_children(monkeypatch, child_first: bool, firsts: list) -> None:
+    """Make region_map fork on any platform, with each forked child
+    (optimize._Child) replaced by a stand-in that runs its chunk in this
+    process: at the fork, so before the parent's own chunk, or when its rows
+    are read, after it. The chunk that runs first appends to firsts the
+    misses it adds to the warmed caches, counted from the caches at the
+    fork, from which a forked child starts."""
+
+    class Child:
+        def __init__(self, task, chunk):
+            self.task, self.chunk, self.at_fork = task, chunk, _misses(caches.WARMED)
+            if child_first:
+                self.done = task(chunk)
+                firsts.append(self.added())
+
+        def added(self) -> dict:
+            now = _misses(caches.WARMED)
+            return {name: now[name] - self.at_fork[name] for name in now}
+
+        def rows(self):
+            if not child_first:
+                firsts.append(self.added())  # the parent's chunk has run since the fork
+                self.done = self.task(self.chunk)
+            return self.done
+
+        def kill(self):
+            pass
+
+    monkeypatch.setattr(optimize, "_FORKS", True)
+    monkeypatch.setattr(optimize, "_Child", Child)
+
+
 def test_workers_fork_with_every_shared_table_built(monkeypatch):
     # region_t2's lattice at seed 0 over two workers: whichever chunk runs
     # first, the forked child's or the parent's own, it builds none of the
@@ -75,56 +107,46 @@ def test_workers_fork_with_every_shared_table_built(monkeypatch):
     etas = tuple(float(v) for v in np.linspace(0.1, 1.0, 4))
     epss = tuple(float(v) for v in np.geomspace(1e-4, 3e-2, 4))
     t0s = tuple(float(v) for v in np.geomspace(1e-7, 1e-4, 10))
-    monkeypatch.setattr(optimize, "_FORKS", True)
     for child_first in (True, False):
         firsts = []
-
-        class Child:
-            """Stands in for a forked child (optimize._Child): runs its chunk
-            in this process, at the fork, so before the parent's own chunk,
-            or when its rows are read, after it. The chunk that runs first
-            records the misses it adds to the warmed caches, counted from
-            the caches at the fork, from which a forked child starts."""
-
-            def __init__(self, task):
-                self.task, self.at_fork = task, _misses(caches.WARMED)
-                if child_first:
-                    self.done = optimize._map_task(task)
-                    firsts.append(self.added())
-
-            def added(self) -> dict:
-                now = _misses(caches.WARMED)
-                return {name: now[name] - self.at_fork[name] for name in now}
-
-            def rows(self):
-                if not child_first:
-                    firsts.append(self.added())  # the parent's chunk has run since the fork
-                    self.done = optimize._map_task(self.task)
-                return self.done
-
-            def kill(self):
-                pass
-
-        monkeypatch.setattr(optimize, "_Child", Child)
+        _in_process_children(monkeypatch, child_first, firsts)
         caches.clear_all()
         optimize.region_map(etas, epss, t0s, 1000.0, threads=2)
         assert firsts == [dict.fromkeys(caches.WARMED, 0)]
 
 
-def test_every_coupling_keeps_its_layout_across_gate_errors():
-    # 20 live couplings, more than the layout cache holds by default: in
-    # the eps_g-outermost order each coupling's layout is built once and
-    # read again at the second eps_g, in one process or by the parent that
-    # warms it and then runs the last chunk
+def test_every_warmed_cache_holds_the_whole_lattice(monkeypatch):
+    # 40 live couplings x 3 gate errors, more couplings than any warmed
+    # cache keeps by default: in the eps_g-outermost order every cell at a
+    # coupling reads the tables the warm built for it, so each cache misses
+    # only inside the warm, at one worker and at two, and every cell after
+    # it hits
     space = SearchSpace(
         gen1=Gen1Search(max_levels=2, max_rounds=0),
         gen2=Gen2Search(segment_counts=(4, 16), memories=(4,), gen_rounds=(1,)),
         gen3=Gen3Search(spacings_km=(1.0, 2.0), max_n=4, max_m=4),
     )
-    etas = tuple(float(v) for v in np.linspace(0.8, 1.0, 20))
+    etas = tuple(float(v) for v in np.linspace(0.8, 1.0, 40))
+    epss = (1e-3, 2e-3, 3e-3)
     assert all(gen3._live(HardwareParams(eta_c=eta), space.gen3.spacings_km, 1000.0)[1] for eta in etas)
+    warm, at_warm = optimize._warm, {}
+
+    def warmed(*args):
+        warm(*args)
+        at_warm.update((name, caches.found()[name].cache_info()) for name in caches.WARMED)
+
+    monkeypatch.setattr(optimize, "_warm", warmed)
+    _in_process_children(monkeypatch, True, [])
     for threads in (1, 2):
         caches.clear_all()
-        optimize.region_map(etas, (1e-3, 2e-3), (1e-6,), 1000.0, space, threads=threads)
-        info = caches.found()["gen3._layout"].cache_info()
-        assert (info.misses, info.hits) == (20, 20), threads
+        optimize.region_map(etas, epss, (1e-6,), 1000.0, space, threads=threads)
+        after = {name: caches.found()[name].cache_info() for name in caches.WARMED}
+        assert {name: info.misses for name, info in after.items()} == {
+            name: at_warm[name].currsize for name in caches.WARMED
+        } == {"gen1._qps_columns": 2, "gen2._availability": 80, "gen3._layout": 40}, threads
+        # per cell, both gen2 families and gen3; per eps_g, both gen1 schemes
+        assert {name: info.hits - at_warm[name].hits for name, info in after.items()} == {
+            "gen1._qps_columns": 6, "gen2._availability": 240, "gen3._layout": 120
+        }, threads
+        # the qps columns' key holds no coupling, so only the size shows their hold
+        assert all(info.maxsize >= len(optimize.FAMILY_TABLE) * len(etas) for info in after.values())

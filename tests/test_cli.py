@@ -72,6 +72,7 @@ def test_error_exits(capsys):
         ["sweep", "--set", "sweep.axis=bogus"],
         ["sweep", "--set", "sweep.values=-1,1e-3"],
         ["validate", "nosuchsuite"],
+        ["validate", "qpc", "--seed", "-1", "--trials", "10"],
     ]:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

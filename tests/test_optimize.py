@@ -428,11 +428,11 @@ def _chunks_calling(monkeypatch, child=None, parent=None) -> None:
     parent() in this process, before it runs as usual."""
     pid, map_task = os.getpid(), optimize._map_task
 
-    def chunk(task):
+    def chunk(*args):
         call = parent if os.getpid() == pid else child
         if call is not None:
             call()
-        return map_task(task)
+        return map_task(*args)
 
     monkeypatch.setattr(optimize, "_map_task", chunk)
 

@@ -4,18 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from chain_reference import pump_schedule, swap_chain
+from chain_reference import deutsch_fixed_point, pump_schedule, pumped_fidelity_bound, swap_chain
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrcost import gen1, gen2
 from qrcost.core import BellDiagonalState, Gen1Config, HardwareParams, werner_state
 from qrcost.pairs import (
-    deutsch_fixed_point,
     elementary_pair,
     elementary_pair_fidelity,
     heg_success_prob,
-    pumped_fidelity_bound,
     purify,
     swap,
 )
