@@ -29,6 +29,12 @@ time_constants, ladder_success_probs) reads row 0 of each level of the
 schedule's one-path grid (`_path`). The qubits per station of every row
 depend on the scheme and the grid only, so every table of a grid, at any
 (eps_g, xi), shares one set of qps columns (`_qps_columns`).
+
+A table's summary columns per level are (alpha, beta, gamma, Q, qps), with Q
+the basis-averaged error rate of each row's end state. The secure fraction
+r = secure_fraction(Q) costs two log2 per row, so it is computed only where
+it is read: by `_summary` for one schedule, and by the search for the rows
+its bound keeps (see optimize).
 """
 from __future__ import annotations
 
@@ -61,7 +67,7 @@ class _Table(NamedTuple):
     # probabilities
     states: tuple[BellDiagonalState, ...]
     probs: tuple[np.ndarray, ...]
-    # per level, the summary columns (alpha, beta, gamma, r, qps) over its
+    # per level, the summary columns (alpha, beta, gamma, Q, qps) over its
     # rows; qps holds Python ints (object dtype) where an int64 could overflow
     columns: tuple[tuple[np.ndarray, ...], ...]
 
@@ -132,10 +138,10 @@ def _schedule_summary(
             [np.repeat(a, size // len(a)) for a in a_levels],
             [np.repeat(s, size // len(s)) for s in s_levels],
         )
-        r = secure_fraction_rows(average_qber(states[-1].qber_x, states[-1].qber_z))
-        for column in (alpha, beta, gamma, r, probs[-1], *states[-1].as_tuple()):
+        qber = average_qber(states[-1].qber_x, states[-1].qber_z)
+        for column in (alpha, beta, gamma, qber, probs[-1], *states[-1].as_tuple()):
             column.flags.writeable = False
-        columns.append((alpha, beta, gamma, r, qps_columns[k]))
+        columns.append((alpha, beta, gamma, qber, qps_columns[k]))
     return _Table(grid, tuple(states), tuple(probs), tuple(columns))
 
 
@@ -148,7 +154,9 @@ def _path(params: HardwareParams, config: Gen1Config) -> _Table:
 
 def _summary(params: HardwareParams, config: Gen1Config) -> tuple[float, float, float, float, int]:
     """(alpha, beta, gamma, secure_fraction, qubits_per_station) of a schedule."""
-    return tuple(column.item(0) for column in _path(params, config).columns[config.levels])
+    alpha, beta, gamma, qber, qps = _path(params, config).columns[config.levels]
+    r = secure_fraction_rows(qber)
+    return alpha.item(0), beta.item(0), gamma.item(0), r.item(0), qps.item(0)
 
 
 def _retry_coefficients(scheme: str, probs: list) -> tuple:

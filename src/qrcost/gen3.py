@@ -11,10 +11,13 @@ Station decodes and throughputs are computed in array passes over tables of
 codes at transmissivities, each row with the float operations of a one-code
 fold, so a code's numbers do not depend on the table that holds it.
 `throughput` computes every code of a grid at every spacing in one pass:
-the search over its cell's grid, `evaluate` over its code alone at its
-spacing. Both read the station batch and its layout through their one
-cached accessor each (`station_outcome`, `_layout`), and both turn a
-throughput into a cost through `price`.
+the search's unpruned pass over its cell's grid, `evaluate` over its code
+alone at its spacing. Both read the station batch and its layout through
+their one cached accessor each (`station_outcome`, `_layout`), and both
+turn a throughput into a cost through `price`. The pruned search first
+bounds every entry without a vote (`throughput_bound`), then decodes only
+the entries it asks for, from their own vote rows of the layout; each
+entry gets the same floats as in the whole batch.
 
 A pass splits into a layout and a vote. The layout (`_layout`) holds the
 vote rows and the pmf of each row's arrived count; it reads the codes and
@@ -34,7 +37,7 @@ import numpy as np
 # binomial_pmf is not called here; the benchmark's tracer hooks this name
 from .binom import binomial_pmf, binomial_pmf_rows  # noqa: F401
 from .core import CostResult, Gen3Config, HardwareParams, libm, ordered_sum, segment_count
-from .keyrate import average_qber, parity_flip, secure_fraction_rows
+from .keyrate import QBER_DEAD, average_qber, parity_flip, secure_fraction_rows
 
 # floats per temporary array of a vote pass (128 KB): bounds the peak memory
 # of a cell pass and keeps wide codes (n or m in the thousands) within reach
@@ -95,9 +98,23 @@ def _votes(trials, arrivals, p_flip) -> tuple[np.ndarray, np.ndarray, np.ndarray
     votes, start = [], 0
     for arrive in arrivals:  # [row, arrived]
         weights = split[: arrive.shape[1], :, which[start:start + len(arrive)]]
-        votes.append(ordered_sum(arrive.T[:, None, :] * weights))
+        # C order, as ordered_sum reads it: no copy there
+        votes.append(ordered_sum(np.multiply(arrive.T[:, None, :], weights, order="C")))
         start += len(arrive)
     return tuple(np.concatenate(votes, axis=1)) if votes else (np.zeros(0),) * 3
+
+
+def _gather(arrivals, rows, width):
+    """The rows at the ascending indices rows of a layout's arrivals (see
+    _arrivals), one copy per block that holds some, cut to width arrived
+    counts. A row's counts past its trials hold zeros, which its votes add
+    last, so a cut row sums to the same floats."""
+    start = 0
+    for arrive in arrivals:
+        low, high = np.searchsorted(rows, (start, start + len(arrive)))
+        if high > low:
+            yield arrive[rows[low:high] - start, :width]
+        start += len(arrive)
 
 
 def _parity_arrival(mu, m):
@@ -165,9 +182,46 @@ def _layout(n: tuple, m: tuple, mu: tuple) -> _Layout:
     return layout
 
 
-# A search's batch serves its cell at every distance: an l_tot sweep reads
-# its one cell's batch at each value (7 of 8 hits in an 8-value sweep), and
-# no other command reads a batch twice. An entry of the default search takes
+def _decode(layout: _Layout, eps_q: float, entries=None) -> tuple[np.ndarray, ...]:
+    """(ratio_z, ratio_x, p_unknown, ok) of the entries of a layout's batch
+    (see station_outcome), flat in [i, j] order: of every entry, or of the
+    entries at the ascending flat indices entries, from the vote rows those
+    read alone (_gather). Each entry gets the same floats either way."""
+    z = len(layout.block_m)
+    if entries is None:
+        z_rows, z_of, rows = np.arange(z), layout.block, slice(None)
+    else:
+        needed = np.zeros(z, dtype=bool)
+        needed[layout.block[entries]] = True
+        z_rows = np.flatnonzero(needed)
+        z_of = (np.cumsum(needed) - 1)[layout.block[entries]]
+        rows = np.concatenate((z_rows, z + entries))
+    trials, z = layout.trials[rows], len(z_rows)
+    arrivals = layout.arrivals
+    if entries is not None:
+        arrivals = _gather(arrivals, rows, int(trials.max(initial=0)) + 1)
+    flips = np.concatenate((np.full(z, eps_q), _parity_flip(layout.block_m[z_rows], eps_q)[z_of]))
+    pc, pi, pu = _votes(trials, arrivals, flips)
+    blocks, s, d = trials[z:], (pc[:z] + pi[:z])[z_of], (pc[:z] - pi[:z])[z_of]
+    # Z logical value is the parity of the n block outcomes: every block must
+    # be known, errors cancel pairwise. The bias is taken as (d/s)**n: the
+    # ratio of decode_probs(..., "z") agrees only to about 1e-12.
+    known_z = libm(pow, s, blocks)
+    pu_z = 1.0 - known_z
+    pc_x, pi_x, pu_x = pc[z:], pi[z:], pu[z:]
+    s_x = pc_x + pi_x
+    p_unknown = 1.0 - (1.0 - pu_x) * (1.0 - pu_z)
+    ok = ~((known_z <= 0.0) | (s_x <= 0.0))
+    ratio_z, ratio_x = np.zeros(len(ok)), np.zeros(len(ok))
+    ratio_z[ok] = libm(pow, d[ok] / s[ok], blocks[ok])
+    ratio_x[ok] = (pc_x[ok] - pi_x[ok]) / s_x[ok]
+    return ratio_z, ratio_x, np.where(ok, p_unknown, 1.0), ok
+
+
+# A search reads the whole batch where none of the entries it prices first
+# decodes (the unpruned pass always does), and its cell's batch serves it at
+# every distance: an 8-value l_tot sweep at eps_g = 1e-2 hits 5 of 6 lookups.
+# No other command reads a batch twice. An entry of the default search takes
 # about 0.2 MB, so keep a few.
 @lru_cache(maxsize=4)
 def station_outcome(n: tuple, m: tuple, mu: tuple, eps_q: float) -> tuple[np.ndarray, ...]:
@@ -182,28 +236,7 @@ def station_outcome(n: tuple, m: tuple, mu: tuple, eps_q: float) -> tuple[np.nda
     undecidable. ok is False where the code never decodes (ratios 0,
     p_unknown 1).
     """
-    layout = _layout(n, m, mu)
-    block, z = layout.block, len(layout.block_m)
-    pc, pi, pu = _votes(
-        layout.trials,
-        layout.arrivals,
-        np.concatenate((np.full(z, eps_q), _parity_flip(layout.block_m, eps_q)[block])),
-    )
-    blocks, s, d = layout.trials[z:], (pc[:z] + pi[:z])[block], (pc[:z] - pi[:z])[block]
-    # Z logical value is the parity of the n block outcomes: every block must
-    # be known, errors cancel pairwise. The bias is taken as (d/s)**n: the
-    # ratio of decode_probs(..., "z") agrees only to about 1e-12.
-    known_z = libm(pow, s, blocks)
-    pu_z = 1.0 - known_z
-    pc_x, pi_x, pu_x = pc[z:], pi[z:], pu[z:]
-    s_x = pc_x + pi_x
-    p_unknown = 1.0 - (1.0 - pu_x) * (1.0 - pu_z)
-    ok = ~((known_z <= 0.0) | (s_x <= 0.0))
-    ratio_z, ratio_x = np.zeros(len(ok)), np.zeros(len(ok))
-    ratio_z[ok] = libm(pow, d[ok] / s[ok], blocks[ok])
-    ratio_x[ok] = (pc_x[ok] - pi_x[ok]) / s_x[ok]
-    p_unknown = np.where(ok, p_unknown, 1.0)
-    rows = tuple(a.reshape(len(mu), -1) for a in (ratio_z, ratio_x, p_unknown, ok))
+    rows = tuple(a.reshape(len(mu), -1) for a in _decode(_layout(n, m, mu), eps_q))
     for a in rows:
         a.flags.writeable = False
     return rows
@@ -240,7 +273,7 @@ def _live(params: HardwareParams, spacings_km: tuple, l_tot_km: float) -> tuple:
 
 
 def throughput(
-    params: HardwareParams, grid: tuple, spacings_km: tuple, l_tot_km: float
+    params: HardwareParams, grid: tuple, spacings_km: tuple, l_tot_km: float, entries=None
 ) -> tuple[list[int], np.ndarray, tuple[int, ...], list[int]]:
     """(live, x, qubits_per_station, stations) of every code of the grid (see
     codes) at every spacing. live lists the spacings whose transmissivity
@@ -250,26 +283,100 @@ def throughput(
     x[k, j] = p_succ * r is the secret bits per gate time of code j at
     spacing live[k], 0 where the code cannot work, all from one array pass
     over the station batch of the live spacings; t0 is not read: the rate
-    is x / t0. stations[i] counts the stations at spacings_km[i]."""
+    is x / t0. stations[i] counts the stations at spacings_km[i]. Given
+    entries, ascending flat indices k * len(qps) + j, x holds only theirs,
+    flat, from a batch of their vote rows alone (see _decode)."""
     n, m, qps = codes(*grid)
     stations, live, mu = _live(params, spacings_km, l_tot_km)
     eps_q = photon_error_rate(params)
     if not (live and eps_q <= 1.0):
         return [], np.zeros((0, len(qps))), qps, stations
-    ratio_z, ratio_x, p_unknown, ok = station_outcome(n, m, mu, eps_q)
-    live_stations = np.array([stations[i] for i in live], dtype=object)[:, None]  # Python ints
-    p_succ = libm(pow, 1.0 - p_unknown, live_stations)
-    q_x, q_z = parity_flip(ratio_x, live_stations), parity_flip(ratio_z, live_stations)
-    r = secure_fraction_rows(average_qber(q_x, q_z).ravel()).reshape(ok.shape)
-    return live, np.where(ok, p_succ * r, 0.0), qps, stations
+    counts = [stations[i] for i in live]
+    if entries is None:
+        outcome = (a.ravel() for a in station_outcome(n, m, mu, eps_q))
+        x = _rate(*outcome, counts, np.repeat(np.arange(len(live)), len(qps)))
+        return live, x.reshape(len(live), -1), qps, stations
+    outcome = _decode(_layout(n, m, mu), eps_q, entries)
+    return live, _rate(*outcome, counts, entries // len(qps)), qps, stations
+
+
+# Where |ratio_x|**stations or |ratio_z|**stations is at most this, one
+# parity flip lies in [(1 - b) / 2, (1 + b) / 2] and the average error rate
+# in [(1 - b) / 4, (3 + b) / 4], inside keyrate.QBER_DEAD: r = 0
+_DEAD_BIAS = 1.0 - 4.0 * QBER_DEAD[0]
+
+
+def _rate(ratio_z, ratio_x, p_unknown, ok, counts: list, row: np.ndarray) -> np.ndarray:
+    """x = p_succ * r per entry of a decoded batch, whose station count is
+    counts[row]. An entry that cannot decode, or whose |ratio_x| or
+    |ratio_z| is at most _DEAD_BIAS**(1/stations) with a relative margin of
+    1e-9, has x = 0 without its p_succ, parity flips and entropies."""
+    bias = np.array([_DEAD_BIAS ** (1.0 / count) * (1.0 - 1e-9) for count in counts])[row]
+    live = ok & (np.abs(ratio_x) > bias) & (np.abs(ratio_z) > bias)
+    stations = np.array(counts, dtype=object)[row[live]]  # Python ints
+    p_succ = libm(pow, 1.0 - p_unknown[live], stations)
+    q_x, q_z = parity_flip(ratio_x[live], stations), parity_flip(ratio_z[live], stations)
+    x = np.zeros(len(ok))
+    x[live] = p_succ * secure_fraction_rows(average_qber(q_x, q_z))
+    return x
+
+
+# Relative slack per photon of a code on the station bound: 2^9 ulps of 1. A
+# station's computed 1 - p_unknown exceeds its exact bound by at most 14 ulps
+# per photon in a scan of codes up to n * m = 4,000 (and 499 ulps in all on
+# the default grid), from the rounding of the vote sums and of the bound's
+# own powers, which cancel where 1 - mu**m or (1 - mu**m)**n nears 1.
+_SLACK = 2.0**-44
+# Below this the powers may have lost bits to underflow; any x there is
+# smaller still
+_TINY = 2.0**-1020
+
+
+def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """base ** exponent elementwise by repeated squaring, numpy
+    multiplications only; exponent holds non-negative integers (Python ints
+    in an object array where int64 could overflow), broadcast against
+    base."""
+    out = np.ones(np.broadcast_shapes(base.shape, exponent.shape))
+    for bit in range(int(exponent.max(initial=0)).bit_length()):
+        if bit:
+            base = base * base
+        out = np.where(((exponent >> bit) & 1).astype(bool), out * base, out)
+    return out
+
+
+def throughput_bound(
+    params: HardwareParams, grid: tuple, spacings_km: tuple, l_tot_km: float
+) -> tuple[list[int], np.ndarray, tuple[int, ...], list[int]]:
+    """(live, top, qubits_per_station, stations) as throughput returns them,
+    with top[k, j] above x[k, j] in floats, from no vote and no libm call.
+    A station's readout is known only if every Z block has an arrived photon
+    and some X block arrives whole, so 1 - p_unknown is at most
+    (1 - (1 - mu)**m)**n * (1 - (1 - mu**m)**n), p_succ at most that to the
+    power stations, and x = p_succ * r with r <= 1. The base is raised by
+    n * m * _SLACK before the power, which covers the rounding of both
+    sides; raised to the station count, the slack grows with it. top lies
+    in [_TINY, 2]: x is at most 1."""
+    n, m, qps = codes(*grid)
+    stations, live, mu = _live(params, spacings_km, l_tot_km)
+    if not (live and photon_error_rate(params) <= 1.0):
+        return [], np.zeros((0, len(qps))), qps, stations
+    n, m, mu = np.array(n), np.array(m), np.array(mu)[:, None]
+    count = np.array([stations[i] for i in live], dtype=object)[:, None]
+    with np.errstate(over="ignore"):
+        station = _power(1.0 - _power(1.0 - mu, m), n) * (1.0 - _power(1.0 - _power(mu, m), n))
+        top = _power(station + n * m * _SLACK, count)
+    return live, np.clip(top, _TINY, 2.0), qps, stations
 
 
 def warm(params: HardwareParams, grid: tuple, spacings_km: tuple, l_tot_km: float) -> None:
     """Build the layout that throughput's station batch reads at params'
-    coupling, attenuation length and distance, whatever the gate error."""
+    coupling, attenuation length and distance, whatever the gate error; a
+    coupling with no live spacing reads none."""
     n, m, _ = codes(*grid)
-    _, _, mu = _live(params, spacings_km, l_tot_km)
-    _layout(n, m, mu)
+    _, live, mu = _live(params, spacings_km, l_tot_km)
+    if live:
+        _layout(n, m, mu)
 
 
 def price(params: HardwareParams, l_tot_km: float, x: float, qps: int, stations: int) -> CostResult:

@@ -26,14 +26,24 @@ def binary_entropy(q: float) -> float:
     return binary_entropy_rows(np.array([q], dtype=float))[0].item()
 
 
+# Every error rate strictly between these has 1 - 2 h(Q) < -2e-3, far past
+# the rounding of h, so its secure fraction is 0 without a log2 (the key-rate
+# threshold is Q = 0.11003 and its mirror 0.88997)
+QBER_DEAD = (0.1105, 0.8895)
+
+
 def secure_fraction_rows(qber: np.ndarray) -> np.ndarray:
     """Asymptotic secret bits per raw bit at each average error rate of a 1-D
-    array, clamped at zero.
+    array, clamped at zero; 0 without a log2 inside QBER_DEAD.
 
     One-way reconciliation plus privacy amplification charge one binary
     entropy each, evaluated at the basis-averaged error rate.
     """
-    return np.maximum(1.0 - 2.0 * binary_entropy_rows(qber), 0.0)
+    low, high = QBER_DEAD
+    live = ~((low < qber) & (qber < high))
+    out = np.zeros(len(qber))
+    out[live] = np.maximum(1.0 - 2.0 * binary_entropy_rows(qber[live]), 0.0)
+    return out
 
 
 def secure_fraction(qber: float) -> float:

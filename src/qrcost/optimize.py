@@ -24,6 +24,12 @@ for these reasons:
   subnormal or near overflow. There every configuration of the cell pass is
   priced, unpruned. A weight that overflows to inf needs no full scan: it
   makes every configuration of its group infeasible in either scan.
+- A cell pass prices only the rows that can survive (_bounded). Each family
+  bounds its terms from below over the whole grid without pricing a row:
+  gen1 by qps*alpha, qps*beta and qps*gamma (r <= 1), gen3 by N over a
+  power bound on x (gen3.throughput_bound), gen2 by its terms themselves. A
+  row whose bound a priced, finite incumbent of its group beats by the
+  margin would lose to it in _undominated, so it is never priced.
 
 Grid points are independent; the region map fans (eta_c, eps_g) cells out over
 worker processes, eps_g-outermost so that each worker builds few gen1 tables,
@@ -45,7 +51,7 @@ from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
-from . import gen1, gen2, gen3
+from . import gen1, gen2, gen3, keyrate
 from .core import (
     CSS_CATALOG,
     GEN1_SCHEMES,
@@ -248,41 +254,57 @@ def _gen1_columns(search: Gen1Search, eps_g: float, xi: float):
 
 def _gen1_candidates(search: Gen1Search, eps_g: float, xi: float):
     """(scheme, levels, rounds, summary) of every schedule, in enumeration
-    order."""
-    summaries = itertools.chain.from_iterable(
-        zip(*(column.tolist() for column in columns))
-        for _, columns in _gen1_columns(search, eps_g, xi)
+    order; the summary holds the secure fraction r in place of the table's
+    Q."""
+
+    def summaries(alpha, beta, gamma, qber, qps):
+        columns = (alpha, beta, gamma, keyrate.secure_fraction_rows(qber), qps)
+        return zip(*(column.tolist() for column in columns))
+
+    rows = itertools.chain.from_iterable(
+        summaries(*columns) for _, columns in _gen1_columns(search, eps_g, xi)
     )
-    return [(*key, summary) for key, summary in zip(_gen1_grid(search), summaries)]
+    return [(*key, summary) for key, summary in zip(_gen1_grid(search), rows)]
 
 
-def _gen1_terms(space: SearchSpace, cell):
+def _gen1_bound(space: SearchSpace, cell):
     """At nesting level n the cost is (2^n / L) * (K1 * qps*alpha/r + K2 *
     qps*beta/r + K3 * qps*gamma/r) with K1 = T_signal/p0, K2 = T_signal and
     K3 = t0. The three products are the terms, grouped by level, each
     computed as (qps * alpha) / r with qps cast exactly to float, as Python
     multiplies an int by a float; a schedule with r <= 0 is infeasible
-    everywhere. A row's inputs to gen1.price are its level and summary."""
+    everywhere. A feasible row has 0 < r <= 1, so the same float products
+    qps * alpha, qps * beta and qps * gamma bound its terms from below with
+    no slack, and r is priced (two log2 per row) only for the rows the pass
+    keeps. Rows whose Q lies in keyrate.QBER_DEAD (r = 0) are left out. A
+    row's inputs to gen1.price are its level and summary."""
     search = space.gen1
-    blocks, terms, rows = [], [], []
-    for b, block in enumerate(_gen1_columns(search, *cell)):
-        alpha, beta, gamma, r, qps = block[1]
-        feasible = np.flatnonzero(r > 0.0)
-        n, r = qps[feasible].astype(float), r[feasible]
-        blocks.append(block)
-        terms.append(np.column_stack([n * c[feasible] / r for c in (alpha, beta, gamma)]))
-        rows.append(np.column_stack((np.full(len(feasible), b), feasible)))
-    rows = np.concatenate(rows)
+    low, high = keyrate.QBER_DEAD
+    blocks, parts = [], []
+    for b, ((scheme, levels), columns) in enumerate(_gen1_columns(search, *cell)):
+        alpha, beta, gamma, qber, qps = columns
+        rows = np.flatnonzero(~((low < qber) & (qber < high)))
+        n = qps[rows].astype(float)
+        blocks.append((scheme, levels, columns))
+        products = np.column_stack([n * c[rows] for c in (alpha, beta, gamma)])
+        parts.append((products, qber[rows], np.full(len(rows), b), rows))
+    bounds, qber, block, table_row = (np.concatenate(c) for c in zip(*parts))
 
-    def key(i):
-        b, row = rows[i]
-        (scheme, levels), columns = blocks[b]
-        digits = np.unravel_index(row, (search.max_rounds + 1,) * (levels + 1))
-        summary = tuple(column.item(row) for column in columns)
-        return (scheme, levels, tuple(map(int, digits))), (levels, summary)
+    def price(index):
+        r = keyrate.secure_fraction_rows(qber[index])
+        feasible = r > 0.0
+        index, r = index[feasible], r[feasible]
 
-    block_levels = np.array([levels for (_, levels), _ in blocks])
-    return np.concatenate(terms), block_levels[rows[:, 0]], key
+        def key(i):
+            scheme, levels, columns = blocks[block[index[i]]]
+            row = table_row[index[i]]
+            digits = np.unravel_index(row, (search.max_rounds + 1,) * (levels + 1))
+            alpha, beta, gamma, _, qps = (column.item(row) for column in columns)
+            return (scheme, levels, tuple(map(int, digits))), (levels, (alpha, beta, gamma, r.item(i), qps))
+
+        return bounds[index] / r[:, None], index, key
+
+    return bounds, np.array([levels for _, levels, _ in blocks], dtype=int)[block], price
 
 
 def _gen1_warm(params: HardwareParams, l_tot_km: float, space: SearchSpace) -> None:
@@ -326,38 +348,54 @@ def _gen3_grid(s: Gen3Search) -> tuple:
     return s.min_n, s.max_n, s.min_m, s.max_m, s.max_photons  # as gen3.codes takes it
 
 
-def _gen3_terms(space: SearchSpace, cell):
-    """The one term N/x of every configuration with x > 0, from one array
-    pass over the cell (gen3.throughput); N = stations * qps is an exact
-    integer, cast to float once. A row's inputs are those of gen3.price."""
+def _gen3_bound(space: SearchSpace, cell):
+    """The one term N/x of every configuration with x > 0; N = stations *
+    qps is an exact integer, cast to float once. gen3.throughput_bound caps
+    x at every entry of a live spacing, so N/top, with N the product of the
+    two counts as floats, bounds the term from below (see that function for
+    the slack). An entry is priced by gen3.throughput over the entries asked
+    for, the whole cell's batch when every entry is. A row's inputs are
+    those of gen3.price."""
     params, l_tot_km = cell
     grid, spacings = _gen3_grid(space.gen3), space.gen3.spacings_km
     n_values, m_values, _ = gen3.codes(*grid)
-    live, x, qps, stations = gen3.throughput(params, grid, spacings, l_tot_km)
-    k, j = np.nonzero(x > 0.0)
-    i = np.array(live, dtype=int)[k]
-    n = np.array(stations, dtype=object)[i] * np.array(qps, dtype=object)[j]
+    live, top, qps, stations = gen3.throughput_bound(params, grid, spacings, l_tot_km)
+    counts = np.multiply.outer([float(stations[i]) for i in live], [float(q) for q in qps])
+    live_stations = np.array([stations[i] for i in live], dtype=object)
+    qps_ints = np.array(qps, dtype=object)
 
-    def key(row):
-        a, b = i[row], j[row]
-        return (n_values[b], m_values[b], spacings[a]), (x[k[row], b].item(), qps[b], stations[a])
+    def price(index):
+        every = len(index) == top.size
+        x = gen3.throughput(params, grid, spacings, l_tot_km, None if every else index)[1].ravel()
+        feasible = x > 0.0
+        index, x = index[feasible], x[feasible]
+        k, j = np.divmod(index, len(qps))
 
-    return (n.astype(float) / x[k, j])[:, None], np.zeros(len(n), dtype=int), key
+        def key(row):
+            a, b = live[k[row]], j[row]
+            return (n_values[b], m_values[b], spacings[a]), (x[row].item(), qps[b], stations[a])
+
+        n = live_stations[k] * qps_ints[j]
+        return (n.astype(float) / x)[:, None], index, key
+
+    bounds = (counts / top).reshape(-1, 1)
+    return bounds, np.zeros(len(bounds), dtype=int), price
 
 
 def _without_t0(params: HardwareParams, l_tot_km: float):
     return params.with_(t0=1.0), l_tot_km
 
 
-def _gen2_terms(family: str) -> Callable:
+def _gen2_bound(family: str) -> Callable:
     """Terms N*g*L0/x and N*g/x of a swap-chain family, whose cost in a cell
     is stations * qps * gen_rounds * (spacing / c + t0) / x with x the
     t0-free throughput of one array pass (gen2.throughput); x = 0 is
     infeasible at every t0. N = stations * qps and N*g are exact integers,
-    cast to float once, as Python multiplies an int by a float. A row's
+    cast to float once, as Python multiplies an int by a float. The pass
+    prices every row at once, so the terms are their own bound. A row's
     inputs are those of gen2.price."""
 
-    def terms(space: SearchSpace, cell):
+    def bound(space: SearchSpace, cell):
         params, l_tot_km = cell
         s = space.gen2
         codes = _gen2_codes(family, s)
@@ -371,17 +409,20 @@ def _gen2_terms(family: str) -> Callable:
         rows, x = np.argwhere(feasible), x[feasible]
         _, i, m, g = rows.T
 
-        def key(row):
-            c, i, m, g = rows[row]
-            head = (codes[c],) if family == "gen2_enc" else ()
-            memories, spacing, gen_rounds = s.memories[m], spacings[i], s.gen_rounds[g]
-            inputs = (x[row].item(), 2 * memories, segments[i], spacing, gen_rounds)
-            return (*head, memories, spacing, gen_rounds), inputs
+        def price(index):
+            def key(row):
+                c, i, m, g = rows[index[row]]
+                head = (codes[c],) if family == "gen2_enc" else ()
+                memories, spacing, gen_rounds = s.memories[m], spacings[i], s.gen_rounds[g]
+                inputs = (x[index[row]].item(), 2 * memories, segments[i], spacing, gen_rounds)
+                return (*head, memories, spacing, gen_rounds), inputs
+
+            return terms[index], index, key
 
         terms = np.column_stack((per_km[i, m, g] / x, per_cycle[i, m, g] / x))
-        return terms, np.zeros(len(x), dtype=int), key
+        return terms, np.zeros(len(x), dtype=int), price
 
-    return terms
+    return bound
 
 
 def _describe_gen2(config) -> str:
@@ -398,27 +439,38 @@ class Family(NamedTuple):
     l_tot_km) prices it and describe(config) is its one-line text. Within a
     group, the cost at a point is a positive multiple of sum(weight * term):
     cell(params, l_tot_km) is the hashable part of the point the terms depend
-    on, terms(space, cell) returns (terms, groups, key) over the
-    configurations feasible somewhere in the cell, in grid order: a float
-    matrix with one row of terms per configuration, the group of each row,
-    and key(row), the row's (grid arguments, inputs). The inputs are the
-    t0-free numbers the cost needs, and price(params, l_tot_km, *inputs)
-    prices them, as evaluate does after computing them for its one
-    configuration. weights(params, l_tot_km, space) lists the point's
-    weights. warm(params, l_tot_km, space) fills the cached tables that the
-    cell pass reads at every cell of params' coupling and attenuation
-    length, whatever its gate error, through the accessors the cell pass
-    calls.
+    on. bound(space, cell) returns (bounds, groups, price) over the rows of
+    the grid that may be feasible in the cell, in grid order: a float matrix
+    with one row per configuration that is at most its terms, elementwise,
+    computed without pricing it; the group of each row, a small
+    non-negative int; and price(index), which prices the rows at the
+    ascending indices index exactly and returns (terms, kept, key): the
+    terms of those that are feasible somewhere in the cell, their indices,
+    and key(i), the (grid arguments, inputs) of the i-th. The inputs are
+    the t0-free numbers the cost needs, and
+    price(params, l_tot_km, *inputs) prices them, as evaluate does after
+    computing them for its one configuration. weights(params, l_tot_km,
+    space) lists the point's weights. warm(params, l_tot_km, space) fills
+    the cached tables that the cell pass reads at every cell of params'
+    coupling and attenuation length, whatever its gate error, through the
+    accessors the cell pass calls.
     """
 
     config_type: type
     evaluate: Callable
     price: Callable
     cell: Callable
-    terms: Callable
+    bound: Callable
     weights: Callable
     describe: Callable
     warm: Callable
+
+    def terms(self, space: SearchSpace, cell) -> tuple:
+        """(terms, groups, key) of every configuration feasible somewhere in
+        the cell, in grid order, all of them priced."""
+        bounds, groups, price = self.bound(space, cell)
+        terms, kept, key = price(np.arange(len(bounds)))
+        return terms, groups[kept], key
 
 
 _gen2_weights = lambda params, l_tot_km, space: (1.0 / params.c_fiber, params.t0)  # noqa: E731
@@ -431,7 +483,7 @@ FAMILY_TABLE: dict[str, Family] = {
         gen1.evaluate,
         gen1.price,
         lambda params, l_tot_km: (params.eps_g, params.xi),
-        _gen1_terms,
+        _gen1_bound,
         _gen1_weights,
         lambda c: f"scheme={c.scheme} levels={c.levels} rounds={','.join(map(str, c.rounds))}",
         _gen1_warm,
@@ -441,7 +493,7 @@ FAMILY_TABLE: dict[str, Family] = {
         gen2.evaluate_no_encoding,
         gen2.price,
         _without_t0,
-        _gen2_terms("gen2_noenc"),
+        _gen2_bound("gen2_noenc"),
         _gen2_weights,
         _describe_gen2,
         _gen2_warm("gen2_noenc"),
@@ -451,7 +503,7 @@ FAMILY_TABLE: dict[str, Family] = {
         gen2.evaluate_encoded,
         gen2.price,
         _without_t0,
-        _gen2_terms("gen2_enc"),
+        _gen2_bound("gen2_enc"),
         _gen2_weights,
         lambda c: f"code=[[{c.code.n_phys},1,{2 * c.code.t + 1}]] " + _describe_gen2(c),
         _gen2_warm("gen2_enc"),
@@ -461,7 +513,7 @@ FAMILY_TABLE: dict[str, Family] = {
         gen3.evaluate,
         gen3.price,
         _without_t0,
-        _gen3_terms,
+        _gen3_bound,
         lambda params, l_tot_km, space: (params.t0,),
         lambda c: f"n={c.n} m={c.m} spacing_km={c.spacing_km!r}",
         lambda params, l_tot_km, space: gen3.warm(
@@ -490,20 +542,89 @@ def evaluate_config(params: HardwareParams, config, l_tot_km: float) -> CostResu
     return _family_of(config).evaluate(params, config, l_tot_km)
 
 
+# Rows per group priced before the bound is applied. The gen3 entry with the
+# smallest bound is often its cell's best, and gen1's deepest level holds
+# 2 * 3^8 schedules.
+_PROBE = 32
+
+
+def _by_group(groups: np.ndarray) -> list:
+    """The ascending indices of each group's rows, one array per group that
+    has some."""
+    order = np.argsort(groups, kind="stable")
+    return [rows for rows in np.split(order, np.cumsum(np.bincount(groups))[:-1]) if len(rows)]
+
+
+def _probe(bounds: np.ndarray, by_group: list) -> np.ndarray:
+    """Ascending indices of the _PROBE rows of each group (_by_group) with
+    the smallest first bound."""
+    probe = [np.zeros(0, dtype=int)]
+    for rows in by_group:
+        if len(rows) > _PROBE:
+            rows = rows[np.argpartition(bounds[rows, 0], _PROBE)[:_PROBE]]
+        probe.append(rows)
+    return np.sort(np.concatenate(probe))
+
+
+def _sorts_before(terms: np.ndarray, incumbents: list) -> bool:
+    """True when a row of terms with a non-finite entry sorts strictly
+    before one of the incumbents, in _lexmin's order."""
+    rows = terms[~np.isfinite(terms).all(axis=1)]
+    return len(rows) > 0 and any(_lexmin(np.vstack((j, rows))) != 0 for j in incumbents)
+
+
+def _bounded(bounds: np.ndarray, groups: np.ndarray, price: Callable) -> tuple:
+    """price() of the rows that no incumbent of their group beats by the
+    margin in every bound, (1 + margin) * incumbent <= bound, the test
+    _undominated applies to terms. The incumbents are the undominated rows
+    of a priced probe (_probe) whose terms are finite and whose first term
+    is a normal float; such a row sorts strictly before every row it beats.
+
+    _undominated returns the same rows without the others. A row i left out
+    is beaten in its terms by a priced incumbent j. Until j is dropped, j
+    sorts before i, so i is not the lexicographic minimum; the row that
+    drops j beats i too (its terms are non-negative), so i goes with j or
+    before it. Only one branch could still see i: a minimum with a
+    non-finite term keeps every live row. A row left out is never the
+    minimum, so such a minimum is priced and sorts before j; when a priced
+    row sorts so, every row of the cell is priced instead."""
+    by_group = _by_group(groups)
+    probe = _probe(bounds, by_group)
+    terms, kept, _ = priced = price(probe)
+    if len(probe) == len(bounds):
+        return priced
+    usable = np.isfinite(terms).all(axis=1) & (terms[:, 0] >= sys.float_info.min)
+    beaten, incumbents = np.zeros(len(bounds), dtype=bool), []
+    for live in by_group:
+        rows = terms[usable & (groups[kept] == groups[live[0]])]
+        rows = rows[_undominated(rows)]
+        for j in rows[np.argsort(rows[:, 0])]:  # the smallest first: it beats the most
+            out = ((1.0 + _MARGIN) * j <= bounds[live]).all(axis=1)
+            beaten[live[out]] = True
+            live = live[~out]
+        incumbents.extend(rows)
+    priced = price(np.flatnonzero(~beaten))
+    if beaten.any() and _sorts_before(priced[0], incumbents):
+        return price(np.arange(len(bounds)))
+    return priced
+
+
 def _cell_pass(family: str, space: SearchSpace, cell, prune: bool = True) -> tuple:
     """(arguments, inputs), in grid order, of the configurations feasible
     somewhere in the cell; pruned, of those that can win at some point of
-    the cell: per group, those no other beats by the margin in every term."""
+    the cell: per group, those no other beats by the margin in every term,
+    priced only where their bound leaves them a chance (see _bounded)."""
+    spec = FAMILY_TABLE[family]
     with np.errstate(over="ignore"):  # a term overflows to inf, as scalar floats do
-        terms, groups, key = FAMILY_TABLE[family].terms(space, cell)
-    kept = range(len(terms))
-    if prune:
-        kept = []
-        for group in set(groups.tolist()):  # np.unique would import numpy.ma
-            rows = np.flatnonzero(groups == group)
-            kept += rows[_undominated(terms[rows])].tolist()
-        kept.sort()
-    return tuple(key(row) for row in kept)
+        if not prune:
+            terms, _, key = spec.terms(space, cell)
+            return tuple(key(row) for row in range(len(terms)))
+        bounds, groups, price = spec.bound(space, cell)
+        terms, rows, key = _bounded(bounds, groups, price)
+    kept = []
+    for at in _by_group(groups[rows]):
+        kept += at[_undominated(terms[at])].tolist()
+    return tuple(key(row) for row in sorted(kept))
 
 
 # the pruned pass, once per family, space and cell; the unpruned one is rare

@@ -26,7 +26,7 @@ CACHES = (
     "gen2._chain_fractions",  # default region map: 90/100
     "gen2.logical_flip_prob",  # default region map: 270/300
     "gen3._layout",  # default region map: 54/60
-    "gen3.station_outcome",  # l_tot sweep of 8 values: 7/8
+    "gen3.station_outcome",  # l_tot sweep of 8 values at eps_g = 1e-2: 5/6
     "gen3.codes",  # default region map: 209/210
     "optimize._frontier",  # default region map: 3,690/4,000
 )

@@ -16,7 +16,9 @@ _JOBS = (
         ("gen1._qps_columns", "gen2._availability", "gen3._layout", "optimize._frontier",
          "gen2._chain_fractions", "gen2.logical_flip_prob", "gen3.codes"),
     ),
-    (["sweep", "--set", "sweep.axis=l_tot", "--set", "sweep.values=500,1000,2000"],
+    # at this gate error no code decodes, so each search prices the whole batch
+    (["sweep", "--set", "sweep.axis=l_tot", "--set", "sweep.values=500,1000,2000",
+      "--set", "hardware.eps_g=1e-2"],
      ("gen3.station_outcome",)),
     (["validate", "gen1-time", "--trials", "1000"], ("gen1._schedule_summary",)),
 )
@@ -66,6 +68,18 @@ def _misses(names) -> dict:
 def test_warmed_caches_are_grid_caches():
     # the warm step fills the accessors of the search grids' shared tables
     assert set(caches.WARMED) <= set(caches.CACHES)
+
+
+def test_warm_builds_layouts_at_live_couplings_only():
+    # the default lattice's couplings 0.1-0.5 leave no gen3 spacing live, so
+    # no cell there reads a layout, and the warm builds one at each other
+    etas = tuple(float(v) for v in np.linspace(0.1, 1.0, 10))
+    caches.clear_all()
+    try:
+        optimize._warm(HardwareParams(), etas, 1000.0, SearchSpace())
+        assert gen3._layout.cache_info().misses == 5
+    finally:
+        caches.clear_all()
 
 
 def _in_process_children(monkeypatch, child_first: bool, firsts: list) -> None:

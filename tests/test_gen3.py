@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qpc_reference import enumerate_decode
 
 from qrcost import gen3, optimize
-from qrcost.core import Gen3Config, HardwareParams
+from qrcost.core import Gen3Config, HardwareParams, ordered_sum
 from qrcost.keyrate import average_qber, secure_fraction
 
 
@@ -212,16 +212,34 @@ def test_shared_layouts_do_not_depend_on_the_cell_order():
     assert gen3._layout.cache_info().hits > hits
 
 
+def test_vote_sums_read_their_terms_in_place(monkeypatch):
+    # every ordered_sum of a default cell's station batch gets a C-contiguous
+    # array, which it reduces without a copy
+    seen = []
+
+    def spy(terms):
+        seen.append(terms.flags.c_contiguous)
+        return ordered_sum(terms)
+
+    monkeypatch.setattr(gen3, "ordered_sum", spy)
+    caches.clear_all()
+    s = optimize.SearchSpace().gen3
+    gen3.throughput(HardwareParams(), optimize._gen3_grid(s), s.spacings_km, 1000.0)
+    assert len(seen) > 3 and all(seen), seen
+
+
 def test_one_spacing_search_fills_only_grid_caches():
     # a search batch at one live spacing still holds the whole code grid: the
-    # cells share its layout, and each gate error's batch holds every code
+    # cells share its layout, and each gate error's batch, which the search
+    # reads where no code it prices first decodes, holds every code
     caches.clear_all()
     space = optimize.SearchSpace(gen3=optimize.Gen3Search(spacings_km=(1.0,)))
-    for eps_g in (1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3):
+    for eps_g in (1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3, 1e-2, 2e-2):
         params = HardwareParams(eps_g=eps_g)
         optimize.optimize_family("gen3", params, 1000.0, space)
+    # no code decodes at the last two gate errors
     assert caches.sizes(("gen3._layout", "gen3.station_outcome")) == {
-        "gen3._layout": 1, "gen3.station_outcome": gen3.station_outcome.cache_info().maxsize}
+        "gen3._layout": 1, "gen3.station_outcome": 2}
     n, m, _ = gen3.codes(*optimize._gen3_grid(space.gen3))
     mu = gen3.transmissivity(params.eta_c, 1.0, params.l_att)
     hits = gen3.station_outcome.cache_info().hits

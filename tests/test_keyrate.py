@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import station_reference
 
-from qrcost.keyrate import average_qber, binary_entropy, secure_fraction, secure_fraction_rows
+from qrcost.keyrate import QBER_DEAD, average_qber, binary_entropy, secure_fraction, secure_fraction_rows
 
 
 def test_entropy_endpoints_and_peak():
@@ -57,7 +57,10 @@ def test_average_qber():
 
 def test_secure_fraction_rows_equal_the_scalar_formula():
     rng = random.Random(2)
-    qs = [0.0, 1.0, 0.5, 0.11, 0.1101, 5e-324] + [
+    # the ends of the range computed without a log2 (keyrate.QBER_DEAD) too
+    low, high = QBER_DEAD
+    ends = [low, high, math.nextafter(low, 1.0), math.nextafter(high, 0.0), 0.11003, 0.88997]
+    qs = [0.0, 1.0, 0.5, 0.11, 0.1101, 5e-324, *ends] + [
         rng.choice([rng.random(), rng.random() * 0.12, rng.random() ** 20]) for _ in range(2000)
     ]
     got = secure_fraction_rows(np.array(qs)).tolist()

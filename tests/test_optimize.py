@@ -17,7 +17,8 @@ import search_reference
 import station_reference
 from search_reference import reference_optimum
 
-from qrcost import gen1, gen2, gen3, optimize
+from qrcost import core, gen1, gen2, gen3, optimize
+from qrcost.cli import main
 from qrcost.core import (
     ATTENUATION_KM,
     CSS_CATALOG,
@@ -308,6 +309,122 @@ def test_gen1_float_edges_equal_full_scan(eta, eps):
             assert math.inf in FAMILY_TABLE["gen1"].weights(params, l_tot, space)
         got = optimize_family("gen1", params, l_tot, space)
         assert got == reference_optimum("gen1", params, l_tot, space), (params, l_tot)
+
+
+def _unbounded_pass(family, space, cell):
+    """The pruned cell pass with every row priced: _undominated per group
+    over the terms of every configuration feasible in the cell."""
+    with np.errstate(over="ignore"):
+        terms, groups, key = FAMILY_TABLE[family].terms(space, cell)
+    kept = []
+    for group in set(groups.tolist()):
+        rows = np.flatnonzero(groups == group)
+        kept += rows[optimize._undominated(terms[rows])].tolist()
+    return tuple(key(row) for row in sorted(kept))
+
+
+def _assert_bound_is_exact(family, space, cell):
+    # every bound is at most its row's terms, and the bounded pass keeps the
+    # rows the unbounded one keeps
+    with np.errstate(over="ignore"):
+        bounds, _, price = FAMILY_TABLE[family].bound(space, cell)
+        terms, rows, _ = price(np.arange(len(bounds)))
+    assert (bounds[rows] <= terms).all(), (family, cell)
+    assert repr(optimize._cell_pass(family, space, cell)) == repr(_unbounded_pass(family, space, cell)), (
+        family, cell)
+
+
+# hardware points of the full-scan equivalence tests: lossless fiber, a link
+# that never succeeds, the fastest fiber, and no gate error at all
+_BOUND_POINTS = [
+    HardwareParams(eta_c=eta, eps_g=eps, l_att=l_att, c_fiber=c)
+    for (c, l_att) in ((FIBER_SPEED_KM_S, ATTENUATION_KM), (1.0, 1e-3), (1.7e308, 1e18))
+    for eta in (0.5, 1.0)
+    for eps in _EPSS
+] + [_EXPLICIT]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bounded_pass_equals_the_unbounded_one(family):
+    spec = FAMILY_TABLE[family]
+    for params, l_tot in itertools.product(_BOUND_POINTS, _LENGTHS):
+        _assert_bound_is_exact(family, _SMALL, spec.cell(params, l_tot))
+    # the default grids, where each group holds far more rows than the probe
+    for eta, eps, l_tot in itertools.product((0.7, 1.0), (0.0, 1e-3, 1e-2), (1000.0, 10000.0)):
+        _assert_bound_is_exact(family, SearchSpace(), spec.cell(HardwareParams(eta_c=eta, eps_g=eps), l_tot))
+    # gen3 station counts up to 1.8e308, on a lossless fiber, where x = 1
+    # at no gate error; N = stations * qps must stay a float there
+    for eta, eps, l_tot in ((1.0, 0.0, 1e300), (1.0, 1e-3, 1e300), (1.0, 1e-3, sys.float_info.max),
+                            (0.9, 0.0, sys.float_info.max)):
+        params = HardwareParams(eta_c=eta, eps_g=eps, l_att=1e18)
+        _assert_bound_is_exact(family, _SMALL, spec.cell(params, l_tot))
+
+
+def _crafted(monkeypatch, terms, bounds, groups):
+    """gen1's family with its bound replaced by fixed rows: row i has terms
+    terms[i], bound bounds[i] and group groups[i], and prices to itself."""
+    terms, bounds, groups = (np.array(a) for a in (terms, bounds, groups))
+
+    def bound(space, cell):
+        return bounds, groups, lambda index: (terms[index], index, lambda i: int(index[i]))
+
+    monkeypatch.setitem(FAMILY_TABLE, "gen1", FAMILY_TABLE["gen1"]._replace(bound=bound))
+
+
+_PROBED = optimize._PROBE + 8  # rows in a group of the crafted examples
+
+
+@settings(max_examples=200, deadline=None)
+@example([[2.0]] * _PROBED + [[1.0]], [1.0] * (_PROBED + 1), [0] * (_PROBED + 1))  # rows to drop
+@example([[math.inf]] * _PROBED, [1.0] * _PROBED, [0] * _PROBED)  # no finite incumbent
+@example([[5e-324]] * _PROBED, [1.0] * _PROBED, [0] * _PROBED)  # nor a subnormal one
+# a priced row with an infinite term sorts first, so _undominated keeps every row
+@example([[1.0, math.inf], [2.0, 2.0]] + [[3.0, 3.0]] * _PROBED,
+         [1.0] * (_PROBED + 2), [0] * (_PROBED + 2))
+@given(
+    st.integers(1, 3).flatmap(lambda width: st.lists(
+        st.lists(st.sampled_from((0.0, 5e-324, 1.0, 1.0 + 2e-9, 2.0, 1e300, 1.7e308, math.inf)),
+                 min_size=width, max_size=width),
+        min_size=1, max_size=90,
+    )),
+    st.lists(st.sampled_from((1.0, 1.0, 0.5, 0.0)), min_size=90, max_size=90),
+    st.lists(st.integers(0, 1), min_size=90, max_size=90),
+)
+def test_bounded_rule_equals_the_unbounded_one_on_crafted_rows(rows, scale, groups):
+    # any non-negative terms, with bounds at most them; the fallbacks and
+    # guards keep the result of pricing every row
+    terms = np.array(rows)
+    factor = np.array(scale[:len(rows)])[:, None]
+    with np.errstate(invalid="ignore"):  # inf * 0.0, not taken
+        bounds = np.where(factor == 0.0, 0.0, terms * factor)
+    with pytest.MonkeyPatch.context() as patch:
+        _crafted(patch, terms, bounds, groups[:len(rows)])
+        cell = (0.0, 0.0)
+        space = SearchSpace()
+        assert optimize._cell_pass("gen1", space, cell) == _unbounded_pass("gen1", space, cell)
+        # the unpruned pass prices and returns every row
+        assert optimize._cell_pass("gen1", space, cell, prune=False) == tuple(range(len(rows)))
+
+
+def test_cold_sweep_computes_few_libm_elements(monkeypatch, capsys):
+    # a work guard that needs no timing: the ten cold eps_g cells of a
+    # default sweep, with every secure fraction and station tail that the
+    # bounds rule out left uncomputed (881,188 elements before the bounds)
+    monkeypatch.delenv("QRCOST_CONFIG", raising=False)
+    libm, count = core.libm, [0]
+
+    def counted(fn, *args):
+        out = libm(fn, *args)
+        count[0] += np.size(out)
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qrcost.") and getattr(module, "libm", None) is libm:
+            monkeypatch.setattr(module, "libm", counted)
+    caches.clear_all()
+    assert main(["sweep", "--set", "sweep.axis=eps_g", "--set", "sweep.values=log:1e-4:3e-2:10"]) == 0
+    capsys.readouterr()
+    assert 0 < count[0] < 200_000, count[0]
 
 
 # every grid a single configuration, so the last row of a cell pass can win
