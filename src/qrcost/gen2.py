@@ -170,15 +170,15 @@ def throughput(
     x[c, s, m, g] = avail**segments * r is the secret bits per cycle of code
     codes[c] (None for the bare chain) at spacing spacings_km[s] with
     memories[m] pairs and gen_rounds[g] rounds, 0 where the chain cannot
-    work: as every code past a physical error rate of 1, and every spacing
-    whose segment count no float holds (past it no cost is a float), which
-    is ruled out before the fold and any power. All segments must be ready
-    in the same cycle. segments[s] counts the segments at spacing s. t0 is
-    not read: the rate is x / cycle."""
+    work: as every code past a physical error rate of 1, and every
+    configuration whose segments * qps no float holds (past it no cost is a
+    float); a segment count past the float range is ruled out before the
+    fold and any power. All segments must be ready in the same cycle.
+    segments[s] counts the segments at spacing s. t0 is not read: the rate
+    is x / cycle."""
     segments = [segment_count(l_tot_km, spacing) for spacing in spacings_km]
-    fits = [n <= sys.float_info.max for n in segments]
     # a count past the float range stands in as 1, and its x is 0 below
-    held = tuple(n if fit else 1 for n, fit in zip(segments, fits))
+    held = tuple(n if n <= sys.float_info.max else 1 for n in segments)
     counts = np.array(held, dtype=object)  # Python ints: a count may pass int64
     if codes == (None,):
         r = _chain_fractions(params.eps_g, params.xi, held)
@@ -190,6 +190,6 @@ def throughput(
     shape = (len(codes), len(segments), 1, 1)
     powered = libm(pow, avail, counts.reshape(shape[1:]))
     x = powered * r.reshape(shape)
-    if not all(fits):
-        x[:, [not fit for fit in fits]] = 0.0
+    n = np.multiply.outer(np.array(segments, dtype=object), [2 * m for m in memories])  # exact
+    x[:, (n > sys.float_info.max).astype(bool)] = 0.0
     return x, segments

@@ -9,15 +9,14 @@ work at all.
 
 Station decodes and throughputs are computed in array passes over tables of
 codes at transmissivities, each row with the float operations of a one-code
-fold, so a code's numbers do not depend on the table that holds it.
-`throughput` computes every code of a grid at every spacing in one pass:
-the search's unpruned pass over its cell's grid, `evaluate` over its code
-alone at its spacing. Both read the station batch and its layout through
-their one cached accessor each (`station_outcome`, `_layout`), and both
-turn a throughput into a cost through `price`. The pruned search first
-bounds every entry without a vote (`throughput_bound`), then decodes only
-the entries it asks for, from their own vote rows of the layout; each
-entry gets the same floats as in the whole batch.
+fold, so a code's numbers do not depend on the table that holds it. One cell
+pass, `bound`, serves the search and `evaluate` alike. It bounds every code
+of a grid at every spacing without a vote, then decodes the entries asked
+for from their own vote rows of the layout (`_decode`), or reads the cached
+decode of every entry (`station_outcome`) when all are asked for. The
+pruned search asks for the entries its bound leaves a chance; `evaluate`
+runs the pass over its code alone at its spacing. Both turn a throughput
+into a cost through `price`.
 
 A pass splits into a layout and a vote. The layout (`_layout`) holds the
 vote rows and the pmf of each row's arrived count; it reads the codes and
@@ -182,24 +181,19 @@ def _layout(n: tuple, m: tuple, mu: tuple) -> _Layout:
     return layout
 
 
-def _decode(layout: _Layout, eps_q: float, entries=None) -> tuple[np.ndarray, ...]:
-    """(ratio_z, ratio_x, p_unknown, ok) of the entries of a layout's batch
-    (see station_outcome), flat in [i, j] order: of every entry, or of the
-    entries at the ascending flat indices entries, from the vote rows those
-    read alone (_gather). Each entry gets the same floats either way."""
+def _decode(layout: _Layout, eps_q: float, entries: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(ratio_z, ratio_x, p_unknown, ok) of the entries at the ascending
+    flat indices entries, [i, j] order, of a layout's batch (see
+    station_outcome), from the vote rows those read alone (_gather). An
+    entry gets the same floats whatever the other entries asked for."""
     z = len(layout.block_m)
-    if entries is None:
-        z_rows, z_of, rows = np.arange(z), layout.block, slice(None)
-    else:
-        needed = np.zeros(z, dtype=bool)
-        needed[layout.block[entries]] = True
-        z_rows = np.flatnonzero(needed)
-        z_of = (np.cumsum(needed) - 1)[layout.block[entries]]
-        rows = np.concatenate((z_rows, z + entries))
+    needed = np.zeros(z, dtype=bool)
+    needed[layout.block[entries]] = True
+    z_rows = np.flatnonzero(needed)
+    z_of = (np.cumsum(needed) - 1)[layout.block[entries]]
+    rows = np.concatenate((z_rows, z + entries))
     trials, z = layout.trials[rows], len(z_rows)
-    arrivals = layout.arrivals
-    if entries is not None:
-        arrivals = _gather(arrivals, rows, int(trials.max(initial=0)) + 1)
+    arrivals = _gather(layout.arrivals, rows, int(trials.max(initial=0)) + 1)
     flips = np.concatenate((np.full(z, eps_q), _parity_flip(layout.block_m[z_rows], eps_q)[z_of]))
     pc, pi, pu = _votes(trials, arrivals, flips)
     blocks, s, d = trials[z:], (pc[:z] + pi[:z])[z_of], (pc[:z] - pi[:z])[z_of]
@@ -218,17 +212,17 @@ def _decode(layout: _Layout, eps_q: float, entries=None) -> tuple[np.ndarray, ..
     return ratio_z, ratio_x, np.where(ok, p_unknown, 1.0), ok
 
 
-# A search reads the whole batch where none of the entries it prices first
-# decodes (the unpruned pass always does), and its cell's batch serves it at
-# every distance: an 8-value l_tot sweep at eps_g = 1e-2 hits 5 of 6 lookups.
-# No other command reads a batch twice. An entry of the default search takes
-# about 0.2 MB, so keep a few.
+# The _decode of every entry, cached: a search reads it where none of the
+# entries it prices first decodes (the unpruned pass always does), and
+# evaluate for its one entry. The key holds no distance, so an 8-value l_tot
+# sweep at eps_g = 1e-2 hits 5 of 6 lookups; the default optimize, sweep and
+# region map hit it 0 times. An entry of the default search takes about
+# 0.2 MB, so keep a few.
 @lru_cache(maxsize=4)
 def station_outcome(n: tuple, m: tuple, mu: tuple, eps_q: float) -> tuple[np.ndarray, ...]:
     """Per-station decode summary (ratio_z, ratio_x, p_unknown, ok) of every
     code (n[j], m[j]) at every transmissivity mu[i], as four read-only arrays
-    [i, j], from one _votes call over the rows of their layout (see
-    _layout).
+    [i, j], decoded from every vote row of their layout (see _layout).
 
     ratio_z/ratio_x are the conditional correctness biases
     (p_correct - p_incorrect) / (p_correct + p_incorrect) of the Z and X
@@ -236,7 +230,8 @@ def station_outcome(n: tuple, m: tuple, mu: tuple, eps_q: float) -> tuple[np.nda
     undecidable. ok is False where the code never decodes (ratios 0,
     p_unknown 1).
     """
-    rows = tuple(a.reshape(len(mu), -1) for a in _decode(_layout(n, m, mu), eps_q))
+    entries = np.arange(len(mu) * len(n))
+    rows = tuple(a.reshape(len(mu), -1) for a in _decode(_layout(n, m, mu), eps_q, entries))
     for a in rows:
         a.flags.writeable = False
     return rows
@@ -270,34 +265,6 @@ def _live(params: HardwareParams, spacings_km: tuple, l_tot_km: float) -> tuple:
     mus = [transmissivity(params.eta_c, spacing, params.l_att) for spacing in spacings_km]
     live = [i for i, mu in enumerate(mus) if mu > 0.5 and stations[i] <= sys.float_info.max]
     return stations, live, tuple(mus[i] for i in live)
-
-
-def throughput(
-    params: HardwareParams, grid: tuple, spacings_km: tuple, l_tot_km: float, entries=None
-) -> tuple[list[int], np.ndarray, tuple[int, ...], list[int]]:
-    """(live, x, qubits_per_station, stations) of every code of the grid (see
-    codes) at every spacing. live lists the spacings whose transmissivity
-    exceeds 1/2 (no code works at the others) and whose station count a
-    float holds (past it no cost is a float); the others are ruled out
-    before any decode, as is every spacing past a photon error rate of 1.
-    x[k, j] = p_succ * r is the secret bits per gate time of code j at
-    spacing live[k], 0 where the code cannot work, all from one array pass
-    over the station batch of the live spacings; t0 is not read: the rate
-    is x / t0. stations[i] counts the stations at spacings_km[i]. Given
-    entries, ascending flat indices k * len(qps) + j, x holds only theirs,
-    flat, from a batch of their vote rows alone (see _decode)."""
-    n, m, qps = codes(*grid)
-    stations, live, mu = _live(params, spacings_km, l_tot_km)
-    eps_q = photon_error_rate(params)
-    if not (live and eps_q <= 1.0):
-        return [], np.zeros((0, len(qps))), qps, stations
-    counts = [stations[i] for i in live]
-    if entries is None:
-        outcome = (a.ravel() for a in station_outcome(n, m, mu, eps_q))
-        x = _rate(*outcome, counts, np.repeat(np.arange(len(live)), len(qps)))
-        return live, x.reshape(len(live), -1), qps, stations
-    outcome = _decode(_layout(n, m, mu), eps_q, entries)
-    return live, _rate(*outcome, counts, entries // len(qps)), qps, stations
 
 
 # Where |ratio_x|**stations or |ratio_z|**stations is at most this, one
@@ -345,34 +312,73 @@ def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     return out
 
 
-def throughput_bound(
-    params: HardwareParams, grid: tuple, spacings_km: tuple, l_tot_km: float
-) -> tuple[list[int], np.ndarray, tuple[int, ...], list[int]]:
-    """(live, top, qubits_per_station, stations) as throughput returns them,
-    with top[k, j] above x[k, j] in floats, from no vote and no libm call.
-    A station's readout is known only if every Z block has an arrived photon
-    and some X block arrives whole, so 1 - p_unknown is at most
-    (1 - (1 - mu)**m)**n * (1 - (1 - mu**m)**n), p_succ at most that to the
-    power stations, and x = p_succ * r with r <= 1. The base is raised by
-    n * m * _SLACK before the power, which covers the rounding of both
-    sides; raised to the station count, the slack grows with it. top lies
-    in [_TINY, 2]: x is at most 1."""
+def bound(params: HardwareParams, l_tot_km: float, grid: tuple, spacings_km: tuple) -> tuple:
+    """(bounds, groups, price) of one cell pass, as optimize.Family.bound
+    returns them, over every code j of the grid (see codes) at every live
+    spacing k (see _live), one row per entry k * len(qps) + j: no spacing is
+    live past a photon error rate of 1. An entry's one term is N / x, with
+    N = stations * qps an exact integer cast to float once and x = p_succ *
+    r the secret bits per gate time; t0 is not read: the rate is x / t0.
+
+    bounds holds N / top, from no vote and no libm call. A station's readout
+    is known only if every Z block has an arrived photon and some X block
+    arrives whole, so 1 - p_unknown is at most (1 - (1 - mu)**m)**n *
+    (1 - (1 - mu**m)**n), p_succ at most that to the power stations, and x
+    at most p_succ (r <= 1). The base is raised by n * m * _SLACK before
+    the power, which covers the rounding of both sides and of N as a
+    product of two floats; raised to the station count, the slack grows
+    with it. top lies in [_TINY, 2]: x is at most 1.
+
+    price(index) decodes the entries at the ascending indices index from
+    their own vote rows (_decode), or reads the cached batch
+    (station_outcome) when every entry is asked for; an entry gets the same
+    floats either way. x = 0 where the code cannot work, and where N passes
+    the float range (no cost there is a float). A row's inputs are those of
+    gen3.price."""
     n, m, qps = codes(*grid)
     stations, live, mu = _live(params, spacings_km, l_tot_km)
-    if not (live and photon_error_rate(params) <= 1.0):
-        return [], np.zeros((0, len(qps))), qps, stations
-    n, m, mu = np.array(n), np.array(m), np.array(mu)[:, None]
-    count = np.array([stations[i] for i in live], dtype=object)[:, None]
-    with np.errstate(over="ignore"):
-        station = _power(1.0 - _power(1.0 - mu, m), n) * (1.0 - _power(1.0 - _power(mu, m), n))
-        top = _power(station + n * m * _SLACK, count)
-    return live, np.clip(top, _TINY, 2.0), qps, stations
+    eps_q = photon_error_rate(params)
+    if not (live and eps_q <= 1.0):
+        return np.zeros((0, 1)), np.zeros(0, dtype=int), lambda index: (np.zeros((0, 1)), index, None)
+    counts = [stations[i] for i in live]
+    count_ints = np.array(counts, dtype=object)  # Python ints
+    # N <= float max exactly where qps <= float max // stations (an integer)
+    most = [min(int(sys.float_info.max) // count, max(qps)) for count in counts]
+    fits = (np.array(qps) <= np.array(most)[:, None]).ravel()
+    n_row, m_row, mu_col = np.array(n), np.array(m), np.array(mu)[:, None]
+    with np.errstate(over="ignore"):  # a term overflows to inf, as scalar floats do
+        station = _power(1.0 - _power(1.0 - mu_col, m_row), n_row)
+        station = station * (1.0 - _power(1.0 - _power(mu_col, m_row), n_row))
+        top = _power(station + n_row * m_row * _SLACK, count_ints[:, None])
+        top = np.clip(top, _TINY, 2.0)
+        bounds = np.multiply.outer([float(c) for c in counts], [float(q) for q in qps]) / top
+
+    def price_entries(index):
+        if len(index) == bounds.size:
+            outcome = (a.ravel() for a in station_outcome(n, m, mu, eps_q))
+        else:
+            outcome = _decode(_layout(n, m, mu), eps_q, index)
+        x = _rate(*outcome, counts, index // len(qps))
+        x[~fits[index]] = 0.0
+        feasible = x > 0.0
+        index, x = index[feasible], x[feasible]
+        k, j = np.divmod(index, len(qps))
+
+        def key(row):
+            a, b = live[k[row]], j[row]
+            return (n[b], m[b], spacings_km[a]), (x[row].item(), qps[b], stations[a])
+
+        exact = count_ints[k] * np.array(qps, dtype=object)[j]
+        with np.errstate(over="ignore"):
+            return (exact.astype(float) / x)[:, None], index, key
+
+    return bounds.reshape(-1, 1), np.zeros(bounds.size, dtype=int), price_entries
 
 
 def warm(params: HardwareParams, grid: tuple, spacings_km: tuple, l_tot_km: float) -> None:
-    """Build the layout that throughput's station batch reads at params'
-    coupling, attenuation length and distance, whatever the gate error; a
-    coupling with no live spacing reads none."""
+    """Build the layout that bound's decodes read at params' coupling,
+    attenuation length and distance, whatever the gate error; a coupling
+    with no live spacing reads none."""
     n, m, _ = codes(*grid)
     _, live, mu = _live(params, spacings_km, l_tot_km)
     if live:
@@ -380,15 +386,18 @@ def warm(params: HardwareParams, grid: tuple, spacings_km: tuple, l_tot_km: floa
 
 
 def price(params: HardwareParams, l_tot_km: float, x: float, qps: int, stations: int) -> CostResult:
-    """Rate and cost of a chain of throughput x (see throughput)."""
+    """Rate and cost of a chain of throughput x (see bound)."""
     if x <= 0.0:
         return CostResult.infeasible(qps, stations)
     return CostResult.from_rate(x / params.t0, qps, stations, l_tot_km)
 
 
 def evaluate(params: HardwareParams, config: Gen3Config, l_tot_km: float) -> CostResult:
-    """Rate and cost of the one-way parity-code chain, from the table of its
-    code alone at its spacing."""
+    """Rate and cost of the one-way parity-code chain: the search's cell
+    pass (bound) over its code alone at its spacing."""
     grid = config.n, config.n, config.m, config.m, config.n * config.m  # as codes takes it
-    live, x, qps, stations = throughput(params, grid, (config.spacing_km,), l_tot_km)
-    return price(params, l_tot_km, x.item(0) if live else 0.0, qps[0], stations[0])
+    bounds, _, price_entries = bound(params, l_tot_km, grid, (config.spacing_km,))
+    _, kept, key = price_entries(np.arange(len(bounds)))
+    if len(kept):
+        return price(params, l_tot_km, *key(0)[1])
+    return CostResult.infeasible(2 * config.n * config.m, segment_count(l_tot_km, config.spacing_km))

@@ -27,9 +27,9 @@ for these reasons:
 - A cell pass prices only the rows that can survive (_bounded). Each family
   bounds its terms from below over the whole grid without pricing a row:
   gen1 by qps*alpha, qps*beta and qps*gamma (r <= 1), gen3 by N over a
-  power bound on x (gen3.throughput_bound), gen2 by its terms themselves. A
-  row whose bound a priced, finite incumbent of its group beats by the
-  margin would lose to it in _undominated, so it is never priced.
+  power bound on x (gen3.bound), gen2 by its terms themselves. A row whose
+  bound a priced, finite incumbent of its group beats by the margin would
+  lose to it in _undominated, so it is never priced.
 
 Grid points are independent; the region map fans (eta_c, eps_g) cells out over
 worker processes, eps_g-outermost so that each worker builds few gen1 tables,
@@ -348,40 +348,6 @@ def _gen3_grid(s: Gen3Search) -> tuple:
     return s.min_n, s.max_n, s.min_m, s.max_m, s.max_photons  # as gen3.codes takes it
 
 
-def _gen3_bound(space: SearchSpace, cell):
-    """The one term N/x of every configuration with x > 0; N = stations *
-    qps is an exact integer, cast to float once. gen3.throughput_bound caps
-    x at every entry of a live spacing, so N/top, with N the product of the
-    two counts as floats, bounds the term from below (see that function for
-    the slack). An entry is priced by gen3.throughput over the entries asked
-    for, the whole cell's batch when every entry is. A row's inputs are
-    those of gen3.price."""
-    params, l_tot_km = cell
-    grid, spacings = _gen3_grid(space.gen3), space.gen3.spacings_km
-    n_values, m_values, _ = gen3.codes(*grid)
-    live, top, qps, stations = gen3.throughput_bound(params, grid, spacings, l_tot_km)
-    counts = np.multiply.outer([float(stations[i]) for i in live], [float(q) for q in qps])
-    live_stations = np.array([stations[i] for i in live], dtype=object)
-    qps_ints = np.array(qps, dtype=object)
-
-    def price(index):
-        every = len(index) == top.size
-        x = gen3.throughput(params, grid, spacings, l_tot_km, None if every else index)[1].ravel()
-        feasible = x > 0.0
-        index, x = index[feasible], x[feasible]
-        k, j = np.divmod(index, len(qps))
-
-        def key(row):
-            a, b = live[k[row]], j[row]
-            return (n_values[b], m_values[b], spacings[a]), (x[row].item(), qps[b], stations[a])
-
-        n = live_stations[k] * qps_ints[j]
-        return (n.astype(float) / x)[:, None], index, key
-
-    bounds = (counts / top).reshape(-1, 1)
-    return bounds, np.zeros(len(bounds), dtype=int), price
-
-
 def _without_t0(params: HardwareParams, l_tot_km: float):
     return params.with_(t0=1.0), l_tot_km
 
@@ -391,9 +357,10 @@ def _gen2_bound(family: str) -> Callable:
     is stations * qps * gen_rounds * (spacing / c + t0) / x with x the
     t0-free throughput of one array pass (gen2.throughput); x = 0 is
     infeasible at every t0. N = stations * qps and N*g are exact integers,
-    cast to float once, as Python multiplies an int by a float. The pass
-    prices every row at once, so the terms are their own bound. A row's
-    inputs are those of gen2.price."""
+    cast to float once, as Python multiplies an int by a float; where x > 0
+    a float holds N (gen2.throughput), and an N*g past the float range
+    reads inf. The pass prices every row at once, so the terms are their
+    own bound. A row's inputs are those of gen2.price."""
 
     def bound(space: SearchSpace, cell):
         params, l_tot_km = cell
@@ -403,8 +370,11 @@ def _gen2_bound(family: str) -> Callable:
         x, segments = gen2.throughput(params, codes, spacings, s.memories, s.gen_rounds, l_tot_km)
         n = np.array([[k * 2 * m for m in s.memories] for k in segments], dtype=object)
         n = n.reshape(len(segments), len(s.memories), 1)
-        per_cycle = (n * np.array(s.gen_rounds, dtype=object)).astype(float)
-        per_km = n.astype(float) * np.multiply.outer(spacings, s.gen_rounds)[:, None, :]
+        per_cycle, n = (
+            np.where((a > sys.float_info.max).astype(bool), math.inf, a).astype(float)
+            for a in (n * np.array(s.gen_rounds, dtype=object), n)
+        )
+        per_km = n * np.multiply.outer(spacings, s.gen_rounds)[:, None, :]
         feasible = x > 0.0
         rows, x = np.argwhere(feasible), x[feasible]
         _, i, m, g = rows.T
@@ -513,7 +483,7 @@ FAMILY_TABLE: dict[str, Family] = {
         gen3.evaluate,
         gen3.price,
         _without_t0,
-        _gen3_bound,
+        lambda space, cell: gen3.bound(*cell, _gen3_grid(space.gen3), space.gen3.spacings_km),
         lambda params, l_tot_km, space: (params.t0,),
         lambda c: f"n={c.n} m={c.m} spacing_km={c.spacing_km!r}",
         lambda params, l_tot_km, space: gen3.warm(

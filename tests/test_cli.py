@@ -15,7 +15,7 @@ import pytest
 import qrcost
 from qrcost import config, optimize
 from qrcost.cli import main
-from qrcost.core import HardwareParams, segment_count
+from qrcost.core import Gen2NoEncConfig, HardwareParams, segment_count
 from qrcost.optimize import (
     FAMILIES,
     Gen1Search,
@@ -562,6 +562,51 @@ def test_segment_counts_past_the_float_range_are_infeasible(capsys):
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["stations"] == segment_count(1e10, 1e-300) > sys.float_info.max, family
         assert (result["feasible"], result["rate_sbits_per_s"], result["cost"]) == (False, 0.0, None)
+
+
+# no loss and no gate error: every gen3 code and the bare chain have x = 1
+_LOSSLESS = ["--set", "hardware.eta_c=1.0", "--set", "hardware.eps_g=0"]
+
+
+def test_gen3_costs_past_the_float_range_are_infeasible(capsys):
+    # 1e308 stations fit a float, but stations * qps does not: no cost is a
+    # float there, and the search and evaluate rule the code out alike
+    point = _LOSSLESS + ["--set", "hardware.l_att=1e18", "--set", "hardware.l_tot=1e308"]
+    assert main(["optimize", *point, "--set", "search.gen3.spacings_km=1"]) == 0
+    row = capsys.readouterr().out.splitlines()[7].split(",")
+    assert row[-1] == "inf"
+    assert main(["evaluate", "--set", "evaluate.family=gen3", *point, "--set", "evaluate.spacing_km=1"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    result, shape = record["result"], record["config"]
+    assert result["stations"] == segment_count(1e308, 1.0) <= sys.float_info.max
+    assert result["qubits_per_station"] == 2 * shape["n"] * shape["m"]
+    assert (result["feasible"], result["rate_sbits_per_s"], result["cost"]) == (False, 0.0, None)
+
+
+def test_gen2_costs_past_the_float_range_are_infeasible(capsys):
+    # 1e308 segments fit a float, 128 times as many qubits do not
+    point = _LOSSLESS + ["--set", "hardware.l_tot=1e8"]
+    argv = ["evaluate", "--set", "evaluate.family=gen2_noenc", "--set", "evaluate.spacing_km=1e-300",
+            "--set", "evaluate.memories=64"]
+    assert main(argv + point) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["stations"] == segment_count(1e8, 1e-300) <= sys.float_info.max
+    assert result["qubits_per_station"] == 128
+    assert (result["feasible"], result["rate_sbits_per_s"], result["cost"]) == (False, 0.0, None)
+    search = ["--set", "search.gen2.min_spacing_km=0", "--set", "search.gen2.memories=64",
+              "--set", f"search.gen2.segment_counts={10**308}"]
+    assert main(["optimize", *point, *search]) == 0
+    row = capsys.readouterr().out.splitlines()[7].split(",")
+    assert row[-3:-1] == ["inf", "inf"]  # both swap chains
+    # 1.28e308 qubits fit a float, two rounds of them do not: the search
+    # still prices the one round, as evaluate does
+    search = ["--set", "search.gen2.min_spacing_km=0", "--set", "search.gen2.memories=64",
+              "--set", "search.gen2.gen_rounds=1,2", "--set", f"search.gen2.segment_counts={10**306}"]
+    assert main(["optimize", *point, *search]) == 0
+    row = capsys.readouterr().out.splitlines()[7].split(",")
+    chain = Gen2NoEncConfig(memories=64, spacing_km=1e8 / 10**306, gen_rounds=1)
+    want = evaluate_config(HardwareParams(eta_c=1.0, eps_g=0.0), chain, 1e8)
+    assert want.feasible and row[-3] == repr(want.cost_coeff)
 
 
 @pytest.mark.parametrize("spacing, l_tot", [("1e-5", "1000"), ("1e-290", "1e10")])

@@ -2,6 +2,7 @@ import math
 import random
 
 import caches
+import numpy as np
 import pytest
 import station_reference
 from hypothesis import given, settings
@@ -188,14 +189,19 @@ _SHAPES = (
 
 
 def _cell(shape, eps_g):
-    """The station batch and the throughputs of one cell, as exact text."""
+    """The station batch of one cell, and the bounds and priced entries of
+    its cell pass, over every entry and over every third, as exact text."""
     eta_c, l_att, spacings, grid = shape
     params = HardwareParams(eta_c=eta_c, eps_g=eps_g, l_att=l_att)
-    live, x, qps, stations = gen3.throughput(params, grid, spacings, 300.0)
-    mus = tuple(gen3.transmissivity(eta_c, spacings[i], l_att) for i in live)
+    bounds, _, price = gen3.bound(params, 300.0, grid, spacings)
+    priced = []
+    for index in (np.arange(len(bounds)), np.arange(0, len(bounds), 3)):
+        terms, kept, key = price(index)
+        priced.append((terms.tolist(), kept.tolist(), [key(row) for row in range(len(kept))]))
+    _, _, mus = gen3._live(params, spacings, 300.0)
     n, m, _ = gen3.codes(*grid)
     rows = gen3.station_outcome(n, m, mus, gen3.photon_error_rate(params))
-    return repr((live, x.tolist(), qps, stations, [a.tolist() for a in rows]))
+    return repr((bounds.tolist(), priced, [a.tolist() for a in rows]))
 
 
 def test_shared_layouts_do_not_depend_on_the_cell_order():
@@ -213,8 +219,9 @@ def test_shared_layouts_do_not_depend_on_the_cell_order():
 
 
 def test_vote_sums_read_their_terms_in_place(monkeypatch):
-    # every ordered_sum of a default cell's station batch gets a C-contiguous
-    # array, which it reduces without a copy
+    # every ordered_sum of a default cell's station batch, which its cell
+    # pass reads when it prices every entry, gets a C-contiguous array, which
+    # it reduces without a copy
     seen = []
 
     def spy(terms):
@@ -224,7 +231,8 @@ def test_vote_sums_read_their_terms_in_place(monkeypatch):
     monkeypatch.setattr(gen3, "ordered_sum", spy)
     caches.clear_all()
     s = optimize.SearchSpace().gen3
-    gen3.throughput(HardwareParams(), optimize._gen3_grid(s), s.spacings_km, 1000.0)
+    bounds, _, price = gen3.bound(HardwareParams(), 1000.0, optimize._gen3_grid(s), s.spacings_km)
+    price(np.arange(len(bounds)))
     assert len(seen) > 3 and all(seen), seen
 
 

@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import time
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -17,7 +18,7 @@ import search_reference
 import station_reference
 from search_reference import reference_optimum
 
-from qrcost import core, gen1, gen2, gen3, optimize
+from qrcost import config, core, gen1, gen2, gen3, optimize
 from qrcost.cli import main
 from qrcost.core import (
     ATTENUATION_KM,
@@ -138,6 +139,23 @@ def test_describe_config_strings():
         describe_config("junk")
     with pytest.raises(TypeError):
         evaluate_config(HardwareParams(), "junk", 100.0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_configuration_readers_emit_no_numpy_warnings(family, monkeypatch):
+    # evaluate's configuration of each family, at the couplings the config
+    # tests read at 1,000 km and at a 1e-300 km spacing near both ends of
+    # the float range: any overflow goes to inf quietly, as in the search
+    monkeypatch.delenv("QRCOST_CONFIG", raising=False)
+    points = [(f"hardware.eta_c={eta_c}", "evaluate.spacing_km=1", "hardware.l_tot=1000")
+              for eta_c in (0.6, 0.7)]
+    points += [("evaluate.spacing_km=1e-300", f"hardware.l_tot={l_tot}") for l_tot in (1, 1e10)]
+    for point in points:
+        cfg = config.load_config(None, (f"evaluate.family={family}", *point))
+        params, (_, shape) = config.hardware(cfg), config.protocol(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evaluate_config(params, shape, config.total_distance(cfg))
 
 
 def test_report_row_shapes():
@@ -406,10 +424,8 @@ def test_bounded_rule_equals_the_unbounded_one_on_crafted_rows(rows, scale, grou
         assert optimize._cell_pass("gen1", space, cell, prune=False) == tuple(range(len(rows)))
 
 
-def test_cold_sweep_computes_few_libm_elements(monkeypatch, capsys):
-    # a work guard that needs no timing: the ten cold eps_g cells of a
-    # default sweep, with every secure fraction and station tail that the
-    # bounds rule out left uncomputed (881,188 elements before the bounds)
+def _libm_elements(monkeypatch, capsys, argv) -> int:
+    """The elements that core.libm computes in one cold in-process job."""
     monkeypatch.delenv("QRCOST_CONFIG", raising=False)
     libm, count = core.libm, [0]
 
@@ -422,9 +438,28 @@ def test_cold_sweep_computes_few_libm_elements(monkeypatch, capsys):
         if name.startswith("qrcost.") and getattr(module, "libm", None) is libm:
             monkeypatch.setattr(module, "libm", counted)
     caches.clear_all()
-    assert main(["sweep", "--set", "sweep.axis=eps_g", "--set", "sweep.values=log:1e-4:3e-2:10"]) == 0
+    assert main(argv) == 0
     capsys.readouterr()
-    assert 0 < count[0] < 200_000, count[0]
+    return count[0]
+
+
+def test_cold_sweep_computes_few_libm_elements(monkeypatch, capsys):
+    # a work guard that needs no timing: the ten cold eps_g cells of a
+    # default sweep, with every secure fraction and station tail that the
+    # bounds rule out left uncomputed (881,188 elements before the bounds)
+    argv = ["sweep", "--set", "sweep.axis=eps_g", "--set", "sweep.values=log:1e-4:3e-2:10"]
+    count = _libm_elements(monkeypatch, capsys, argv)
+    assert 0 < count < 200_000, count
+
+
+def test_region_map_computes_few_libm_elements(monkeypatch, capsys):
+    # the same guard on a 4 x 4 region map at one worker: 141,634 elements
+    # with the bounds, 534,687 before them; a gen3 pass that prunes nothing,
+    # or that decodes every entry each time it prices some, passes the limit
+    argv = ["region-map", "--threads", "1", "--set", "region.eta_c=linear:0.1:1.0:4",
+            "--set", "region.eps_g=log:1e-4:3e-2:4"]
+    count = _libm_elements(monkeypatch, capsys, argv)
+    assert 0 < count < 200_000, count
 
 
 # every grid a single configuration, so the last row of a cell pass can win
@@ -745,21 +780,23 @@ def test_frontier_equals_per_configuration_reference(family, space, eta, eps, l_
 
 
 def test_gen3_throughput_equals_scalar_reference():
-    # every default-grid configuration at five points, read off the batch the
-    # search runs; x is 0 at the spacings that no code survives
+    # every default-grid configuration at five points, read off the cell
+    # pass of the search with every entry priced; x is 0 at the entries it
+    # rules out, and at the spacings that no code survives
     s = SearchSpace().gen3
     grid = s.min_n, s.max_n, s.min_m, s.max_m, s.max_photons
     n_values, m_values, _ = gen3.codes(*grid)
     for params in _GEN3_CELL_POINTS[1::3]:
         eps_q = gen3.photon_error_rate(params)
-        live, x, _, _ = gen3.throughput(params, grid, s.spacings_km, 1000.0)
-        rows = dict(zip(live, x.tolist()))
-        for i, spacing in enumerate(s.spacings_km):
-            for j, (n, m) in enumerate(zip(n_values, m_values)):
+        bounds, _, price = gen3.bound(params, 1000.0, grid, s.spacings_km)
+        _, kept, key = price(np.arange(len(bounds)))
+        rows = dict(key(row) for row in range(len(kept)))
+        for spacing in s.spacings_km:
+            for n, m in zip(n_values, m_values):
                 want = station_reference.throughput(
                     params.eta_c, params.l_att, eps_q, n, m, spacing, 1000.0
                 )
-                got = rows[i][j] if i in rows else 0.0
+                got = rows[n, m, spacing][0] if (n, m, spacing) in rows else 0.0
                 assert repr(got) == repr(want), (params, n, m, spacing)
     # gen3.evaluate, which computes each code alone, at every configuration
     # of the point where every spacing is live
