@@ -35,7 +35,16 @@ def binomial_pmf_rows(trials, p) -> np.ndarray:
     inner = (p != 0.0) & (p != 1.0)
     n, q, rows = trials[inner], p[inner], rows[inner]
     k0 = np.minimum(n, ((n + 1) * q).astype(np.int64))
-    log_c = libm(math.lgamma, n + 1) - libm(math.lgamma, k0 + 1) - libm(math.lgamma, n - k0 + 1)
+    # lgamma(c + 1) once per distinct count c among n, k0 and n - k0, not
+    # three times per row: the same libm calls on the same arguments. The
+    # counts are marked in a mask: np.unique would import numpy.ma
+    counts = np.concatenate((n, k0, n - k0))
+    seen = np.zeros(n.max(initial=-1) + 1, dtype=bool)
+    seen[counts] = True
+    distinct = np.flatnonzero(seen)
+    log_factorial = libm(math.lgamma, distinct + 1)[np.searchsorted(distinct, counts)]
+    lg_n, lg_k0, lg_rest = log_factorial.reshape(3, -1)
+    log_c = lg_n - lg_k0 - lg_rest
     center = libm(math.exp, log_c + k0 * libm(math.log, q) + (n - k0) * libm(math.log1p, -q))
     # pmf[k] is center times the ratios of the steps from k0 to k, in walk
     # order: ratios placed at k, with center at k0 and 1.0 before it, make a

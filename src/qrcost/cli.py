@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import hashlib
 import io
 import json
 import math
@@ -23,6 +22,18 @@ from . import config as cfgmod
 from . import gen1, gen3, optimize, oracles
 from .config import ConfigError
 from .core import Gen1Config, HardwareParams, _check_distance
+
+# The header digest takes CPython's builtin SHA-256, which hashlib itself
+# falls back to without OpenSSL: importing hashlib loads libcrypto, 3.4 MB
+# per process, for one digest of a few hundred bytes.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        import hashlib
+        _sha256 = hashlib.sha256
 
 SCHEMA_VERSION = 1
 _UNITS = "distances km, times s, rates sbit/s, cost qubit*s/sbit, cost_coeff qubit*s/(sbit*km)"
@@ -86,7 +97,7 @@ def _grid_hash(command: str, cfg, sections: tuple[str, ...]) -> str:
         "command": command,
         "config": {section: dict(sorted(cfg[section].items())) for section in sections},
     }
-    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+    digest = _sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
     return f"sha256:{digest}"
 
 

@@ -68,7 +68,8 @@ class _Table(NamedTuple):
     states: tuple[BellDiagonalState, ...]
     probs: tuple[np.ndarray, ...]
     # per level, the summary columns (alpha, beta, gamma, Q, qps) over its
-    # rows; qps holds Python ints (object dtype) where an int64 could overflow
+    # rows; qps is int64, or Python ints (object dtype) where an int64 could
+    # overflow (_qps_columns)
     columns: tuple[tuple[np.ndarray, ...], ...]
 
 
@@ -82,15 +83,18 @@ def _parent_major(columns, parents: int) -> np.ndarray:
 
 
 # Every table of a grid shares its qps columns, whatever its gate error. An
-# entry of the default search grid (9,840 rows) takes up to about 0.2 MB
-# (Deutsch, whose counts are Python ints); keep both schemes of a few grids.
+# entry of the default search grid (9,840 rows of int64) takes about 0.08 MB;
+# keep both schemes of a few grids.
 @lru_cache(maxsize=8)
 def _qps_columns(scheme: str, grid: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, ...]:
     """Per level of the grid, the qubits per station of each row; they depend
-    on the scheme and the grid only. The rounds prefixes are Python ints so
-    that Deutsch counts, past int64, stay exact (see _qubits_per_station)."""
+    on the scheme and the grid only. They are int64 where the grid's deepest
+    Deutsch count, 2 * 2^(sum of each level's largest round count), fits
+    one, and Python ints past that, so that they stay exact (see
+    _qubits_per_station)."""
+    fits = sum(map(max, grid)) <= 61  # 2 * 2^61 is the largest such count an int64 holds
     columns = []
-    rounds = np.zeros((1, 0), dtype=object)  # the rounds prefix of each row
+    rounds = np.zeros((1, 0), dtype=np.int64 if fits else object)  # each row's rounds prefix
     for options in grid:
         rounds = np.column_stack(
             (np.repeat(rounds, len(options), axis=0), np.tile(options, len(rounds)))
@@ -134,10 +138,7 @@ def _schedule_summary(
         coefficients = [_retry_coefficients(scheme, level_probs[:m]) for m in options]
         a_levels.append(_parent_major([a for a, _ in coefficients], parents).ravel())
         s_levels.append(_parent_major([s for _, s in coefficients], parents).ravel())
-        alpha, beta, gamma = _time_coefficients(
-            [np.repeat(a, size // len(a)) for a in a_levels],
-            [np.repeat(s, size // len(s)) for s in s_levels],
-        )
+        alpha, beta, gamma = _time_coefficients(a_levels, s_levels)
         qber = average_qber(states[-1].qber_x, states[-1].qber_z)
         for column in (alpha, beta, gamma, qber, probs[-1], *states[-1].as_tuple()):
             column.flags.writeable = False
@@ -193,20 +194,29 @@ def _retry_coefficients(scheme: str, probs: list) -> tuple:
 
 
 def _time_coefficients(a_list: list, s_list: list) -> tuple:
-    """(alpha, beta, gamma) from each level's retry coefficients (A, S),
-    elementary level first; floats or arrays of one shape."""
+    """(alpha, beta, gamma) over the rows of the deepest level from each
+    level's retry coefficients (A, S) over its own rows, elementary level
+    first. A row of a level is the prefix of a run of consecutive deepest
+    rows; its coefficients are repeated to that run only where they are
+    multiplied, one level at a time."""
     n = len(a_list) - 1
+    size = len(a_list[n])
+
+    def full(column):
+        return np.repeat(column, size // len(column))
+
     suf = [1.0] * (n + 2)
     for y in range(n, -1, -1):
-        suf[y] = a_list[y] * suf[y + 1]
+        suf[y] = full(a_list[y]) * suf[y + 1]
     top = 1.5**n * suf[1]
-    alpha = top * a_list[0]
-    beta = top * s_list[0]
-    gamma = top * s_list[0]
+    alpha = top * full(a_list[0])
+    beta = top * full(s_list[0])
+    gamma = beta.copy()
     for y in range(1, n + 1):
         w = 1.5 ** (n - y)
-        beta += w * 2.0**y * s_list[y] * suf[y + 1]
-        gamma += w * (s_list[y] * suf[y + 1] + suf[y])
+        s = full(s_list[y])
+        beta += w * 2.0**y * s * suf[y + 1]
+        gamma += w * (s * suf[y + 1] + suf[y])
     return alpha, beta, gamma
 
 

@@ -280,15 +280,24 @@ def _gen1_bound(space: SearchSpace, cell):
     row's inputs to gen1.price are its level and summary."""
     search = space.gen1
     low, high = keyrate.QBER_DEAD
-    blocks, parts = [], []
-    for b, ((scheme, levels), columns) in enumerate(_gen1_columns(search, *cell)):
-        alpha, beta, gamma, qber, qps = columns
-        rows = np.flatnonzero(~((low < qber) & (qber < high)))
+    blocks = [(*key, columns) for key, columns in _gen1_columns(search, *cell)]
+
+    def live(qber):
+        return ~((low < qber) & (qber < high))
+
+    # every kept row is written once, in place, into arrays sized for the cell
+    size = sum(np.count_nonzero(live(columns[3])) for _, _, columns in blocks)
+    bounds, qber = np.empty((size, 3)), np.empty(size)
+    block, table_row, groups = (np.empty(size, dtype=int) for _ in range(3))
+    end = 0
+    for b, (_, levels, (alpha, beta, gamma, q, qps)) in enumerate(blocks):
+        rows = np.flatnonzero(live(q))
+        at = slice(end, end + len(rows))
+        end = at.stop
         n = qps[rows].astype(float)
-        blocks.append((scheme, levels, columns))
-        products = np.column_stack([n * c[rows] for c in (alpha, beta, gamma)])
-        parts.append((products, qber[rows], np.full(len(rows), b), rows))
-    bounds, qber, block, table_row = (np.concatenate(c) for c in zip(*parts))
+        for j, c in enumerate((alpha, beta, gamma)):
+            np.multiply(n, c[rows], out=bounds[at, j])
+        qber[at], block[at], table_row[at], groups[at] = q[rows], b, rows, levels
 
     def price(index):
         r = keyrate.secure_fraction_rows(qber[index])
@@ -304,7 +313,7 @@ def _gen1_bound(space: SearchSpace, cell):
 
         return bounds[index] / r[:, None], index, key
 
-    return bounds, np.array([levels for _, levels, _ in blocks], dtype=int)[block], price
+    return bounds, groups, price
 
 
 def _gen1_warm(params: HardwareParams, l_tot_km: float, space: SearchSpace) -> None:

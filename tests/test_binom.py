@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ import pytest
 import station_reference
 
 import qrcost
+from qrcost import binom
 from qrcost.binom import binomial_pmf, binomial_pmf_rows, tail_at_least, tail_rows
 from qrcost.core import libm, ordered_sum
 
@@ -147,6 +149,34 @@ def test_pmf_rows_equal_the_scalar_loop():
         assert repr(row[: n + 1]) == repr(want), (n, p)
         assert not any(row[n + 1:]), (n, p)
         assert repr(binomial_pmf(n, p)) == repr(want), (n, p)
+
+
+def test_pmf_rows_compute_lgamma_once_per_count(monkeypatch):
+    # lgamma at most once per count 0..max(trials), where the one-row
+    # formula takes three per row, and for a single row no more than that
+    # formula; the rows keep their bits
+    counts = collections.Counter()
+
+    def counted(fn, *args):
+        out = libm(fn, *args)
+        counts[fn.__name__] += np.size(out)
+        return out
+
+    monkeypatch.setattr(binom, "libm", counted)
+    rng = random.Random(15)
+    for size in (1, 7, 400):
+        trials = [rng.choice([0, 1, 3, 20, 21, 103]) for _ in range(size)]
+        ps = [rng.choice([0.0, 1.0, rng.random()]) for _ in range(size)]
+        counts.clear()
+        rows = binomial_pmf_rows(trials, ps)
+        assert counts["lgamma"] <= max(trials) + 1, (size, counts)
+        for row, n, p in zip(rows.tolist(), trials, ps):
+            assert repr(row[: n + 1]) == repr(station_reference.binomial_pmf(n, p)), (n, p)
+    counts.clear()
+    binomial_pmf_rows([5, 9], [0.0, 1.0])
+    assert counts["lgamma"] == 0, counts
+    binomial_pmf_rows([1280], [0.3])
+    assert counts["lgamma"] <= 3, counts
 
 
 def test_pmf_rows_reject_bad_arguments():

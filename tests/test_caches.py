@@ -3,7 +3,7 @@ import tracemalloc
 import caches
 import numpy as np
 
-from qrcost import cli, gen3, optimize
+from qrcost import cli, gen1, gen3, optimize
 from qrcost.core import HardwareParams
 from qrcost.optimize import Gen1Search, Gen2Search, Gen3Search, SearchSpace
 
@@ -58,6 +58,28 @@ def test_memory_stays_flat_across_cold_cells():
     finally:
         tracemalloc.stop()
     assert grown < 2 * 2**20, f"{grown / 2**20:.1f} MB more held after {len(rest)} more cells"
+
+
+def test_a_cold_gen1_cell_peaks_little_above_its_tables():
+    # a new eps_g at a warmed coupling: both default gen1 tables (1.35 MB
+    # held) and the cell pass over them peaked at 3.35 MB above the warm
+    # state with the retry coefficients repeated to every row up front and
+    # the bounds built in per-level parts and concatenated; 2.98 MB without
+    params, space = HardwareParams(), SearchSpace()
+    grid = gen1._search_grid(space.gen1.max_levels, space.gen1.max_rounds)
+    caches.clear_all()
+    optimize._warm(params, (params.eta_c,), 1000.0, space)
+    eps_g = 1.234e-3
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for scheme in space.gen1.schemes:
+            gen1._schedule_summary(scheme, eps_g, params.xi, grid)
+        optimize._frontier("gen1", space, (eps_g, params.xi))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.15 * 2**20, f"{peak / 2**20:.2f} MB"
 
 
 def _misses(names) -> dict:

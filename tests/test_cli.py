@@ -1,6 +1,7 @@
 import ast
 import gc
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import qrcost
-from qrcost import config, optimize
+from qrcost import cli, config, optimize
 from qrcost.cli import main
 from qrcost.core import Gen2NoEncConfig, HardwareParams, segment_count
 from qrcost.optimize import (
@@ -525,6 +526,55 @@ def test_cli_jobs_load_neither_numpy_ma_nor_the_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=300)
     assert out.stdout.strip() == "[]"
+
+
+_BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+
+@pytest.mark.skipif(not _BUILTIN_SHA256, reason="no builtin SHA-256 module")
+def test_cli_jobs_do_not_load_openssl():
+    # hashlib's OpenSSL module (_hashlib) costs 3.4 MB of libcrypto per
+    # process; the header digest takes the builtin SHA-256. validate is left
+    # out: numpy.random loads _hashlib through secrets and hmac
+    code = (
+        "import contextlib, io, sys; from qrcost.cli import main\n"
+        "fast = sys.argv[1:]\n"
+        "jobs = [['optimize'], ['sweep', '--set', 'sweep.axis=eps_g', '--set', 'sweep.values=1e-3,2e-3'],\n"
+        "        ['region-map', '--threads', '2', '--set', 'region.eta_c=0.9',\n"
+        "         '--set', 'region.eps_g=1e-3,2e-3', '--set', 'region.t0=1e-6'],\n"
+        "        ['evaluate']]\n"
+        "for job in jobs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(job + fast) == 0, job\n"
+        "print('_hashlib' in sys.modules)"
+    )
+    src = str(Path(qrcost.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "QRCOST_CONFIG"}
+    out = subprocess.run([sys.executable, "-c", code, *_FAST_SPACE], env={**env, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=300)
+    assert out.stdout.strip() == "False"
+
+
+def test_header_digest_falls_back_to_hashlib(monkeypatch):
+    # without a builtin SHA-256 module the digest comes from hashlib, and
+    # every header stays the same
+    monkeypatch.delenv("QRCOST_CONFIG", raising=False)
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib\n"
+        "from qrcost import cli, config\n"
+        "assert cli._sha256 is hashlib.sha256\n"
+        "cfg = config.load_config(None, tuple(sys.argv[1:]))\n"
+        "print(cli._grid_hash('sweep', cfg, ('hardware', 'search.gen1', 'sweep')))"
+    )
+    overrides = ("hardware.eps_g=2e-3", "sweep.values=1,2,3")
+    src = str(Path(qrcost.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code, *overrides], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    cfg = config.load_config(None, overrides)
+    assert out.stdout.strip() == cli._grid_hash("sweep", cfg, ("hardware", "search.gen1", "sweep"))
+    assert out.stdout.startswith("sha256:")
 
 
 @pytest.mark.parametrize("user_value", [None, "4"])

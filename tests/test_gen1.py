@@ -3,9 +3,12 @@ import math
 import random
 
 import caches
+import numpy as np
 import pytest
 import search_reference
 from chain_reference import ladder, pump_schedule, schedule_summary
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrcost import gen1, optimize
 from qrcost.core import Gen1Config, HardwareParams
@@ -213,6 +216,72 @@ def test_qps_stays_exact_past_int64():
     for scheme, levels, rounds, summary in optimize._gen1_candidates(search, 1e-3, 2.5e-4):
         assert summary[4] == gen1.qubits_per_station(Gen1Config(scheme, levels, rounds)), rounds
         assert summary[4] > 0
+    # the grid's qps columns keep Python ints there; one round less, the
+    # deepest count 2 * 2**61 fits an int64
+    past = gen1._qps_columns("deutsch", ((0, 31), (0, 31)))
+    assert [c.dtype for c in past] == [np.dtype(object)] * 2
+    assert past[1].tolist() == [2, 2 * 2**31, 2 * 2**31, 2 * 2**62]
+    fits = gen1._qps_columns("deutsch", ((0, 31), (0, 30)))
+    assert [c.dtype for c in fits] == [np.dtype(np.int64)] * 2
+    assert fits[1].tolist() == [2, 2 * 2**30, 2 * 2**31, 2 * 2**61]
+
+
+def test_default_qps_columns_are_exact_int64():
+    # the default grid's deepest Deutsch count, 2 * 2**16, fits an int64:
+    # every row holds _qubits_per_station of its rounds as Python ints
+    search = optimize.Gen1Search()
+    grid = gen1._search_grid(search.max_levels, search.max_rounds)
+    for scheme in search.schemes:
+        columns = gen1._qps_columns(scheme, grid)
+        assert len(columns) == len(grid)
+        for levels, qps in enumerate(columns):
+            assert qps.dtype == np.int64 and not qps.flags.writeable
+            rounds = itertools.product(range(search.max_rounds + 1), repeat=levels + 1)
+            want = [gen1._qubits_per_station(scheme, r) for r in rounds]
+            assert qps.tolist() == want, (scheme, levels)
+    assert gen1._qps_columns("deutsch", grid)[-1].max() == 2 * 2**16
+
+
+def _time_coefficients_repeated(a_list, s_list):
+    """gen1._time_coefficients as it was computed from arrays repeated to the
+    deepest level's rows up front."""
+    n = len(a_list) - 1
+    suf = [1.0] * (n + 2)
+    for y in range(n, -1, -1):
+        suf[y] = a_list[y] * suf[y + 1]
+    top = 1.5**n * suf[1]
+    alpha = top * a_list[0]
+    beta = top * s_list[0]
+    gamma = top * s_list[0]
+    for y in range(1, n + 1):
+        w = 1.5 ** (n - y)
+        beta += w * 2.0**y * s_list[y] * suf[y + 1]
+        gamma += w * (s_list[y] * suf[y + 1] + suf[y])
+    return alpha, beta, gamma
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=9),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 30.0),
+)
+def test_time_coefficients_repeat_each_level_where_it_is_multiplied(branches, seed, spread):
+    # depths 0-8, A >= 1 and S >= 0 (some exactly 1 and 0, as a level without
+    # rounds gives), each level's coefficients at its own length: the same
+    # bits as the call on arrays repeated to the deepest level up front
+    rng = np.random.default_rng(seed)
+    a_list, s_list = [], []
+    for rows in np.cumprod(branches):
+        bare = rng.random(rows) < 0.2
+        a_list.append(np.where(bare, 1.0, 1.0 + rng.random(rows) * 2.0 ** rng.uniform(0.0, spread, rows)))
+        s_list.append(np.where(bare, 0.0, rng.random(rows) * 2.0 ** rng.uniform(0.0, spread, rows)))
+    size = len(a_list[-1])
+    want = _time_coefficients_repeated(
+        [np.repeat(a, size // len(a)) for a in a_list], [np.repeat(s, size // len(s)) for s in s_list]
+    )
+    got = gen1._time_coefficients(a_list, s_list)
+    assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 
 
 def test_readers_use_the_searched_grid_table():

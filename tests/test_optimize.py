@@ -446,20 +446,24 @@ def _libm_elements(monkeypatch, capsys, argv) -> int:
 def test_cold_sweep_computes_few_libm_elements(monkeypatch, capsys):
     # a work guard that needs no timing: the ten cold eps_g cells of a
     # default sweep, with every secure fraction and station tail that the
-    # bounds rule out left uncomputed (881,188 elements before the bounds)
+    # bounds rule out left uncomputed and one lgamma per distinct count of
+    # a pmf call: 91,927 elements (881,188 before the bounds, 117,936 with
+    # three lgamma per pmf row); a gen3 price that decodes every entry, or
+    # reads the whole cached station batch, each time passes the limit
     argv = ["sweep", "--set", "sweep.axis=eps_g", "--set", "sweep.values=log:1e-4:3e-2:10"]
     count = _libm_elements(monkeypatch, capsys, argv)
-    assert 0 < count < 200_000, count
+    assert 0 < count < 150_000, count
 
 
 def test_region_map_computes_few_libm_elements(monkeypatch, capsys):
-    # the same guard on a 4 x 4 region map at one worker: 141,634 elements
-    # with the bounds, 534,687 before them; a gen3 pass that prunes nothing,
-    # or that decodes every entry each time it prices some, passes the limit
+    # the same guard on a 4 x 4 region map at one worker: 102,940 elements
+    # (534,687 before the bounds, 141,634 with three lgamma per pmf row); a
+    # gen3 pass that prunes nothing, or whose price decodes every entry or
+    # reads the whole cached station batch each time, passes the limit
     argv = ["region-map", "--threads", "1", "--set", "region.eta_c=linear:0.1:1.0:4",
             "--set", "region.eps_g=log:1e-4:3e-2:4"]
     count = _libm_elements(monkeypatch, capsys, argv)
-    assert 0 < count < 200_000, count
+    assert 0 < count < 140_000, count
 
 
 # every grid a single configuration, so the last row of a cell pass can win
