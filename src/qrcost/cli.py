@@ -79,11 +79,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
+    """Write a job's output, once it has run; an output path that cannot be
+    written is an input error."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def _jsonable(value):

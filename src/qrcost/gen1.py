@@ -22,19 +22,20 @@ rounds. `_schedule_summary` builds one table per (scheme, eps_g, xi) and
 grid. It advances every prefix of a level at once, as one batch of states,
 and each row gets exactly the float operations of a one-schedule fold, so a
 row does not depend on the table that holds it. Every table is read
-through that one cached accessor: the optimizer reads each level's summary
-columns of its search grid (`_search_grid`) whole and prices a row through
-`price`; every reader of one schedule (evaluate, waiting_time,
-time_constants, ladder_success_probs) reads row 0 of each level of the
-schedule's one-path grid (`_path`). The qubits per station of every row
-depend on the scheme and the grid only, so every table of a grid, at any
-(eps_g, xi), shares one set of qps columns (`_qps_columns`).
+through that one cached accessor: the search's cell pass (`bound`) reads
+each level's summary columns of its search grid (`_search_grid`) whole,
+and the search prices a row through `price`; every reader of one schedule
+(evaluate, waiting_time, time_constants, ladder_success_probs) reads row 0
+of each level of the schedule's one-path grid (`_path`). The qubits per
+station of every row depend on the scheme and the grid only, so every
+table of a grid, at any (eps_g, xi), shares one set of qps columns
+(`_qps_columns`).
 
 A table's summary columns per level are (alpha, beta, gamma, Q, qps), with Q
 the basis-averaged error rate of each row's end state. The secure fraction
 r = secure_fraction(Q) costs two log2 per row, so it is computed only where
-it is read: by `_summary` for one schedule, and by the search for the rows
-its bound keeps (see optimize).
+it is read: by `_summary` for one schedule, and by `bound` for the rows the
+search prices.
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ from .core import (
     _check_distance,
     _normalized,
 )
-from .keyrate import average_qber, secure_fraction_rows
+from .keyrate import QBER_DEAD, average_qber, secure_fraction_rows
 from .pairs import elementary_pair, heg_success_prob, purify, swap
 
 
@@ -158,6 +159,113 @@ def _summary(params: HardwareParams, config: Gen1Config) -> tuple[float, float, 
     alpha, beta, gamma, qber, qps = _path(params, config).columns[config.levels]
     r = secure_fraction_rows(qber)
     return alpha.item(0), beta.item(0), gamma.item(0), r.item(0), qps.item(0)
+
+
+def _search_columns(eps_g: float, xi: float, search: tuple):
+    """(scheme, levels, summary columns) of every nesting level of a search
+    (schemes, min_levels, max_levels, max_rounds), in its order, read off
+    one table per scheme."""
+    schemes, min_levels, max_levels, max_rounds = search
+    grid = _search_grid(max_levels, max_rounds)
+    for scheme in schemes:
+        table = _schedule_summary(scheme, eps_g, xi, grid)
+        for levels in range(min_levels, max_levels + 1):
+            yield scheme, levels, table.columns[levels]
+
+
+def _rounds(rows, levels: int, max_rounds: int) -> tuple:
+    """Per level, the round counts of the table rows at a search grid's
+    nesting level: its rows run over 0..max_rounds at each level,
+    lexicographically (_qps_columns)."""
+    return np.unravel_index(rows, (max_rounds + 1,) * (levels + 1))
+
+
+def schedules(eps_g: float, xi: float, search: tuple) -> list:
+    """(scheme, levels, rounds, summary) of every schedule of a search (see
+    _search_columns), in its order; the summary holds the secure fraction r
+    in place of the table's Q."""
+    *_, max_rounds = search
+    out = []
+    for scheme, levels, (alpha, beta, gamma, qber, qps) in _search_columns(eps_g, xi, search):
+        columns = (alpha, beta, gamma, secure_fraction_rows(qber), qps)
+        rounds = zip(*(d.tolist() for d in _rounds(np.arange(len(qps)), levels, max_rounds)))
+        summaries = zip(*(c.tolist() for c in columns))
+        out += [(scheme, levels, *row) for row in zip(rounds, summaries)]
+    return out
+
+
+def bound(eps_g: float, xi: float, search: tuple) -> tuple:
+    """(bounds, groups, price) of one cell pass, as optimize.Family.bound
+    returns them, over every schedule of a search (see _search_columns)
+    whose Q lies outside keyrate.QBER_DEAD (r = 0 there), in its order,
+    grouped by nesting level.
+
+    At nesting level n the cost is (2^n / L) * (K1 * qps*alpha/r + K2 *
+    qps*beta/r + K3 * qps*gamma/r) with K1 = T_signal/p0, K2 = T_signal and
+    K3 = t0 (weights). The three products are the terms, each computed as
+    (qps * alpha) / r with qps cast exactly to float, as Python multiplies
+    an int by a float; a schedule with r <= 0 is infeasible everywhere. A
+    feasible row has 0 < r <= 1, so the same float products qps * alpha,
+    qps * beta and qps * gamma bound its terms from below with no slack, and
+    r is priced (two log2 per row) only for the rows price is asked for. A
+    row's inputs to price are its level and summary."""
+    low, high = QBER_DEAD
+    *_, max_rounds = search
+    blocks = list(_search_columns(eps_g, xi, search))
+
+    def live(qber):
+        return ~((low < qber) & (qber < high))
+
+    # every kept row is written once, in place, into arrays sized for the cell
+    size = sum(np.count_nonzero(live(columns[3])) for _, _, columns in blocks)
+    bounds, qber = np.empty((size, 3)), np.empty(size)
+    block, table_row, groups = (np.empty(size, dtype=int) for _ in range(3))
+    end = 0
+    for b, (_, levels, (alpha, beta, gamma, q, qps)) in enumerate(blocks):
+        rows = np.flatnonzero(live(q))
+        at = slice(end, end + len(rows))
+        end = at.stop
+        n = qps[rows].astype(float)
+        for j, c in enumerate((alpha, beta, gamma)):
+            np.multiply(n, c[rows], out=bounds[at, j])
+        qber[at], block[at], table_row[at], groups[at] = q[rows], b, rows, levels
+
+    def price_rows(index):
+        r = secure_fraction_rows(qber[index])
+        feasible = r > 0.0
+        index, r = index[feasible], r[feasible]
+
+        def key(i):
+            scheme, levels, columns = blocks[block[index[i]]]
+            row = table_row[index[i]]
+            rounds = tuple(map(int, _rounds(row, levels, max_rounds)))
+            alpha, beta, gamma, _, qps = (column.item(row) for column in columns)
+            return (scheme, levels, rounds), (levels, (alpha, beta, gamma, r.item(i), qps))
+
+        return bounds[index] / r[:, None], index, key
+
+    return bounds, groups, price_rows
+
+
+def weights(params: HardwareParams, l_tot_km: float, search: tuple) -> list:
+    """The weights of bound's terms at a point: t0, and T_signal and
+    T_signal/p0 of each nesting level of a search. A level whose link never
+    succeeds (p0 = 0) is infeasible in every scan and adds no weights."""
+    _, min_levels, max_levels, _ = search
+    out = [params.t0]
+    for levels in range(min_levels, max_levels + 1):
+        t_signal, p0 = _link(params, levels, l_tot_km)
+        if p0 > 0.0:
+            out += [t_signal, t_signal / p0]
+    return out
+
+
+def warm(search: tuple) -> None:
+    """Build the qps columns that every table of a search shares, whatever
+    its gate error."""
+    schemes, _, max_levels, max_rounds = search
+    for scheme in schemes:
+        _qps_columns(scheme, _search_grid(max_levels, max_rounds))
 
 
 def _retry_coefficients(scheme: str, probs: list) -> tuple:

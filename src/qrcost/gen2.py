@@ -6,9 +6,9 @@ Multiplexing M memory pairs per segment (with n_EG generation attempts
 pooled per cycle) raises the per-cycle availability; one cycle lasts
 n_EG * (L0/c + t0).
 
-Throughputs, secure fractions included, come from one array pass over a
-grid (`throughput`): the search's over its cell's grid, an evaluator's over
-a grid of its one configuration. Both read each table through its one
+Throughputs, secure fractions included, come from one cell pass over a
+grid (`bound`): the search's over its cell's grid, an evaluator's over a
+grid of its one configuration. Both read each table through its one
 cached accessor, whichever grid asks: a grid's availabilities
 (`_availability`) and the bare chain's fractions at the grid's segment
 counts (`_chain_fractions`). A configuration's numbers do not depend on the
@@ -103,7 +103,7 @@ def price(
     params: HardwareParams, l_tot_km: float, x: float, qps: int, segments: int,
     spacing_km: float, gen_rounds: int,
 ) -> CostResult:
-    """Rate and cost of a swap chain of throughput x (see throughput) with
+    """Rate and cost of a swap chain of throughput x (see bound) with
     segments of spacing_km, gen_rounds generation rounds per cycle and qps
     qubits per station."""
     cycle = gen_rounds * (spacing_km / params.c_fiber + params.t0)
@@ -112,14 +112,23 @@ def price(
 
 def _evaluate(params: HardwareParams, config, l_tot_km: float) -> CostResult:
     """Rate and cost of the swap chain: CSS-encoded for a Gen2EncConfig, bare
-    for a Gen2NoEncConfig; one row of the array pass."""
+    for a Gen2NoEncConfig; the cell pass (bound) over its configuration
+    alone."""
     code = getattr(config, "code", None)  # only the encoded chain has one
     spacing, memories, gen_rounds = config.spacing_km, config.memories, config.gen_rounds
-    x, segments = throughput(params, (code,), (spacing,), (memories,), (gen_rounds,), l_tot_km)
-    return price(params, l_tot_km, x.item(0), 2 * memories, segments[0], spacing, gen_rounds)
+    bounds, _, price_rows = bound(params, l_tot_km, (code,), (spacing,), (memories,), (gen_rounds,))
+    _, kept, key = price_rows(np.arange(len(bounds)))
+    if len(kept):
+        return price(params, l_tot_km, *key(0)[1])
+    return CostResult.infeasible(2 * memories, segment_count(l_tot_km, spacing))
 
 
 evaluate_no_encoding = evaluate_encoded = _evaluate
+
+
+def weights(params: HardwareParams) -> tuple[float, float]:
+    """The weights of bound's terms at a point: 1/c and t0."""
+    return 1.0 / params.c_fiber, params.t0
 
 
 # availability tables of a grid, up to a few KB each: the default region map
@@ -158,24 +167,32 @@ def availability(
     return _availability(params.eta_c, params.l_att, *grid)
 
 
-def throughput(
+def bound(
     params: HardwareParams,
+    l_tot_km: float,
     codes: tuple,
     spacings_km: list,
     memories: tuple,
     gen_rounds: tuple,
-    l_tot_km: float,
-) -> tuple[np.ndarray, list[int]]:
-    """(x, segments) of every configuration of a grid, from one array pass.
-    x[c, s, m, g] = avail**segments * r is the secret bits per cycle of code
+) -> tuple:
+    """(bounds, groups, price) of one cell pass, as optimize.Family.bound
+    returns them, over every configuration [c, s, m, g] of a grid: code
     codes[c] (None for the bare chain) at spacing spacings_km[s] with
-    memories[m] pairs and gen_rounds[g] rounds, 0 where the chain cannot
-    work: as every code past a physical error rate of 1, and every
-    configuration whose segments * qps no float holds (past it no cost is a
-    float); a segment count past the float range is ruled out before the
-    fold and any power. All segments must be ready in the same cycle.
-    segments[s] counts the segments at spacing s. t0 is not read: the rate
-    is x / cycle."""
+    memories[m] pairs and gen_rounds[g] rounds, one row per configuration
+    with x > 0, in that order.
+
+    x = avail**segments * r is the secret bits per cycle, from one array
+    pass; t0 is not read: the rate is x / cycle. x = 0 where the chain
+    cannot work: as every code past a physical error rate of 1, and every
+    configuration whose N = segments * qps no float holds (past it no cost
+    is a float); a segment count past the float range is ruled out before
+    the fold and any power. All segments must be ready in the same cycle.
+
+    A row's terms are N*g*L0/x and N*g/x, its cost in a cell being N * g *
+    (L0 / c + t0) / x. N and N*g are exact integers, cast to float once, as
+    Python multiplies an int by a float; an N*g past the float range reads
+    inf. The pass prices every row at once, so the terms are their own
+    bound. A row's inputs are those of price."""
     segments = [segment_count(l_tot_km, spacing) for spacing in spacings_km]
     # a count past the float range stands in as 1, and its x is 0 below
     held = tuple(n if n <= sys.float_info.max else 1 for n in segments)
@@ -192,4 +209,24 @@ def throughput(
     x = powered * r.reshape(shape)
     n = np.multiply.outer(np.array(segments, dtype=object), [2 * m for m in memories])  # exact
     x[:, (n > sys.float_info.max).astype(bool)] = 0.0
-    return x, segments
+    per_cycle, n = (
+        np.where((a > sys.float_info.max).astype(bool), math.inf, a).astype(float)
+        for a in (np.multiply.outer(n, np.array(gen_rounds, dtype=object)), n[:, :, None])
+    )
+    feasible = x > 0.0
+    rows, x = np.argwhere(feasible), x[feasible]
+    _, i, m, g = rows.T
+    with np.errstate(over="ignore"):  # a term overflows to inf, as scalar floats do
+        per_km = n * np.multiply.outer(spacings_km, gen_rounds)[:, None, :]
+        terms = np.column_stack((per_km[i, m, g] / x, per_cycle[i, m, g] / x))
+
+    def price_rows(index):
+        def key(row):
+            c, i, m, g = rows[index[row]]
+            head = () if codes[c] is None else (codes[c],)
+            inputs = (x[index[row]].item(), 2 * memories[m], segments[i], spacings_km[i], gen_rounds[g])
+            return (*head, memories[m], spacings_km[i], gen_rounds[g]), inputs
+
+        return terms[index], index, key
+
+    return terms, np.zeros(len(x), dtype=int), price_rows

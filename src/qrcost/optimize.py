@@ -3,19 +3,18 @@ per parameter point, and sweep/region-map datasets.
 
 Every search returns what an exhaustive scan of its discrete grid returns:
 the first configuration, in a fixed lexicographic order, with the strictly
-smallest cost, so ties break toward the earlier configuration. Each search
-prices only the configurations that can still win, and the pruning is exact
-for these reasons:
+smallest cost, so ties break toward the earlier configuration. The search
+here works for any family of FAMILY_TABLE; each family's cell pass, which
+prices its grid and names what makes a configuration infeasible, lives in
+its own module (gen1.bound, gen2.bound, gen3.bound). Each search prices
+only the configurations that can still win, and the pruning is exact for
+these reasons:
 
 - Within a group, a family's cost is a positive multiple of a non-negative
   weighted sum of per-configuration terms: the terms depend only on a cell
-  of the point, the weights on the rest. gen1 (per nesting level): terms
-  qps*alpha/r, qps*beta/r, qps*gamma/r, weights T_signal/p0, T_signal, t0,
-  cell (eps_g, xi). gen2: terms N*g*L0/x and N*g/x, weights 1/c and t0.
-  gen3: term N/x, weight t0. For gen2 and gen3, N = stations * qps, g the
-  generation rounds, x the t0-free throughput and the cell every hardware
-  parameter but t0, plus L. A configuration beaten in every term by a
-  relative margin of 1e-9 costs more at every point of the cell.
+  of the point, the weights on the rest (each family's bound names its
+  terms). A configuration beaten in every term by a relative margin of
+  1e-9 costs more at every point of the cell.
 - The margin is far above float rounding, so the pruned configuration also
   loses in floating point. The survivors keep their enumeration order and go
   through the same first-strict-minimum rule, so ties resolve as before.
@@ -25,11 +24,9 @@ for these reasons:
   priced, unpruned. A weight that overflows to inf needs no full scan: it
   makes every configuration of its group infeasible in either scan.
 - A cell pass prices only the rows that can survive (_bounded). Each family
-  bounds its terms from below over the whole grid without pricing a row:
-  gen1 by qps*alpha, qps*beta and qps*gamma (r <= 1), gen3 by N over a
-  power bound on x (gen3.bound), gen2 by its terms themselves. A row whose
-  bound a priced, finite incumbent of its group beats by the margin would
-  lose to it in _undominated, so it is never priced.
+  bounds its terms from below over the whole grid without pricing a row.
+  A row whose bound a priced, finite incumbent of its group beats by the
+  margin would lose to it in _undominated, so it is never priced.
 
 Grid points are independent; the region map fans (eta_c, eps_g) cells out over
 worker processes, eps_g-outermost so that each worker builds few gen1 tables,
@@ -51,7 +48,7 @@ from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
-from . import gen1, gen2, gen3, keyrate
+from . import gen1, gen2, gen3
 from .core import (
     CSS_CATALOG,
     GEN1_SCHEMES,
@@ -233,124 +230,15 @@ def _undominated(vectors) -> list[int]:
     return sorted(kept)
 
 
-def _gen1_grid(search: Gen1Search):
-    """(scheme, levels, rounds) in search order."""
-    for scheme in search.schemes:
-        for levels in range(search.min_levels, search.max_levels + 1):
-            for rounds in itertools.product(range(search.max_rounds + 1), repeat=levels + 1):
-                yield scheme, levels, rounds
-
-
-def _gen1_columns(search: Gen1Search, eps_g: float, xi: float):
-    """((scheme, levels), summary columns) of every nesting level of the
-    grid in enumeration order, read off one table per scheme whose rows run
-    in the same order."""
-    grid = gen1._search_grid(search.max_levels, search.max_rounds)
-    for scheme in search.schemes:
-        table = gen1._schedule_summary(scheme, eps_g, xi, grid)
-        for levels in range(search.min_levels, search.max_levels + 1):
-            yield (scheme, levels), table.columns[levels]
+def _gen1_search(s: Gen1Search) -> tuple:
+    return s.schemes, s.min_levels, s.max_levels, s.max_rounds  # as gen1.bound takes it
 
 
 def _gen1_candidates(search: Gen1Search, eps_g: float, xi: float):
     """(scheme, levels, rounds, summary) of every schedule, in enumeration
     order; the summary holds the secure fraction r in place of the table's
     Q."""
-
-    def summaries(alpha, beta, gamma, qber, qps):
-        columns = (alpha, beta, gamma, keyrate.secure_fraction_rows(qber), qps)
-        return zip(*(column.tolist() for column in columns))
-
-    rows = itertools.chain.from_iterable(
-        summaries(*columns) for _, columns in _gen1_columns(search, eps_g, xi)
-    )
-    return [(*key, summary) for key, summary in zip(_gen1_grid(search), rows)]
-
-
-def _gen1_bound(space: SearchSpace, cell):
-    """At nesting level n the cost is (2^n / L) * (K1 * qps*alpha/r + K2 *
-    qps*beta/r + K3 * qps*gamma/r) with K1 = T_signal/p0, K2 = T_signal and
-    K3 = t0. The three products are the terms, grouped by level, each
-    computed as (qps * alpha) / r with qps cast exactly to float, as Python
-    multiplies an int by a float; a schedule with r <= 0 is infeasible
-    everywhere. A feasible row has 0 < r <= 1, so the same float products
-    qps * alpha, qps * beta and qps * gamma bound its terms from below with
-    no slack, and r is priced (two log2 per row) only for the rows the pass
-    keeps. Rows whose Q lies in keyrate.QBER_DEAD (r = 0) are left out. A
-    row's inputs to gen1.price are its level and summary."""
-    search = space.gen1
-    low, high = keyrate.QBER_DEAD
-    blocks = [(*key, columns) for key, columns in _gen1_columns(search, *cell)]
-
-    def live(qber):
-        return ~((low < qber) & (qber < high))
-
-    # every kept row is written once, in place, into arrays sized for the cell
-    size = sum(np.count_nonzero(live(columns[3])) for _, _, columns in blocks)
-    bounds, qber = np.empty((size, 3)), np.empty(size)
-    block, table_row, groups = (np.empty(size, dtype=int) for _ in range(3))
-    end = 0
-    for b, (_, levels, (alpha, beta, gamma, q, qps)) in enumerate(blocks):
-        rows = np.flatnonzero(live(q))
-        at = slice(end, end + len(rows))
-        end = at.stop
-        n = qps[rows].astype(float)
-        for j, c in enumerate((alpha, beta, gamma)):
-            np.multiply(n, c[rows], out=bounds[at, j])
-        qber[at], block[at], table_row[at], groups[at] = q[rows], b, rows, levels
-
-    def price(index):
-        r = keyrate.secure_fraction_rows(qber[index])
-        feasible = r > 0.0
-        index, r = index[feasible], r[feasible]
-
-        def key(i):
-            scheme, levels, columns = blocks[block[index[i]]]
-            row = table_row[index[i]]
-            digits = np.unravel_index(row, (search.max_rounds + 1,) * (levels + 1))
-            alpha, beta, gamma, _, qps = (column.item(row) for column in columns)
-            return (scheme, levels, tuple(map(int, digits))), (levels, (alpha, beta, gamma, r.item(i), qps))
-
-        return bounds[index] / r[:, None], index, key
-
-    return bounds, groups, price
-
-
-def _gen1_warm(params: HardwareParams, l_tot_km: float, space: SearchSpace) -> None:
-    """The qps columns that every table of the search grid shares."""
-    s = space.gen1
-    for scheme in s.schemes:
-        gen1._qps_columns(scheme, gen1._search_grid(s.max_levels, s.max_rounds))
-
-
-def _gen1_weights(params: HardwareParams, l_tot_km: float, space: SearchSpace) -> list:
-    """A level whose link never succeeds (p0 = 0) is infeasible in every scan
-    and adds no weights."""
-    weights = [params.t0]
-    for levels in range(space.gen1.min_levels, space.gen1.max_levels + 1):
-        t_signal, p0 = gen1._link(params, levels, l_tot_km)
-        if p0 > 0.0:
-            weights += [t_signal, t_signal / p0]
-    return weights
-
-
-def _gen2_spacings(s: Gen2Search, l_tot_km: float) -> list[float]:
-    return [l_tot_km / k for k in s.segment_counts if l_tot_km / k >= s.min_spacing_km]
-
-
-def _gen2_codes(family: str, s: Gen2Search) -> tuple:
-    return s.codes if family == "gen2_enc" else (None,)
-
-
-def _gen2_warm(family: str) -> Callable:
-    """The availability table of a swap-chain family's grid."""
-
-    def warm(params: HardwareParams, l_tot_km: float, space: SearchSpace) -> None:
-        s = space.gen2
-        codes, spacings = _gen2_codes(family, s), _gen2_spacings(s, l_tot_km)
-        gen2.availability(params, codes, spacings, s.memories, s.gen_rounds)
-
-    return warm
+    return gen1.schedules(eps_g, xi, _gen1_search(search))
 
 
 def _gen3_grid(s: Gen3Search) -> tuple:
@@ -359,49 +247,6 @@ def _gen3_grid(s: Gen3Search) -> tuple:
 
 def _without_t0(params: HardwareParams, l_tot_km: float):
     return params.with_(t0=1.0), l_tot_km
-
-
-def _gen2_bound(family: str) -> Callable:
-    """Terms N*g*L0/x and N*g/x of a swap-chain family, whose cost in a cell
-    is stations * qps * gen_rounds * (spacing / c + t0) / x with x the
-    t0-free throughput of one array pass (gen2.throughput); x = 0 is
-    infeasible at every t0. N = stations * qps and N*g are exact integers,
-    cast to float once, as Python multiplies an int by a float; where x > 0
-    a float holds N (gen2.throughput), and an N*g past the float range
-    reads inf. The pass prices every row at once, so the terms are their
-    own bound. A row's inputs are those of gen2.price."""
-
-    def bound(space: SearchSpace, cell):
-        params, l_tot_km = cell
-        s = space.gen2
-        codes = _gen2_codes(family, s)
-        spacings = _gen2_spacings(s, l_tot_km)
-        x, segments = gen2.throughput(params, codes, spacings, s.memories, s.gen_rounds, l_tot_km)
-        n = np.array([[k * 2 * m for m in s.memories] for k in segments], dtype=object)
-        n = n.reshape(len(segments), len(s.memories), 1)
-        per_cycle, n = (
-            np.where((a > sys.float_info.max).astype(bool), math.inf, a).astype(float)
-            for a in (n * np.array(s.gen_rounds, dtype=object), n)
-        )
-        per_km = n * np.multiply.outer(spacings, s.gen_rounds)[:, None, :]
-        feasible = x > 0.0
-        rows, x = np.argwhere(feasible), x[feasible]
-        _, i, m, g = rows.T
-
-        def price(index):
-            def key(row):
-                c, i, m, g = rows[index[row]]
-                head = (codes[c],) if family == "gen2_enc" else ()
-                memories, spacing, gen_rounds = s.memories[m], spacings[i], s.gen_rounds[g]
-                inputs = (x[index[row]].item(), 2 * memories, segments[i], spacing, gen_rounds)
-                return (*head, memories, spacing, gen_rounds), inputs
-
-            return terms[index], index, key
-
-        terms = np.column_stack((per_km[i, m, g] / x, per_cycle[i, m, g] / x))
-        return terms, np.zeros(len(x), dtype=int), price
-
-    return bound
 
 
 def _describe_gen2(config) -> str:
@@ -432,7 +277,8 @@ class Family(NamedTuple):
     space) lists the point's weights. warm(params, l_tot_km, space) fills
     the cached tables that the cell pass reads at every cell of params'
     coupling and attenuation length, whatever its gate error, through the
-    accessors the cell pass calls.
+    accessors the cell pass calls. bound, weights and warm are the family
+    module's functions behind adapters that read its grid off the space.
     """
 
     config_type: type
@@ -444,15 +290,28 @@ class Family(NamedTuple):
     describe: Callable
     warm: Callable
 
-    def terms(self, space: SearchSpace, cell) -> tuple:
-        """(terms, groups, key) of every configuration feasible somewhere in
-        the cell, in grid order, all of them priced."""
-        bounds, groups, price = self.bound(space, cell)
-        terms, kept, key = price(np.arange(len(bounds)))
-        return terms, groups[kept], key
 
+def _swap_chain(config_type: type, evaluate: Callable, describe: Callable, encoded: bool) -> Family:
+    """A swap-chain family. Its grid at a distance is (codes, spacings_km,
+    memories, gen_rounds), as gen2.bound takes it, with the spacings L_tot/k
+    that the minimum spacing leaves; its cell is the point without t0."""
 
-_gen2_weights = lambda params, l_tot_km, space: (1.0 / params.c_fiber, params.t0)  # noqa: E731
+    def grid(space: SearchSpace, l_tot_km: float) -> tuple:
+        s = space.gen2
+        spacings = [l_tot_km / k for k in s.segment_counts if l_tot_km / k >= s.min_spacing_km]
+        return s.codes if encoded else (None,), spacings, s.memories, s.gen_rounds
+
+    return Family(
+        config_type,
+        evaluate,
+        gen2.price,
+        _without_t0,
+        lambda space, cell: gen2.bound(*cell, *grid(space, cell[1])),
+        lambda params, l_tot_km, space: gen2.weights(params),
+        describe,
+        lambda params, l_tot_km, space: gen2.availability(params, *grid(space, l_tot_km)),
+    )
+
 
 # The one place to add a family: the optimizer, evaluate_config,
 # describe_config and the [evaluate] config section all read this table.
@@ -462,30 +321,17 @@ FAMILY_TABLE: dict[str, Family] = {
         gen1.evaluate,
         gen1.price,
         lambda params, l_tot_km: (params.eps_g, params.xi),
-        _gen1_bound,
-        _gen1_weights,
+        lambda space, cell: gen1.bound(*cell, _gen1_search(space.gen1)),
+        lambda params, l_tot_km, space: gen1.weights(params, l_tot_km, _gen1_search(space.gen1)),
         lambda c: f"scheme={c.scheme} levels={c.levels} rounds={','.join(map(str, c.rounds))}",
-        _gen1_warm,
+        lambda params, l_tot_km, space: gen1.warm(_gen1_search(space.gen1)),
     ),
-    "gen2_noenc": Family(
-        Gen2NoEncConfig,
-        gen2.evaluate_no_encoding,
-        gen2.price,
-        _without_t0,
-        _gen2_bound("gen2_noenc"),
-        _gen2_weights,
-        _describe_gen2,
-        _gen2_warm("gen2_noenc"),
-    ),
-    "gen2_enc": Family(
+    "gen2_noenc": _swap_chain(Gen2NoEncConfig, gen2.evaluate_no_encoding, _describe_gen2, False),
+    "gen2_enc": _swap_chain(
         Gen2EncConfig,
         gen2.evaluate_encoded,
-        gen2.price,
-        _without_t0,
-        _gen2_bound("gen2_enc"),
-        _gen2_weights,
         lambda c: f"code=[[{c.code.n_phys},1,{2 * c.code.t + 1}]] " + _describe_gen2(c),
-        _gen2_warm("gen2_enc"),
+        True,
     ),
     "gen3": Family(
         Gen3Config,
@@ -593,12 +439,11 @@ def _cell_pass(family: str, space: SearchSpace, cell, prune: bool = True) -> tup
     somewhere in the cell; pruned, of those that can win at some point of
     the cell: per group, those no other beats by the margin in every term,
     priced only where their bound leaves them a chance (see _bounded)."""
-    spec = FAMILY_TABLE[family]
     with np.errstate(over="ignore"):  # a term overflows to inf, as scalar floats do
+        bounds, groups, price = FAMILY_TABLE[family].bound(space, cell)
         if not prune:
-            terms, _, key = spec.terms(space, cell)
-            return tuple(key(row) for row in range(len(terms)))
-        bounds, groups, price = spec.bound(space, cell)
+            _, kept, key = price(np.arange(len(bounds)))
+            return tuple(key(row) for row in range(len(kept)))
         terms, rows, key = _bounded(bounds, groups, price)
     kept = []
     for at in _by_group(groups[rows]):

@@ -1,4 +1,5 @@
 import ast
+import errno
 import gc
 import hashlib
 import importlib.util
@@ -446,6 +447,28 @@ def test_output_path_config_and_flag(tmp_path, capsys):
     override = tmp_path / "other.json"
     assert main(["evaluate", "--config", str(ini), "--out", str(override)] + _PERFECT_CHANNEL) == 0
     assert json.loads(override.read_text())["family"] == "gen3"
+
+
+def test_an_unwritable_output_path_is_an_input_error(tmp_path, capsys):
+    # a missing directory, by flag or config key, for a dataset command,
+    # evaluate and validate, and a directory as the path: exit 2 with one
+    # error line, after the job has run
+    missing = tmp_path / "missing" / "out.csv"
+    no_file, is_dir = os.strerror(errno.ENOENT), os.strerror(errno.EISDIR)
+    for argv, path, reason in [
+        (["optimize", *_FAST_SPACE, "--out", str(missing)], missing, no_file),
+        (["evaluate", "--set", f"output.path={missing}"], missing, no_file),
+        (["validate", "qpc", "--trials", "10", "--out", str(missing)], missing, no_file),
+        (["sweep", *_FAST_SPACE, "--set", "sweep.values=1e-3", "--out", str(tmp_path)], tmp_path, is_dir),
+    ]:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: cannot write {path}: {reason}\n"), argv
+    assert not missing.parent.exists()
+    # a job that fails leaves its output file as it was
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier output\n")
+    assert main(["optimize", "--set", "hardware.eta_c=1.5", "--out", str(kept)]) == 2
+    assert kept.read_text() == "earlier output\n"
 
 
 def test_validate_qpc_suite(capsys):

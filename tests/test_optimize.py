@@ -1,3 +1,4 @@
+import ast
 import functools
 import itertools
 import math
@@ -8,6 +9,7 @@ import sys
 import time
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,11 +331,19 @@ def test_gen1_float_edges_equal_full_scan(eta, eps):
         assert got == reference_optimum("gen1", params, l_tot, space), (params, l_tot)
 
 
+def _all_terms(family, space, cell):
+    """(terms, groups, key) of every configuration feasible somewhere in the
+    cell, in grid order, all of them priced by the family's cell pass."""
+    with np.errstate(over="ignore"):
+        bounds, groups, price = FAMILY_TABLE[family].bound(space, cell)
+        terms, kept, key = price(np.arange(len(bounds)))
+    return terms, groups[kept], key
+
+
 def _unbounded_pass(family, space, cell):
     """The pruned cell pass with every row priced: _undominated per group
     over the terms of every configuration feasible in the cell."""
-    with np.errstate(over="ignore"):
-        terms, groups, key = FAMILY_TABLE[family].terms(space, cell)
+    terms, groups, key = _all_terms(family, space, cell)
     kept = []
     for group in set(groups.tolist()):
         rows = np.flatnonzero(groups == group)
@@ -466,12 +476,60 @@ def test_region_map_computes_few_libm_elements(monkeypatch, capsys):
     assert 0 < count < 140_000, count
 
 
+def test_the_search_reads_no_family_internals():
+    # each family's cell pass and infeasibility rules live in its own module:
+    # optimize imports no keyrate and reads no private name of gen1, gen2 or
+    # gen3 (the WARMED cache names are strings, and stay allowed)
+    tree = ast.parse(Path(optimize.__file__).read_text())
+    families, found = {"gen1", "gen2", "gen3"}, []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            module = (getattr(node, "module", None) or "").split(".")
+            if "keyrate" in module or any("keyrate" in name.split(".") for name in names):
+                found.append(ast.unparse(node))
+            if families & set(module):
+                found += [ast.unparse(node) for name in names if name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in families and node.attr.startswith("_"):
+                found.append(ast.unparse(node))
+    assert found == []
+
+
 # every grid a single configuration, so the last row of a cell pass can win
 _ONE = SearchSpace(
     gen1=Gen1Search(schemes=("deutsch",), min_levels=2, max_levels=2, max_rounds=0),
     gen2=Gen2Search(segment_counts=(32,), memories=(32,), gen_rounds=(2,), codes=CSS_CATALOG[:1]),
     gen3=Gen3Search(spacings_km=(1.5,), min_n=20, max_n=20, min_m=6, max_m=6),
 )
+
+
+# no gate error and perfect coupling, so x > 0 at the short spacings with 64
+# memories, where N fits a float: at 1e8 km and 10^306 segments, N = 1.28e308 qubits fit a
+# float and N*g does not at two rounds; at 1e10 km and a spacing of 1e-300
+# km, 10^310 segments pass the float range (10^300 do not)
+_LOSSLESS = HardwareParams(eta_c=1.0, eps_g=0.0)
+_GEN2_FLOAT_EDGES = [(_LOSSLESS, 1e8, (1e8 / 10**306, 10.0)), (_LOSSLESS, 1e10, (1e-300, 1e-290))]
+
+
+def _gen2_evaluators_read_the_cell_pass(params, l_tot, spacings):
+    """Check that both swap chains' evaluate, at every configuration of a
+    small grid, equals gen2.price of the inputs of its row of the cell pass
+    the search reads (x = 0 for a row the pass leaves out), bit for bit.
+    Returns each priced row's terms by its arguments."""
+    memories, gen_rounds, terms = (1, 64), (1, 2), {}
+    for family, codes in (("gen2_noenc", (None,)), ("gen2_enc", (CSS_CATALOG[0], GOLAY))):
+        spec = FAMILY_TABLE[family]
+        bounds, _, price = gen2.bound(params, l_tot, codes, spacings, memories, gen_rounds)
+        rows, kept, key = price(np.arange(len(bounds)))
+        inputs = dict(key(i) for i in range(len(kept)))
+        terms.update((key(i)[0], tuple(rows[i].tolist())) for i in range(len(kept)))
+        for code, spacing, m, g in itertools.product(codes, spacings, memories, gen_rounds):
+            arguments = (m, spacing, g) if code is None else (code, m, spacing, g)
+            row = inputs.get(arguments, (0.0, 2 * m, core.segment_count(l_tot, spacing), spacing, g))
+            got = spec.evaluate(params, spec.config_type(*arguments), l_tot)
+            assert repr(got) == repr(gen2.price(params, l_tot, *row)), (family, arguments)
+    return terms
 
 
 @pytest.mark.parametrize("params, l_tot", [
@@ -493,6 +551,12 @@ def test_search_prices_only_from_the_cell_pass(monkeypatch, params, l_tot):
             report = optimize_all(params, l_tot, space)
         assert repr(report) == want
         assert report.per_family == reference
+    # and the gen2 evaluators price from the cell pass: at this point, and
+    # where N*g or the segment count passes the float range
+    _gen2_evaluators_read_the_cell_pass(params, l_tot, (l_tot / 32, l_tot / 7, 3.0))
+    past_n_g, past_segments = (_gen2_evaluators_read_the_cell_pass(*edge) for edge in _GEN2_FLOAT_EDGES)
+    assert past_n_g[64, 1e8 / 10**306, 2][1] == math.inf > past_n_g[64, 1e8 / 10**306, 1][1]
+    assert (64, 1e-300, 1) not in past_segments and (64, 1e-290, 1) in past_segments
 
 
 # per family, a configuration that is _ONE's whole grid at 1,000 km, so its
@@ -712,8 +776,7 @@ _GEN3_CELL_POINTS = [
 
 def _term_rows(family, space, cell):
     """The array terms of a family as (arguments, group, terms) rows."""
-    with np.errstate(over="ignore"):
-        terms, groups, key = FAMILY_TABLE[family].terms(space, cell)
+    terms, groups, key = _all_terms(family, space, cell)
     return [(key(i), groups[i].item(), tuple(terms[i].tolist())) for i in range(len(terms))]
 
 
