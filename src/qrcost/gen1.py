@@ -40,6 +40,7 @@ search prices.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -197,7 +198,8 @@ def schedules(eps_g: float, xi: float, search: tuple) -> list:
 def bound(eps_g: float, xi: float, search: tuple) -> tuple:
     """(bounds, groups, price) of one cell pass, as optimize.Family.bound
     returns them, over every schedule of a search (see _search_columns)
-    whose Q lies outside keyrate.QBER_DEAD (r = 0 there), in its order,
+    whose Q lies outside keyrate.QBER_DEAD (r = 0 there) and whose N =
+    2^n * qps a float holds (no cost is a float past it), in its order,
     grouped by nesting level.
 
     At nesting level n the cost is (2^n / L) * (K1 * qps*alpha/r + K2 *
@@ -213,16 +215,23 @@ def bound(eps_g: float, xi: float, search: tuple) -> tuple:
     *_, max_rounds = search
     blocks = list(_search_columns(eps_g, xi, search))
 
-    def live(qber):
-        return ~((low < qber) & (qber < high))
+    def live(levels, qber, qps):
+        keep = ~((low < qber) & (qber < high))
+        # the last row runs the most rounds at every level, so it holds the
+        # most qubits: a level checks its rows only where that one's N passes
+        most = int(sys.float_info.max) // 2**levels
+        if int(qps[-1]) > most:
+            keep &= (qps <= most).astype(bool)
+        return keep
 
     # every kept row is written once, in place, into arrays sized for the cell
-    size = sum(np.count_nonzero(live(columns[3])) for _, _, columns in blocks)
+    masks = [live(levels, columns[3], columns[4]) for _, levels, columns in blocks]
+    size = sum(map(np.count_nonzero, masks))
     bounds, qber = np.empty((size, 3)), np.empty(size)
     block, table_row, groups = (np.empty(size, dtype=int) for _ in range(3))
     end = 0
     for b, (_, levels, (alpha, beta, gamma, q, qps)) in enumerate(blocks):
-        rows = np.flatnonzero(live(q))
+        rows = np.flatnonzero(masks[b])
         at = slice(end, end + len(rows))
         end = at.stop
         n = qps[rows].astype(float)
@@ -394,6 +403,11 @@ def price(params: HardwareParams, l_tot_km: float, levels: int, summary: tuple) 
 
 
 def evaluate(params: HardwareParams, config: Gen1Config, l_tot_km: float) -> CostResult:
-    """Secret-key rate and qubit cost of one purify-and-swap architecture."""
+    """Secret-key rate and qubit cost of one purify-and-swap architecture;
+    infeasible, with no table built, where N = 2^levels * qps passes the
+    float range (as bound rules it out)."""
     _check_distance("l_tot_km", l_tot_km)
+    qps, stations = qubits_per_station(config), 2**config.levels
+    if stations * qps > sys.float_info.max:
+        return CostResult.infeasible(qps, stations)
     return price(params, l_tot_km, config.levels, _summary(params, config))

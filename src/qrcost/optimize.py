@@ -23,10 +23,10 @@ these reasons:
   subnormal or near overflow. There every configuration of the cell pass is
   priced, unpruned. A weight that overflows to inf needs no full scan: it
   makes every configuration of its group infeasible in either scan.
-- A cell pass prices only the rows that can survive (_bounded). Each family
-  bounds its terms from below over the whole grid without pricing a row.
-  A row whose bound a priced, finite incumbent of its group beats by the
-  margin would lose to it in _undominated, so it is never priced.
+- A cell pass prices only the rows that can survive (_cell_pass). Each
+  family bounds its terms from below over the whole grid without pricing a
+  row. A row whose bound a priced, finite incumbent of its group beats by
+  the margin would lose to it in _undominated, so it is never priced.
 
 Grid points are independent; the region map fans (eta_c, eps_g) cells out over
 worker processes, eps_g-outermost so that each worker builds few gen1 tables,
@@ -209,23 +209,23 @@ def _lexmin(rows: np.ndarray) -> int:
 
 
 def _undominated(vectors) -> list[int]:
-    """Ascending indices of the rows that no other row beats by the margin in
-    every column: row j dominates row i when (1 + margin) * v[j] <= v[i]
-    elementwise. Columns must be non-negative. Any cost that is a non-negative
-    weighted sum of the columns then prices a dominated row strictly above a
-    kept one. A row with a non-finite entry dominates nothing."""
+    """Ascending indices of the rows that no finite other row beats by the
+    margin in every column: row j beats row i when (1 + margin) * v[j] <=
+    v[i] elementwise. Of two finite rows that beat each other (equal rows of
+    zeros and tiny subnormals, which the margin leaves as they are), the
+    first is kept. Columns must be non-negative. Any cost that is a
+    non-negative weighted sum of the columns then prices a dropped row
+    strictly above a kept one."""
     v = np.asarray(vectors, dtype=float)
     alive = np.arange(len(v))
     kept: list[int] = []
     while alive.size:
         rows = v[alive]
-        # the lexicographic minimum can only be dominated by an equal row
+        # the lexicographic minimum can only be beaten by an equal row, which
+        # comes after it; a non-finite one is kept and beats nothing
         best = alive[_lexmin(rows)]
-        if not np.isfinite(v[best]).all():
-            kept.extend(alive.tolist())
-            break
         kept.append(int(best))
-        beaten = (v[best] * (1.0 + _MARGIN) <= rows).all(axis=1)
+        beaten = (v[best] * (1.0 + _MARGIN) <= rows).all(axis=1) & np.isfinite(v[best]).all()
         alive = alive[~beaten & (alive != best)]
     return sorted(kept)
 
@@ -391,60 +391,42 @@ def _probe(bounds: np.ndarray, by_group: list) -> np.ndarray:
     return np.sort(np.concatenate(probe))
 
 
-def _sorts_before(terms: np.ndarray, incumbents: list) -> bool:
-    """True when a row of terms with a non-finite entry sorts strictly
-    before one of the incumbents, in _lexmin's order."""
-    rows = terms[~np.isfinite(terms).all(axis=1)]
-    return len(rows) > 0 and any(_lexmin(np.vstack((j, rows))) != 0 for j in incumbents)
-
-
-def _bounded(bounds: np.ndarray, groups: np.ndarray, price: Callable) -> tuple:
-    """price() of the rows that no incumbent of their group beats by the
-    margin in every bound, (1 + margin) * incumbent <= bound, the test
-    _undominated applies to terms. The incumbents are the undominated rows
-    of a priced probe (_probe) whose terms are finite and whose first term
-    is a normal float; such a row sorts strictly before every row it beats.
-
-    _undominated returns the same rows without the others. A row i left out
-    is beaten in its terms by a priced incumbent j. Until j is dropped, j
-    sorts before i, so i is not the lexicographic minimum; the row that
-    drops j beats i too (its terms are non-negative), so i goes with j or
-    before it. Only one branch could still see i: a minimum with a
-    non-finite term keeps every live row. A row left out is never the
-    minimum, so such a minimum is priced and sorts before j; when a priced
-    row sorts so, every row of the cell is priced instead."""
-    by_group = _by_group(groups)
-    probe = _probe(bounds, by_group)
-    terms, kept, _ = priced = price(probe)
-    if len(probe) == len(bounds):
-        return priced
-    usable = np.isfinite(terms).all(axis=1) & (terms[:, 0] >= sys.float_info.min)
-    beaten, incumbents = np.zeros(len(bounds), dtype=bool), []
-    for live in by_group:
-        rows = terms[usable & (groups[kept] == groups[live[0]])]
-        rows = rows[_undominated(rows)]
-        for j in rows[np.argsort(rows[:, 0])]:  # the smallest first: it beats the most
-            out = ((1.0 + _MARGIN) * j <= bounds[live]).all(axis=1)
-            beaten[live[out]] = True
-            live = live[~out]
-        incumbents.extend(rows)
-    priced = price(np.flatnonzero(~beaten))
-    if beaten.any() and _sorts_before(priced[0], incumbents):
-        return price(np.arange(len(bounds)))
-    return priced
-
-
 def _cell_pass(family: str, space: SearchSpace, cell, prune: bool = True) -> tuple:
     """(arguments, inputs), in grid order, of the configurations feasible
     somewhere in the cell; pruned, of those that can win at some point of
-    the cell: per group, those no other beats by the margin in every term,
-    priced only where their bound leaves them a chance (see _bounded)."""
+    the cell: per group, those _undominated keeps of the terms of every row.
+
+    The pruned pass prices a probe (_probe) first, unless it covers the
+    cell. The incumbents of a group are the undominated rows of its probe
+    whose terms are finite and whose first term is a normal float. A row
+    that an incumbent beats by the margin in every bound, (1 + margin) *
+    incumbent <= bound, is dropped unpriced; the rest are priced. This
+    keeps what pricing every row keeps. A dropped row is beaten, in its
+    terms, by a finite incumbent, and a row it beats is beaten by that
+    incumbent too: the margin composes, (1 + margin) * incumbent <= dropped
+    <= (1 + margin) * dropped <= row, as terms are non-negative. No two
+    incumbents beat each other, nor does one beat its own bound, since a
+    normal first term grows under the margin; so every incumbent is priced.
+    The priced rows' frontier is therefore that of every row."""
     with np.errstate(over="ignore"):  # a term overflows to inf, as scalar floats do
         bounds, groups, price = FAMILY_TABLE[family].bound(space, cell)
         if not prune:
             _, kept, key = price(np.arange(len(bounds)))
             return tuple(key(row) for row in range(len(kept)))
-        terms, rows, key = _bounded(bounds, groups, price)
+        by_group = _by_group(groups)
+        probe = _probe(bounds, by_group)
+        terms, rows, key = price(probe)
+        if len(probe) < len(bounds):
+            usable = np.isfinite(terms).all(axis=1) & (terms[:, 0] >= sys.float_info.min)
+            beaten = np.zeros(len(bounds), dtype=bool)
+            for live in by_group:
+                incumbents = terms[usable & (groups[rows] == groups[live[0]])]
+                incumbents = incumbents[_undominated(incumbents)]
+                for j in incumbents[np.argsort(incumbents[:, 0])]:  # the smallest first: it beats the most
+                    out = ((1.0 + _MARGIN) * j <= bounds[live]).all(axis=1)
+                    beaten[live[out]] = True
+                    live = live[~out]
+            terms, rows, key = price(np.flatnonzero(~beaten))
     kept = []
     for at in _by_group(groups[rows]):
         kept += at[_undominated(terms[at])].tolist()
@@ -467,19 +449,19 @@ def _argmin(results: Iterable[tuple[Any, CostResult]]) -> Optional[tuple[Any, Co
     return best
 
 
-def _weights_hold(weights: Iterable[float]) -> bool:
-    """True when no weight of the point is subnormal, zero or NaN: then each
-    evaluator computes a cost within a few ulps of the weighted sum of its
-    terms, unless the rate itself over- or underflows (see _margin_holds). An
-    infinite weight makes its whole group infeasible in either scan."""
-    return all(w >= sys.float_info.min for w in weights)
-
-
-def _margin_holds(best: Optional[tuple[Any, CostResult]]) -> bool:
+def _margin_holds(weights: Iterable[float], best: Optional[tuple[Any, CostResult]]) -> bool:
     """True when the pruned winner's float cost is accurate enough for the
-    margin argument (see _COST_CEILING)."""
+    margin argument: no weight of the point is subnormal, zero or NaN, so
+    each evaluator computes a cost within a few ulps of the weighted sum of
+    its terms, and the winner's rate neither over- nor underflows (see
+    _COST_CEILING). An infinite weight makes its whole group infeasible in
+    either scan."""
     result = best[1] if best is not None else _NO_RESULT
-    return sys.float_info.min <= result.cost_coeff and result.cost <= _COST_CEILING
+    return (
+        all(w >= sys.float_info.min for w in weights)
+        and sys.float_info.min <= result.cost_coeff
+        and result.cost <= _COST_CEILING
+    )
 
 
 def optimize_family(
@@ -489,7 +471,9 @@ def optimize_family(
     space: SearchSpace = SearchSpace(),
 ) -> Optional[Candidate]:
     """Cheapest configuration of one family, equal to the exhaustive scan's;
-    None when nothing is feasible."""
+    None when nothing is feasible. The pruned frontier does not depend on
+    the weights, so it is read first; every row of the cell pass is priced
+    where the margin argument fails."""
     spec = FAMILY_TABLE.get(family)
     if spec is None:
         raise ValueError(f"unknown family {family!r}")
@@ -499,11 +483,9 @@ def optimize_family(
         return ((key, spec.price(params, l_tot_km, *inputs)) for key, inputs in rows)
 
     cell = spec.cell(params, l_tot_km)
-    rows = None
-    if _weights_hold(spec.weights(params, l_tot_km, space)):
-        rows = _frontier(family, space, cell)
-        best = _argmin(priced(rows))
-    if rows is None or (rows and not _margin_holds(best)):
+    rows = _frontier(family, space, cell)
+    best = _argmin(priced(rows))
+    if rows and not _margin_holds(spec.weights(params, l_tot_km, space), best):
         best = _argmin(priced(_cell_pass(family, space, cell, prune=False)))
     if best is None:
         return None

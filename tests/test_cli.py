@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 
 import qrcost
-from qrcost import cli, config, optimize
+from qrcost import cli, config, gen1, optimize
 from qrcost.cli import main
-from qrcost.core import Gen2NoEncConfig, HardwareParams, segment_count
+from qrcost.core import Gen1Config, Gen2NoEncConfig, HardwareParams, segment_count
 from qrcost.optimize import (
     FAMILIES,
     Gen1Search,
@@ -680,6 +680,41 @@ def test_gen2_costs_past_the_float_range_are_infeasible(capsys):
     chain = Gen2NoEncConfig(memories=64, spacing_km=1e8 / 10**306, gen_rounds=1)
     want = evaluate_config(HardwareParams(eta_c=1.0, eps_g=0.0), chain, 1e8)
     assert want.feasible and row[-3] == repr(want.cost_coeff)
+
+
+@pytest.mark.parametrize("levels, scheme, rounds", [
+    (1, "deutsch", (511, 512)),  # qps = 2^1024 passes the float range
+    (10, "deutsch", (92,) * 10 + (102,)),  # qps = 2^1023 fits a float, 2^10 * qps does not
+    (1024, "dur", (0,) * 1025),  # 2 qubits per station at 2^1024 stations
+])
+def test_gen1_costs_past_the_float_range_are_infeasible(levels, scheme, rounds, monkeypatch, capsys):
+    # N = 2^levels * qps no float holds: no cost is a float, and evaluate
+    # says so without building the schedule's table
+    def refuse(*args):
+        raise AssertionError("evaluate built a schedule table")
+
+    monkeypatch.setattr(gen1, "_schedule_summary", refuse)
+    argv = ["evaluate", "--set", "evaluate.family=gen1", "--set", f"evaluate.scheme={scheme}",
+            "--set", f"evaluate.levels={levels}", "--set", f"evaluate.rounds={','.join(map(str, rounds))}"]
+    assert main(argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["stations"], result["qubits_per_station"]) == (2**levels, gen1._qubits_per_station(scheme, rounds))
+    assert result["stations"] * result["qubits_per_station"] > sys.float_info.max
+    assert (result["feasible"], result["rate_sbits_per_s"], result["cost"]) == (False, 0.0, None)
+
+
+def test_gen1_search_past_the_float_range_leaves_the_row_out(capsys):
+    # the deepest schedule of this grid holds 2^1023 qubits per station, so
+    # N = 2^1024; a subnormal t0 makes the search price every row, and that
+    # one is ruled out as evaluate rules it out
+    deepest = Gen1Config("deutsch", 1, (511, 511))
+    assert not evaluate_config(HardwareParams(t0=1e-310), deepest, 1000.0).feasible
+    argv = ["optimize", "--set", "search.gen1.schemes=deutsch", "--set", "search.gen1.min_levels=1",
+            "--set", "search.gen1.max_levels=1", "--set", "search.gen1.max_rounds=511",
+            "--set", "hardware.t0=1e-310"]
+    assert main(argv) == 0
+    row = dict(zip(*(line.split(",") for line in capsys.readouterr().out.splitlines()[6:8])))
+    assert 0.0 < float(row["cost_coeff_gen1"]) < math.inf
 
 
 @pytest.mark.parametrize("spacing, l_tot", [("1e-5", "1000"), ("1e-290", "1e10")])

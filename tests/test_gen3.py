@@ -5,7 +5,7 @@ import caches
 import numpy as np
 import pytest
 import station_reference
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from qpc_reference import enumerate_decode
 
@@ -166,6 +166,20 @@ def test_batch_row_equals_scalar_station_outcome(code, mu, eps, others, other_mu
        st.sampled_from("xz"))
 def test_decode_probs_sum_to_one_anywhere(n, m, mu, eps, basis):
     assert abs(sum(gen3.decode_probs(n, m, mu, eps, basis)) - 1.0) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.floats(0.5, 1.0, exclude_min=True),
+       st.floats(0.0, 0.5, exclude_max=True),
+       st.one_of(st.floats(1e-15, 1e-6), st.floats(1e-6, 0.5)))
+def test_station_biases_do_not_rise_with_the_photon_error_rate(n, m, mu, e1, gap):
+    # the premise of a dead-cell record: on [0, 1/2] each station bias,
+    # |ratio_z| and |ratio_x|, is non-increasing in eps_q, up to the margin
+    e2 = min(e1 + gap, 0.5)
+    assume(e1 < e2)
+    low, high = (gen3.station_outcome((n,), (m,), (mu,), e) for e in (e1, e2))
+    for before, after in zip(low[:2], high[:2]):
+        assert abs(after.item()) <= abs(before.item()) * (1.0 + optimize._MARGIN), (n, m, mu, e1, e2)
 
 
 def test_station_batch_is_read_only():

@@ -388,6 +388,32 @@ def test_bounded_pass_equals_the_unbounded_one(family):
         _assert_bound_is_exact(family, _SMALL, spec.cell(params, l_tot))
 
 
+def _undominated_by_pairs(rows):
+    """_undominated's rule, pair by pair: row i goes when a finite row j != i
+    beats it by the margin in every column, unless i is finite, beats j too,
+    and comes first."""
+    v = np.array(rows, dtype=float)
+    finite = np.isfinite(v).all(axis=1)
+
+    def beats(j, i):
+        return finite[j] and ((1.0 + optimize._MARGIN) * v[j] <= v[i]).all()
+
+    return [i for i in range(len(v))
+            if not any(j != i and beats(j, i) and not (beats(i, j) and i < j) for j in range(len(v)))]
+
+
+@settings(max_examples=300, deadline=None)
+@example([[1.0, math.inf], [2.0, 2.0], [3.0, 3.0]])  # an infinite minimum beats nothing
+@example([[0.0, 5e-324], [0.0, 5e-324], [1.0, 1.0]])  # equal rows beat each other: the first stays
+@given(st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.lists(st.sampled_from((0.0, 5e-324, 1.0, 1.0 + 2e-9, 2.0, 1e300, 1.7e308, math.inf, math.nan)),
+             min_size=width, max_size=width),
+    min_size=1, max_size=40,
+)))
+def test_undominated_keeps_the_rows_no_finite_row_beats(rows):
+    assert optimize._undominated(rows) == _undominated_by_pairs(rows)
+
+
 def _crafted(monkeypatch, terms, bounds, groups):
     """gen1's family with its bound replaced by fixed rows: row i has terms
     terms[i], bound bounds[i] and group groups[i], and prices to itself."""
@@ -406,7 +432,7 @@ _PROBED = optimize._PROBE + 8  # rows in a group of the crafted examples
 @example([[2.0]] * _PROBED + [[1.0]], [1.0] * (_PROBED + 1), [0] * (_PROBED + 1))  # rows to drop
 @example([[math.inf]] * _PROBED, [1.0] * _PROBED, [0] * _PROBED)  # no finite incumbent
 @example([[5e-324]] * _PROBED, [1.0] * _PROBED, [0] * _PROBED)  # nor a subnormal one
-# a priced row with an infinite term sorts first, so _undominated keeps every row
+# a priced row with an infinite term sorts first, and beats nothing
 @example([[1.0, math.inf], [2.0, 2.0]] + [[3.0, 3.0]] * _PROBED,
          [1.0] * (_PROBED + 2), [0] * (_PROBED + 2))
 @given(
@@ -534,8 +560,8 @@ def _gen2_evaluators_read_the_cell_pass(params, l_tot, spacings):
 
 @pytest.mark.parametrize("params, l_tot", [
     (HardwareParams(eta_c=0.9, eps_g=1e-3, t0=1e-6), 1000.0),  # pruned
-    (HardwareParams(eta_c=0.9, eps_g=1e-3, t0=1e-310), 1000.0),  # _weights_hold fails
-    (HardwareParams(eta_c=1.0, eps_g=0.04, l_att=10.0), 28000.0),  # _margin_holds fails
+    (HardwareParams(eta_c=0.9, eps_g=1e-3, t0=1e-310), 1000.0),  # _margin_holds fails: a weight
+    (HardwareParams(eta_c=1.0, eps_g=0.04, l_att=10.0), 28000.0),  # _margin_holds fails: the cost
 ])
 def test_search_prices_only_from_the_cell_pass(monkeypatch, params, l_tot):
     def refuse(*args):
